@@ -21,10 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"bytes"
-
-	"valueexpert/cuda"
-	"valueexpert/gpu"
 	"valueexpert/internal/experiments"
 	"valueexpert/internal/interval"
 )
@@ -192,146 +188,5 @@ func BenchmarkFigure5CopyStrategies(b *testing.B) {
 				b.ReportMetric(float64(cost.Microseconds()), "simulated-us")
 			})
 		}
-	}
-}
-
-// pipelineBenchWorkload runs a bulk-load-heavy program: three arrays
-// scanned tile by tile, so each flushed buffer is cheap to collect (one
-// compacted record per tile) but expensive to analyze (every element
-// feeds the fine accumulator) — the §6.1 regime where overlapping
-// analysis with kernel execution pays off. Each thread sleeps briefly to
-// stand in for device execution time: on real hardware the GPU, not the
-// host, runs the kernel, and that host-free window is exactly what the
-// pipeline overlaps analysis with.
-func pipelineBenchWorkload(rt *cuda.Runtime) error {
-	const (
-		n        = 1 << 16
-		tile     = 2048
-		launches = 8
-	)
-	var arrs [3]cuda.DevPtr
-	host := make([]float32, n)
-	for a := range arrs {
-		ptr, err := rt.MallocF32(n, fmt.Sprintf("arr%d", a))
-		if err != nil {
-			return err
-		}
-		arrs[a] = ptr
-		for i := range host {
-			host[i] = float32((i + a*17) % 512)
-		}
-		if err := rt.CopyF32ToDevice(ptr, host); err != nil {
-			return err
-		}
-	}
-	out, err := rt.MallocF32(n/tile, "out")
-	if err != nil {
-		return err
-	}
-	k := &gpu.GoKernel{
-		Name: "tile_scan",
-		Func: func(th *gpu.Thread) {
-			i := th.GlobalID()
-			if i >= n/tile {
-				return
-			}
-			for _, ptr := range arrs {
-				th.BulkLoad(0, uint64(ptr)+uint64(4*tile*i), tile, 4, gpu.KindFloat)
-			}
-			th.StoreF32(1, uint64(out)+uint64(4*i), float32(i))
-			time.Sleep(600 * time.Microsecond) // simulated device time per tile
-		},
-	}
-	for l := 0; l < launches; l++ {
-		if err := rt.Launch(k, gpu.Dim1(1), gpu.Dim1(n/tile)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pipelineBenchRun profiles the workload once; profiled=false runs it bare
-// to establish the no-profiler baseline the overhead numbers subtract.
-func pipelineBenchRun(profiled bool, workers, depth int) (*Report, error) {
-	rt := cuda.NewRuntime(gpu.RTX2080Ti)
-	var p *Profiler
-	if profiled {
-		p = Attach(rt, Config{
-			Coarse: true, Fine: true,
-			BufferRecords:   64,
-			AnalysisWorkers: workers,
-			PipelineDepth:   depth,
-			Program:         "pipeline-bench",
-		})
-	}
-	if err := pipelineBenchWorkload(rt); err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, nil
-	}
-	p.Detach()
-	return p.Report(), nil
-}
-
-// BenchmarkPipelineOverhead compares profiling overhead — wall time above
-// the unprofiled baseline — for synchronous analysis and the asynchronous
-// pipeline at several worker counts. Every pipelined setting is first
-// checked to emit a report byte-identical to the synchronous one, then
-// each sub-benchmark reports its wall time plus the time analysis spent
-// stalling the kernel goroutine (stall-ms/op), the profiler-on-critical-
-// path cost the pipeline exists to remove.
-func BenchmarkPipelineOverhead(b *testing.B) {
-	reportBytes := func(rep *Report) []byte {
-		rep.Stats.AnalysisTime = 0
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			b.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	settings := []struct {
-		name           string
-		profiled       bool
-		workers, depth int
-	}{
-		{"unprofiled", false, 0, 0},
-		{"synchronous", true, 0, 1},
-		{"workers2_depth2", true, 2, 2},
-		{"workers4_depth4", true, 4, 4},
-		{"workers8_depth4", true, 8, 4},
-	}
-	var base []byte
-	for _, s := range settings {
-		if !s.profiled {
-			continue
-		}
-		rep, err := pipelineBenchRun(true, s.workers, s.depth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got := reportBytes(rep)
-		if base == nil {
-			base = got
-		} else if !bytes.Equal(base, got) {
-			b.Fatalf("%s: report differs from synchronous mode", s.name)
-		}
-	}
-	for _, s := range settings {
-		b.Run(s.name, func(b *testing.B) {
-			var stall time.Duration
-			for i := 0; i < b.N; i++ {
-				rep, err := pipelineBenchRun(s.profiled, s.workers, s.depth)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep != nil {
-					stall += rep.Stats.AnalysisTime
-				}
-			}
-			if s.profiled {
-				b.ReportMetric(float64(stall.Milliseconds())/float64(b.N), "stall-ms/op")
-			}
-		})
 	}
 }

@@ -479,7 +479,6 @@ func (sess *Session) markRunning() {
 // this re-walks the pipeline.
 func (sess *Session) stream() {
 	defer sess.svc.wg.Done()
-	defer sess.svc.sessionFinished()
 	src := sess.src(sess.rt)
 	// Interceptor chain, innermost out: profiler ← snapshotter ← trace
 	// recorder. The snapshotter serves ?partial=1 requests on this
@@ -543,6 +542,9 @@ func (sess *Session) stream() {
 		sess.spill()
 	}
 	sess.svc.tel.Counter(counter).Inc()
+	// Free the running slot before announcing completion: a client that
+	// attaches again as soon as Done() closes must find the slot free.
+	sess.svc.sessionFinished()
 	close(sess.done)
 }
 

@@ -179,6 +179,29 @@ func TestShutdownDrainsQueued(t *testing.T) {
 	}
 }
 
+// TestDoneFreesRunningSlot: by the time Done() is closed, the session's
+// running slot is free, so a closed-loop client that attaches again as
+// soon as its previous session is done is never refused — even with no
+// queue to absorb the overlap.
+func TestDoneFreesRunningSlot(t *testing.T) {
+	svc := NewService(WithLimits(Limits{MaxRunning: 1, MaxQueued: 0}))
+	defer svc.Shutdown()
+	for i := 0; i < 200; i++ {
+		sess, err := svc.Attach(SessionConfig{
+			Program: "empty", Device: gpu.RTX2080Ti, Engine: engineCfg(),
+			Run: func(rt *cuda.Runtime) error { return nil },
+		})
+		var qe *QuotaError
+		if errors.As(err, &qe) {
+			t.Fatalf("cycle %d: attach right after Done refused: %v", i, err)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-sess.Done()
+	}
+}
+
 // TestStoreSpillRestore: a finished session spills report + trace to
 // the content-addressed store and a fresh Service over the same
 // directory serves both byte-identically, marked Restored.

@@ -1,3 +1,11 @@
+// Package expgrid holds the capsule replay corpus: a few representative
+// kernel launches, extracted with the cmd/vxcapture machinery and checked
+// in under testdata/corpus/ next to their recorded reports. Replaying a
+// checked-in capsule does exactly the same analysis work on every machine,
+// so the corpus is a byte-deterministic correctness fixture: each capsule
+// must still reprofile byte-identical to its recorded report
+// (TestCorpusCapsulesByteIdentity, and the replay workload's set-up in
+// bench/).
 package expgrid
 
 import (
@@ -5,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"valueexpert/cuda"
@@ -15,22 +24,22 @@ import (
 	"valueexpert/internal/workloads"
 )
 
-// The capsule replay corpus: a few representative kernel launches,
-// extracted with the cmd/vxcapture machinery and checked in under
-// testdata/corpus/ next to their recorded reports. The corpus is the
-// grid's byte-deterministic fixed input — replaying a checked-in capsule
-// does exactly the same analysis work every run on every machine, so a
-// corpus cell's spread is pure measurement noise and its baseline
-// comparison cannot be skewed by workload drift. Corpus rot is caught by
-// TestCorpusCapsulesByteIdentity: each capsule must still reprofile
-// byte-identical to its recorded report.
-
 // CorpusConfig is the analysis configuration corpus reports are recorded
 // and verified under: the per-launch dimensions a capsule reproduces
 // (coarse snapshots need whole-object images a capsule does not carry),
 // with the flush-boundary-sensitive buffer size pinned.
 func CorpusConfig() core.Config {
 	return core.Config{Fine: true, ReuseDistance: true, BufferRecords: 128}
+}
+
+// CorpusFiles lists a corpus directory's capsules in sorted order.
+func CorpusFiles(dir string) ([]string, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.capsule"))
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(files)
+	return files, nil
 }
 
 // reportPath is the recorded-report sibling of a capsule file.

@@ -84,9 +84,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCompression asserts the size criterion the format exists
+// maxBytesPerAccess caps the Darknet recording's binary size per access
+// record: 11.79 when the cap was set, plus 25 % headroom.
+const maxBytesPerAccess = 14.7
+
+// TestBinaryCompression asserts the size criteria the format exists
 // for: the Darknet recording's binary container is at least 5x smaller
-// than the JSONL encoding of the identical stream.
+// than the JSONL encoding of the identical stream, and costs at most
+// maxBytesPerAccess bytes per access record.
 func TestBinaryCompression(t *testing.T) {
 	bin := recordDarknetFormat(t, FormatBinary)
 	jsonl := recordDarknetFormat(t, FormatJSONL)
@@ -94,7 +99,21 @@ func TestBinaryCompression(t *testing.T) {
 	if ratio < 5 {
 		t.Fatalf("binary %d bytes, jsonl %d bytes: compression %.2fx < 5x", len(bin), len(jsonl), ratio)
 	}
-	t.Logf("binary %d bytes, jsonl %d bytes (%.1fx)", len(bin), len(jsonl), ratio)
+	var accesses int
+	if err := Scan(bytes.NewReader(bin), func(e *Event) error {
+		accesses += len(e.Accesses)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if accesses == 0 {
+		t.Fatal("recording holds no access records")
+	}
+	perAccess := float64(len(bin)) / float64(accesses)
+	if perAccess > maxBytesPerAccess {
+		t.Fatalf("binary %d bytes for %d access records: %.2f B/access > %.1f", len(bin), accesses, perAccess, maxBytesPerAccess)
+	}
+	t.Logf("binary %d bytes, jsonl %d bytes (%.1fx), %.2f B/access", len(bin), len(jsonl), ratio, perAccess)
 }
 
 // TestBinaryTruncation cuts a valid container at every byte boundary:
