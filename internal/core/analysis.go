@@ -34,28 +34,28 @@ type Batch struct {
 	// prompt — background analysis must never stall collection.
 	Yield bool
 
-	// rangeIdx/rangeBytes hold flush-time captures of the bytes behind
+	// rangeOff/rangeBytes hold flush-time captures of the bytes behind
 	// compacted load-range records (Count>1 loads), packed into one
-	// reusable buffer instead of one heap slice per record. Populated
-	// only when a participating stage reports NeedsValues; read through
-	// RangeVal. Batches recycle through a pool, so both keep their
-	// allocations across flushes.
-	rangeIdx   map[int]rangeRef
+	// reusable buffer instead of one heap slice per record: rangeOff[i]
+	// is record i's offset into rangeBytes (its length is the record's
+	// Bytes()), or -1 when record i has no capture; rangeOff stays empty
+	// while no record has one. Populated only when a participating stage
+	// reports NeedsValues; read through RangeVal.
+	// Batches recycle through a pool, so both keep their allocations
+	// across flushes.
+	rangeOff   []int32
 	rangeBytes []byte
 }
-
-// rangeRef locates one captured range in Batch.rangeBytes.
-type rangeRef struct{ off, n int }
 
 // RangeVal returns the bytes record i's range held at flush time, or nil
 // when the record is not a captured load range. The slice aliases the
 // batch's capture buffer; it is valid until the batch is recycled.
 func (b *Batch) RangeVal(i int) []byte {
-	r, ok := b.rangeIdx[i]
-	if !ok {
+	if i >= len(b.rangeOff) || b.rangeOff[i] < 0 {
 		return nil
 	}
-	return b.rangeBytes[r.off : r.off+r.n]
+	off := int(b.rangeOff[i])
+	return b.rangeBytes[off : off+int(b.Recs[i].Bytes())]
 }
 
 // yieldStride is how often Yield-marked work gives up the processor: a
@@ -91,7 +91,7 @@ type Analysis interface {
 	NeedsAccesses() bool
 
 	// NeedsValues reports whether compacted load-range records must have
-	// their element values captured at flush time (Batch.RangeVals).
+	// their element values captured at flush time (Batch.RangeVal).
 	NeedsValues() bool
 
 	// LaunchBegin returns the stage's accumulator for an upcoming
@@ -130,6 +130,15 @@ type Analysis interface {
 type LaunchAnalysis interface {
 	Compact(b *Batch) Partial
 	Absorb(pt Partial)
+}
+
+// inlineAnalysis is the optional LaunchAnalysis extension the zero-worker
+// pipeline uses: analyzeInline folds b straight into the launch state,
+// leaving it exactly as Absorb(Compact(b)) would, without building a
+// partial. It runs on the kernel-execution goroutine, which owns the
+// launch state while no workers exist.
+type inlineAnalysis interface {
+	analyzeInline(b *Batch)
 }
 
 // PartialCombiner is the optional LaunchAnalysis extension for stages

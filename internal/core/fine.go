@@ -13,11 +13,12 @@ import (
 )
 
 // fineStage is the fine-grained analyzer (§5.1): it accumulates every
-// instrumented access's value into per-object histograms and fans each
-// access out to the registry's enabled fine-grained detectors (frequent,
-// single value, single zero, heavy type, structured, approximate, plus
-// any out-of-tree registrations). A detector disabled in Env.Patterns is
-// never constructed, so it costs nothing in Compact or Absorb.
+// instrumented access's value into per-object histograms, fans each
+// access out to the enabled detectors that observe accesses (heavy type,
+// structured, plus any out-of-tree observers), and finalizes every
+// enabled detector (frequent, single value, single zero, approximate
+// read only the histograms) at launch end. A detector disabled in
+// Env.Patterns is never constructed, so it costs nothing at all.
 type fineStage struct {
 	cfg     vpattern.FineConfig
 	regs    []vpattern.Registration
@@ -99,6 +100,9 @@ const (
 	// modeOrder is that sequential whole-batch pass: order-sensitive
 	// detectors only.
 	modeOrder
+	// modeInline is the zero-worker path: modeAssoc into the launch
+	// accumulator and modeOrder into a batch shard, in one walk.
+	modeInline
 )
 
 // Compact accumulates the batch's values into an independent uncapped
@@ -119,7 +123,7 @@ func (la *fineLaunch) Compact(b *Batch) Partial {
 	shard := st.getShard()
 	n := len(b.Recs)
 	if !b.Yield || st.chunks.Workers() <= 1 || n < 2*fineChunkRecords {
-		addRecords(shard, b, 0, n, modeFull)
+		addRecords(shard, nil, b, 0, n, modeFull)
 		return shard
 	}
 	nChunks := (n + fineChunkRecords - 1) / fineChunkRecords
@@ -131,7 +135,7 @@ func (la *fineLaunch) Compact(b *Batch) Partial {
 			hi = n
 		}
 		sub := st.getShard()
-		addRecords(sub, b, lo, hi, modeAssoc)
+		addRecords(sub, nil, b, lo, hi, modeAssoc)
 		subs[c] = sub
 	})
 	for _, sub := range subs {
@@ -139,14 +143,32 @@ func (la *fineLaunch) Compact(b *Batch) Partial {
 		st.putShard(sub)
 	}
 	if shard.OrderSensitive() {
-		addRecords(shard, b, 0, n, modeOrder)
+		addRecords(shard, nil, b, 0, n, modeOrder)
 	}
 	return shard
 }
 
+// analyzeInline implements inlineAnalysis: the shared context and the
+// exactly-mergeable observers take the batch straight into the launch
+// accumulator, which for them is what merging a shard of it reproduces.
+// The order-sensitive observers still observe the batch into a shard
+// that merges in, so their state stays the per-batch fold the pipelined
+// engine builds.
+func (la *fineLaunch) analyzeInline(b *Batch) {
+	if !la.acc.OrderSensitive() {
+		addRecords(la.acc, nil, b, 0, len(b.Recs), modeAssoc)
+		return
+	}
+	shard := la.st.getShard()
+	addRecords(la.acc, shard, b, 0, len(b.Recs), modeInline)
+	la.acc.MergeOrderSensitive(shard)
+	la.st.putShard(shard)
+}
+
 // addRecords walks records [lo, hi), expanding compacted range records,
-// and feeds each element access to the shard under the given mode.
-func addRecords(shard *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addMode) {
+// and feeds each element access to dst (and, in modeInline, ord) under
+// the given mode.
+func addRecords(dst, ord *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addMode) {
 	for i := lo; i < hi; i++ {
 		if b.Yield && i%yieldStride == 0 {
 			runtime.Gosched()
@@ -164,7 +186,7 @@ func addRecords(shard *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addM
 			if a.Store {
 				for e := 0; e < a.Elems(); e++ {
 					elem.Addr = a.Addr + uint64(e)*uint64(a.Size)
-					addOne(shard, mode, id, elem)
+					addOne(dst, ord, mode, id, elem)
 				}
 			} else if vals := b.RangeVal(i); vals != nil {
 				for e := 0; e < a.Elems(); e++ {
@@ -175,23 +197,26 @@ func addRecords(shard *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addM
 						continue // unsupported width: rejected upstream, skip defensively
 					}
 					elem.Raw = raw
-					addOne(shard, mode, id, elem)
+					addOne(dst, ord, mode, id, elem)
 				}
 			}
 		} else {
-			addOne(shard, mode, id, a)
+			addOne(dst, ord, mode, id, a)
 		}
 	}
 }
 
-func addOne(shard *vpattern.FineAccumulator, mode addMode, id int, a gpu.Access) {
+func addOne(dst, ord *vpattern.FineAccumulator, mode addMode, id int, a gpu.Access) {
 	switch mode {
 	case modeFull:
-		shard.Add(id, a)
+		dst.Add(id, a)
 	case modeAssoc:
-		shard.AddAssoc(id, a)
+		dst.AddAssoc(id, a)
+	case modeOrder:
+		dst.ObserveOrderSensitive(id, a)
 	default:
-		shard.ObserveOrderSensitive(id, a)
+		dst.AddAssoc(id, a)
+		ord.ObserveOrderSensitive(id, a)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"valueexpert/cuda"
 	"valueexpert/gpu"
 	"valueexpert/internal/parallel"
 )
@@ -30,7 +31,11 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 	// One captured load range decoded from the batch's capture buffer.
 	b.Recs[1] = gpu.Access{Addr: 0x100, Size: 4, Kind: gpu.KindUint, Count: 3}
 	b.rangeBytes = []byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}
-	b.rangeIdx = map[int]rangeRef{1: {off: 0, n: 12}}
+	b.rangeOff = make([]int32, n)
+	for i := range b.rangeOff {
+		b.rangeOff[i] = -1
+	}
+	b.rangeOff[1] = 0
 	return b
 }
 
@@ -40,7 +45,9 @@ func newTestFineStage() *fineStage {
 
 // TestFineCompactAllocsFree: with the shard pool warmed, one
 // compact-absorb round trip over a batch must not allocate — the
-// engine-side half of the zero-alloc access path.
+// engine-side half of the zero-alloc access path — and neither must the
+// zero-worker pipeline's submit, which adds a pooled batch with captured
+// load ranges straight into the launch state.
 func TestFineCompactAllocsFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates around sync.Pool")
@@ -52,6 +59,32 @@ func TestFineCompactAllocsFree(t *testing.T) {
 	round() // warm the pooled shard and the master accumulator
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("fine compact+absorb allocated %.1f times per warmed batch, want 0", allocs)
+	}
+
+	rt := cuda.NewRuntime(gpu.RTX2080Ti)
+	p := Attach(rt, Config{Fine: true})
+	defer p.Detach()
+	base, err := rt.Malloc(1<<17, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := append([]gpu.Access(nil), b.Recs...)
+	for i := range recs {
+		recs[i].Addr += uint64(base)
+	}
+	ls := &launchState{stages: []LaunchAnalysis{p.stages[0].LaunchBegin("k")}}
+	if _, ok := ls.stages[0].(inlineAnalysis); !ok {
+		t.Fatal("fine launch does not take the inline path")
+	}
+	pl := p.newPipeline(ls, 0, 1)
+	submit := func() {
+		sb := p.newBatch(recs)
+		sb.captureRangeLoads(rt.Device().Mem)
+		pl.submit(sb)
+	}
+	submit() // warm the batch pool, the launch accumulator and its shard
+	if allocs := testing.AllocsPerRun(20, submit); allocs != 0 {
+		t.Fatalf("inline submit allocated %.1f times per warmed batch, want 0", allocs)
 	}
 }
 

@@ -9,8 +9,8 @@
 // what remains in flush order, so the merged state — and therefore the
 // emitted report — is byte-identical for every worker/depth setting.
 // Synchronous analysis is the degenerate pipeline: with zero workers the
-// same submit path compacts and absorbs inline on the kernel-execution
-// goroutine.
+// same submit path analyzes inline on the kernel-execution goroutine,
+// adding straight into the launch state where a stage supports it.
 package core
 
 import (
@@ -168,9 +168,7 @@ func (pl *pipeline) submit(b *Batch) {
 		// Inline (zero-worker) analysis runs on the kernel goroutine but
 		// traces on the collector lane, where absorbs always appear.
 		sp := pl.p.tel.Span(telemetry.LaneCollector, "analysis", "analyze")
-		parts := pl.p.compact(pl.ls, b)
-		pl.p.releaseBatch(b)
-		pl.p.absorbAll(pl.ls, parts)
+		pl.p.analyzeInline(pl.ls, b)
 		sp.End()
 		return
 	}
@@ -218,6 +216,34 @@ func (p *Profiler) compact(ls *launchState, b *Batch) []Partial {
 		}
 	}
 	return parts
+}
+
+// analyzeInline is the zero-worker analysis of one batch: stages
+// implementing inlineAnalysis add it straight into their launch state
+// (timed as compaction), the rest compact and absorb it in turn.
+func (p *Profiler) analyzeInline(ls *launchState, b *Batch) {
+	p.resolveObjects(b)
+	for i, la := range ls.stages {
+		if la == nil {
+			continue
+		}
+		sw := p.probes.compact[i].Start()
+		in, direct := la.(inlineAnalysis)
+		var pt Partial
+		if direct {
+			in.analyzeInline(b)
+		} else {
+			pt = la.Compact(b)
+		}
+		sw.Stop()
+		p.probes.batches[i].Inc()
+		if !direct {
+			sw = p.probes.absorb[i].Start()
+			la.Absorb(pt)
+			sw.Stop()
+		}
+	}
+	p.releaseBatch(b)
 }
 
 // resolveObjects fills b.IDs with each record's containing data object,
@@ -284,8 +310,8 @@ func (p *Profiler) releaseBatch(b *Batch) {
 	p.san.Recycle(b.Recs)
 	b.Recs = nil
 	b.IDs = b.IDs[:0]
+	b.rangeOff = b.rangeOff[:0]
 	b.rangeBytes = b.rangeBytes[:0]
-	clear(b.rangeIdx)
 	b.Yield = false
 	p.batchPool.Put(b)
 }
@@ -295,7 +321,7 @@ func (p *Profiler) releaseBatch(b *Batch) {
 // per element — so workers can decode element values from a stable host
 // copy while the kernel keeps mutating device memory. Captures pack into
 // the batch's reusable buffer; a read that fails (a malformed range
-// straddling allocations) leaves no entry and the record contributes no
+// straddling allocations) leaves offset -1 and the record contributes no
 // fine-grained values, in either analysis mode.
 func (b *Batch) captureRangeLoads(mem *gpu.Memory) {
 	for i, a := range b.Recs {
@@ -313,9 +339,17 @@ func (b *Batch) captureRangeLoads(mem *gpu.Memory) {
 			b.rangeBytes = b.rangeBytes[:off]
 			continue
 		}
-		if b.rangeIdx == nil {
-			b.rangeIdx = make(map[int]rangeRef)
+		if len(b.rangeOff) == 0 {
+			// First capture of the batch: index every record as uncaptured.
+			if cap(b.rangeOff) < len(b.Recs) {
+				b.rangeOff = make([]int32, len(b.Recs))
+			} else {
+				b.rangeOff = b.rangeOff[:len(b.Recs)]
+			}
+			for j := range b.rangeOff {
+				b.rangeOff[j] = -1
+			}
 		}
-		b.rangeIdx[i] = rangeRef{off: off, n: n}
+		b.rangeOff[i] = int32(off)
 	}
 }

@@ -379,8 +379,11 @@ func (p *Profiler) Drain() {
 // APIEnd implements cuda.Interceptor: launches are finalized through the
 // stages' LaunchEnd, every other event is forwarded to their APIEnd.
 func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
-	start := time.Now()
-	defer func() { p.analysisTime += time.Since(start) }()
+	// All of APIEnd is analysis, including a launch's final flush, whose
+	// closure adds its own time as it runs: restoring the total from
+	// before the call counts that nested time once.
+	start, before := time.Now(), p.analysisTime
+	defer func() { p.analysisTime = before + time.Since(start) }()
 
 	p.pending = "" // the API completed
 	if ev.Kind == cuda.APILaunch {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
 	"valueexpert/internal/telemetry"
+	"valueexpert/internal/workloads"
 )
 
 // TestTelemetryPreservesReportBytes is the tentpole's observer guarantee:
@@ -221,4 +223,35 @@ func keys[V any](m map[string]V) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestAnalysisTimeWithinWall: every nanosecond of analysis is counted
+// once, so the engine's analysis time can never exceed the wall time of
+// the profile it was spent in. A launch's final flush runs inside
+// APIEnd, and counting it in both places once put Darknet's analysis
+// time at 1.7x its wall time.
+func TestAnalysisTimeWithinWall(t *testing.T) {
+	w, err := workloads.ByName("Darknet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldScale := workloads.Scale
+	workloads.Scale = 32
+	defer func() { workloads.Scale = oldScale }()
+
+	for _, workers := range []int{0, 2} {
+		src := cuda.NewLiveSource(cuda.NewRuntime(gpu.RTX2080Ti), func(rt *cuda.Runtime) error {
+			return w.Run(rt, workloads.Original)
+		})
+		start := time.Now()
+		p, err := Profile(src, Config{Coarse: true, Fine: true, AnalysisWorkers: workers})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Detach()
+		if got := p.AnalysisTime(); got <= 0 || got > wall {
+			t.Errorf("workers=%d: analysis time %v outside (0, wall %v]", workers, got, wall)
+		}
+	}
 }

@@ -3,7 +3,9 @@
 // checks engine-wide invariants across execution modes —
 //
 //	(a) the synchronous engine (workers=0) and the pipelined engine
-//	    (workers=4, depth=3) produce byte-identical reports;
+//	    (workers=4, depth=3) produce byte-identical reports, also with
+//	    the fine value histograms capped at 8 distinct values so that
+//	    saturation runs through the whole engine;
 //	(b) profiling a live run and profiling its recorded trace produce
 //	    byte-identical reports;
 //	(c) under injected faults the engine either surfaces a typed error
@@ -61,6 +63,14 @@ func cfg(workers, depth int) core.Config {
 		PipelineDepth:   depth,
 		Program:         "proptest",
 	}
+}
+
+// saturatingCfg is cfg with the fine value histograms capped at 8
+// distinct values, so most objects saturate.
+func saturatingCfg(workers, depth int) core.Config {
+	c := cfg(workers, depth)
+	c.FineConfig.MaxTrackedValues = 8
+	return c
 }
 
 // seededProbability is the per-call fire probability of the randomized
@@ -224,6 +234,21 @@ func CheckSeed(seed int64) error {
 	}
 	if err := awaitGoroutines(base); err != nil {
 		return fmt.Errorf("after pipelined run: %w", err)
+	}
+	satSync, err := runLive(seed, nil, saturatingCfg(0, 0), true)
+	if err != nil {
+		return fmt.Errorf("saturating baseline run: %w", err)
+	}
+	satPiped, err := runLive(seed, nil, saturatingCfg(4, 3), true)
+	if err != nil {
+		return fmt.Errorf("saturating pipelined run: %w", err)
+	}
+	if !bytes.Equal(satSync.report, satPiped.report) {
+		return fmt.Errorf("property (a): with 8 tracked values, workers=0 and workers=4/depth=3 reports differ (%d vs %d bytes)",
+			len(satSync.report), len(satPiped.report))
+	}
+	if err := awaitGoroutines(base); err != nil {
+		return fmt.Errorf("after saturating runs: %w", err)
 	}
 
 	// (b) Replaying a recorded trace reproduces the live report. One

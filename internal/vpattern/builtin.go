@@ -20,31 +20,28 @@ func init() {
 		Default: true,
 	})
 	Register(Registration{
-		Kind:       SingleZero,
-		Name:       "single zero",
-		Grain:      GrainFine,
-		Default:    true,
-		New:        newSingleZeroDetector,
-		ExactMerge: true,
-		Advise:     adviseFlat("conditionally bypass computation and stores when the operand is zero"),
+		Kind:    SingleZero,
+		Name:    "single zero",
+		Grain:   GrainFine,
+		Default: true,
+		New:     newSingleZeroDetector,
+		Advise:  adviseFlat("conditionally bypass computation and stores when the operand is zero"),
 	})
 	Register(Registration{
-		Kind:       SingleValue,
-		Name:       "single value",
-		Grain:      GrainFine,
-		Default:    true,
-		New:        newSingleValueDetector,
-		ExactMerge: true,
-		Advise:     adviseFlat("contract the array to a scalar (all accessed values identical)"),
+		Kind:    SingleValue,
+		Name:    "single value",
+		Grain:   GrainFine,
+		Default: true,
+		New:     newSingleValueDetector,
+		Advise:  adviseFlat("contract the array to a scalar (all accessed values identical)"),
 	})
 	Register(Registration{
-		Kind:       FrequentValues,
-		Name:       "frequent values",
-		Grain:      GrainFine,
-		Default:    true,
-		New:        newFrequentDetector,
-		ExactMerge: true,
-		Advise:     adviseScaled("add conditional computation for the hot value(s) to skip redundant work", 1),
+		Kind:    FrequentValues,
+		Name:    "frequent values",
+		Grain:   GrainFine,
+		Default: true,
+		New:     newFrequentDetector,
+		Advise:  adviseScaled("add conditional computation for the hot value(s) to skip redundant work", 1),
 	})
 	Register(Registration{
 		Kind:       HeavyType,
@@ -64,13 +61,12 @@ func init() {
 		Advise:  adviseFlat("compute values from array indices instead of loading them"),
 	})
 	Register(Registration{
-		Kind:       ApproximateValues,
-		Name:       "approximate values",
-		Grain:      GrainFine,
-		Default:    true,
-		New:        newApproxDetector,
-		ExactMerge: true,
-		Advise:     adviseScaled("exploit the pattern after mantissa relaxation (accuracy budget permitting)", 0.5),
+		Kind:    ApproximateValues,
+		Name:    "approximate values",
+		Grain:   GrainFine,
+		Default: true,
+		New:     newApproxDetector,
+		Advise:  adviseScaled("exploit the pattern after mantissa relaxation (accuracy budget permitting)", 0.5),
 	})
 }
 

@@ -8,21 +8,17 @@ import (
 	"valueexpert/gpu"
 )
 
-// The six builtin fine-grained detectors. The stateless ones (single
-// zero, single value, frequent values) read everything they need from the
-// shared observation context at Finalize; the stateful ones (heavy type,
-// structured values, approximate values) keep only the per-object state
-// their own definition requires, in dense ID-indexed tables that reset in
-// place for shard reuse.
+// The six builtin fine-grained detectors. Four (single zero, single
+// value, frequent values, approximate values) read everything they need
+// from the shared observation context at Finalize and cost nothing per
+// access; the two Observers (heavy type, structured values) keep only the
+// per-object state their own definition requires, in dense ID-indexed
+// tables that reset in place for shard reuse.
 
 // singleZeroDetector recognizes Def 3.5: every accessed value is zero.
 type singleZeroDetector struct{}
 
 func newSingleZeroDetector(FineConfig) Detector { return singleZeroDetector{} }
-
-func (singleZeroDetector) Observe(int, gpu.Access) {}
-func (singleZeroDetector) Merge(Detector)          {}
-func (singleZeroDetector) Reset()                  {}
 
 func (singleZeroDetector) Finalize(_ int, sh *ObjectShared) (Match, bool) {
 	if v, ok := sh.Single(); ok && v.IsZero() {
@@ -36,10 +32,6 @@ func (singleZeroDetector) Finalize(_ int, sh *ObjectShared) (Match, bool) {
 type singleValueDetector struct{}
 
 func newSingleValueDetector(FineConfig) Detector { return singleValueDetector{} }
-
-func (singleValueDetector) Observe(int, gpu.Access) {}
-func (singleValueDetector) Merge(Detector)          {}
-func (singleValueDetector) Reset()                  {}
 
 func (singleValueDetector) Finalize(_ int, sh *ObjectShared) (Match, bool) {
 	if v, ok := sh.Single(); ok {
@@ -56,10 +48,6 @@ func (singleValueDetector) Finalize(_ int, sh *ObjectShared) (Match, bool) {
 type frequentDetector struct{ cfg FineConfig }
 
 func newFrequentDetector(cfg FineConfig) Detector { return frequentDetector{cfg: cfg} }
-
-func (frequentDetector) Observe(int, gpu.Access) {}
-func (frequentDetector) Merge(Detector)          {}
-func (frequentDetector) Reset()                  {}
 
 func (d frequentDetector) Finalize(_ int, sh *ObjectShared) (Match, bool) {
 	if _, single := sh.Single(); single {
@@ -380,50 +368,53 @@ func (d *structuredDetector) Finalize(objID int, _ *ObjectShared) (Match, bool) 
 }
 
 // approxDetector recognizes Def 3.8: mantissa truncation exposes a
-// single/frequent pattern the exact histogram does not. Per-object state
-// exists only for objects that saw float values. Histogram folds replay
-// insertion order, which is exactly associative (ExactMerge).
+// single/frequent pattern the exact histogram does not. It keeps no
+// per-object state: Finalize derives the object's histogram of truncated
+// float values from the shared context (relax).
 type approxDetector struct {
-	cfg  FineConfig
-	objs table[valueHist]
+	cfg FineConfig
+	// scratch holds the histogram relax derives for the object being
+	// finalized; reused across objects.
+	scratch valueHist
 }
 
 func newApproxDetector(cfg FineConfig) Detector {
 	return &approxDetector{cfg: cfg}
 }
 
-func (d *approxDetector) Reset() { d.objs.reset((*valueHist).reset) }
-
-func (d *approxDetector) Observe(objID int, a gpu.Access) {
-	if a.Kind != gpu.KindFloat {
-		return
-	}
-	h, _ := d.objs.at(objID)
-	v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
-	h.add(v.Truncate(d.cfg.ApproxMantissaBits), 1, d.cfg.MaxTrackedValues)
-}
-
-func (d *approxDetector) Merge(partial Detector) {
-	o := partial.(*approxDetector)
-	for _, id := range o.objs.ids {
-		oh := o.objs.get(id)
-		h, _ := d.objs.at(id)
-		// Replay in insertion order against d's cap; approximate overflow
-		// drops silently (capped replay == trim).
-		for _, e := range oh.entries {
-			h.add(e.Value, e.Count, d.cfg.MaxTrackedValues)
+// relax rebuilds into d.scratch the histogram of truncated float values
+// a per-access pass would have built under the same cap. Replaying the
+// exact entries in first-occurrence order through Truncate reproduces
+// it: a truncated value first occurs together with its first-occurring
+// preimage, so insertion order, counts, the cap and tie-breaking all
+// match. Past saturation the accesses the exact histogram refused are in
+// sh.relaxed, whose order continues the tracked entries' (see
+// ObjectShared.overflow); its count-0 seeds add nothing on replay.
+func (d *approxDetector) relax(sh *ObjectShared) *valueHist {
+	h := &d.scratch
+	h.reset()
+	for _, e := range sh.exact.entries {
+		if e.Value.Kind == gpu.KindFloat {
+			h.add(e.Value.Truncate(d.cfg.ApproxMantissaBits), e.Count, d.cfg.MaxTrackedValues)
 		}
 	}
+	for _, e := range sh.relaxed.entries {
+		h.add(e.Value, e.Count, d.cfg.MaxTrackedValues)
+	}
+	return h
 }
 
-func (d *approxDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
-	h := d.objs.get(objID)
-	if h == nil || h.len() == 0 {
-		return Match{}, false
-	}
+func (d *approxDetector) Finalize(_ int, sh *ObjectShared) (Match, bool) {
 	if _, single := sh.Single(); single {
 		return Match{}, false
 	}
+	// The relaxation must *expose* something exact analysis missed; the
+	// ranked top value carries the exact histogram's highest count.
+	total := sh.Accesses()
+	if top := sh.Top(); len(top) > 0 && float64(top[0].Count)/float64(total) >= d.cfg.FrequentThreshold {
+		return Match{}, false
+	}
+	h := d.relax(sh)
 	// Find the dominant truncated value; insertion order breaks ties, so
 	// the first value to reach the top count wins deterministically.
 	var best Value
@@ -433,17 +424,8 @@ func (d *approxDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
 			best, bestCnt = e.Value, e.Count
 		}
 	}
-	total := sh.Accesses()
 	frac := float64(bestCnt) / float64(total)
-	exactTop := uint64(0)
-	for _, e := range sh.Values() {
-		if e.Count > exactTop {
-			exactTop = e.Count
-		}
-	}
-	exactFrac := float64(exactTop) / float64(total)
-	// The relaxation must *expose* something exact analysis missed.
-	if frac < d.cfg.FrequentThreshold || exactFrac >= d.cfg.FrequentThreshold {
+	if h.len() == 0 || frac < d.cfg.FrequentThreshold {
 		return Match{}, false
 	}
 	kind := "frequent values"

@@ -121,7 +121,7 @@ func (h *valueHist) add(v Value, n uint64, maxTracked int) bool {
 }
 
 // grow resizes the slot index to n (a power of two) and reindexes every
-// entry. Also used to rebuild the index after trim.
+// entry.
 func (h *valueHist) grow(n int) {
 	if cap(h.slots) >= n {
 		h.slots = h.slots[:n]
@@ -137,22 +137,6 @@ func (h *valueHist) grow(n int) {
 		}
 		h.slots[i] = int32(idx + 1)
 	}
-}
-
-// trim re-applies a saturation cap to an insertion-ordered histogram,
-// returning the total count of evicted occurrences. Equivalent to
-// replaying the entries through add with the given cap.
-func (h *valueHist) trim(maxTracked int) uint64 {
-	if len(h.entries) <= maxTracked {
-		return 0
-	}
-	var evicted uint64
-	for _, e := range h.entries[maxTracked:] {
-		evicted += e.Count
-	}
-	h.entries = h.entries[:maxTracked]
-	h.grow(len(h.slots))
-	return evicted
 }
 
 // reset empties the histogram keeping both allocations, so the next use
@@ -255,15 +239,43 @@ type ObjectShared struct {
 	Overflow uint64
 
 	exact valueHist
-	top   []ValueCount
+	// relaxed is the relaxed-overflow histogram: the mantissa-truncated
+	// values (Def 3.8) of the float accesses the saturated exact
+	// histogram refused. The first overflow seeds it, with count 0, from
+	// the truncations of every tracked float entry, so its first-occurrence
+	// order and cap continue those of the tracked entries' truncations.
+	// Replaying the tracked entries' truncations, then relaxed, rebuilds
+	// exactly the histogram a per-access pass over truncated values would
+	// hold (approxDetector). Empty while the object never overflowed.
+	relaxed valueHist
+	top     []ValueCount
 }
 
-// clear empties the state keeping the histogram's and ranking's
+// clear empties the state keeping the histograms' and ranking's
 // allocations for reuse.
 func (sh *ObjectShared) clear() {
 	sh.Loads, sh.Stores, sh.Bytes, sh.Overflow = 0, 0, 0, 0
 	sh.exact.reset()
+	sh.relaxed.reset()
 	sh.top = sh.top[:0]
+}
+
+// overflow accounts n occurrences of v, a value the saturated exact
+// histogram refused, feeding the relaxed-overflow histogram.
+func (sh *ObjectShared) overflow(v Value, n uint64, cfg *FineConfig) {
+	if sh.Overflow == 0 {
+		// Every tracked entry first occurred before this first overflow,
+		// so their truncations lead the relaxed first-occurrence order.
+		for _, e := range sh.exact.entries {
+			if e.Value.Kind == gpu.KindFloat {
+				sh.relaxed.add(e.Value.Truncate(cfg.ApproxMantissaBits), 0, cfg.MaxTrackedValues)
+			}
+		}
+	}
+	sh.Overflow += n
+	if v.Kind == gpu.KindFloat {
+		sh.relaxed.add(v.Truncate(cfg.ApproxMantissaBits), n, cfg.MaxTrackedValues)
+	}
 }
 
 // Accesses returns the total access count.
@@ -380,10 +392,11 @@ func (r *FineReport) Pattern(k Kind) (Match, bool) {
 	return Match{}, false
 }
 
-// Resetter is the optional detector extension that clears state in place,
+// Resetter is the optional Observer extension that clears state in place,
 // letting the engine pool and reuse per-batch shard accumulators without
-// reallocating detector state. A detector without it is rebuilt from its
-// registration factory on every shard reset.
+// reallocating observer state. An observer without it is rebuilt from its
+// registration factory on every shard reset; a detector that is not an
+// Observer accumulates nothing and is never reset.
 type Resetter interface {
 	Reset()
 }
@@ -391,21 +404,21 @@ type Resetter interface {
 // FineAccumulator ingests instrumented accesses grouped by data object and
 // produces per-object fine-grained pattern reports for the current GPU
 // API. It maintains the shared observation context (counters + exact
-// histogram) and fans each access out to its detector lineup; matches are
-// emitted in detector registration order. Reset between APIs (the online
-// analyzer finalizes at each kernel exit).
+// histogram) and fans each access out to the Observers in its detector
+// lineup; matches are emitted in detector registration order. Reset
+// between APIs (the online analyzer finalizes at each kernel exit).
 type FineAccumulator struct {
 	cfg  FineConfig
 	regs []Registration
 	dets []Detector
-	// assocDets and naDets split dets by Registration.ExactMerge, so the
-	// per-access fan-out and the combine machinery never test flags: the
-	// exactly-mergeable detectors can fold in any association, the
-	// order-sensitive rest only ever observe whole batches sequentially
-	// and merge strictly in flush order.
-	assocDets []Detector
-	naDets    []Detector
-	objs      table[ObjectShared]
+	// assocObs and naObs are the Observers among dets, split by
+	// Registration.ExactMerge, so the per-access fan-out and the combine
+	// machinery never test flags: the exactly-mergeable observers can
+	// fold in any association, the order-sensitive rest only ever observe
+	// whole batches sequentially and merge strictly in flush order.
+	assocObs []Observer
+	naObs    []Observer
+	objs     table[ObjectShared]
 
 	// pending holds shards combined into this one (Combine) whose
 	// order-sensitive detector state could not be pre-folded; Merge
@@ -428,19 +441,23 @@ func NewFineAccumulatorWith(cfg FineConfig, regs []Registration) *FineAccumulato
 	for i, r := range regs {
 		fa.dets[i] = r.New(fa.cfg)
 	}
-	fa.splitDetectors()
+	fa.splitObservers()
 	return fa
 }
 
-// splitDetectors rebuilds the assoc/order-sensitive views over dets.
-func (fa *FineAccumulator) splitDetectors() {
-	fa.assocDets = fa.assocDets[:0]
-	fa.naDets = fa.naDets[:0]
+// splitObservers rebuilds the assoc/order-sensitive observer views over
+// dets.
+func (fa *FineAccumulator) splitObservers() {
+	fa.assocObs = fa.assocObs[:0]
+	fa.naObs = fa.naObs[:0]
 	for i, r := range fa.regs {
-		if r.ExactMerge {
-			fa.assocDets = append(fa.assocDets, fa.dets[i])
-		} else {
-			fa.naDets = append(fa.naDets, fa.dets[i])
+		o, ok := fa.dets[i].(Observer)
+		switch {
+		case !ok:
+		case r.ExactMerge:
+			fa.assocObs = append(fa.assocObs, o)
+		default:
+			fa.naObs = append(fa.naObs, o)
 		}
 	}
 }
@@ -468,49 +485,52 @@ func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
 	// Exact histogram (capped).
 	v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
 	if !sh.exact.add(v, 1, fa.cfg.MaxTrackedValues) {
-		sh.Overflow++
+		sh.overflow(v, 1, &fa.cfg)
 	}
 }
 
 // Add records one access belonging to the data object objID.
 func (fa *FineAccumulator) Add(objID int, a gpu.Access) {
 	fa.addShared(objID, a)
-	for _, d := range fa.assocDets {
-		d.Observe(objID, a)
+	for _, o := range fa.assocObs {
+		o.Observe(objID, a)
 	}
-	for _, d := range fa.naDets {
-		d.Observe(objID, a)
+	for _, o := range fa.naObs {
+		o.Observe(objID, a)
 	}
 }
 
 // AddAssoc records one access into the shared context and the
-// exactly-mergeable detectors only — the per-record work of an intra-batch
-// sub-shard. The order-sensitive detectors must then observe the whole
-// batch sequentially (ObserveOrderSensitive) on the shard the sub-shards
-// fold into, so their state is built by exactly the per-batch sequential
+// exactly-mergeable observers only — the per-record work of an
+// intra-batch sub-shard, or of the zero-worker engine adding straight
+// into the launch accumulator. The order-sensitive observers must then
+// observe the whole batch sequentially (ObserveOrderSensitive) on a
+// shard, so their state is built by exactly the per-batch sequential
 // pass their Merge contract assumes.
 func (fa *FineAccumulator) AddAssoc(objID int, a gpu.Access) {
 	fa.addShared(objID, a)
-	for _, d := range fa.assocDets {
-		d.Observe(objID, a)
+	for _, o := range fa.assocObs {
+		o.Observe(objID, a)
 	}
 }
 
-// ObserveOrderSensitive feeds one access to the order-sensitive detectors
+// ObserveOrderSensitive feeds one access to the order-sensitive observers
 // only — the sequential whole-batch pass paired with AddAssoc.
 func (fa *FineAccumulator) ObserveOrderSensitive(objID int, a gpu.Access) {
-	for _, d := range fa.naDets {
-		d.Observe(objID, a)
+	for _, o := range fa.naObs {
+		o.Observe(objID, a)
 	}
 }
 
-// OrderSensitive reports whether the lineup contains detectors that
+// OrderSensitive reports whether the lineup contains observers that
 // require the sequential whole-batch pass.
-func (fa *FineAccumulator) OrderSensitive() bool { return len(fa.naDets) > 0 }
+func (fa *FineAccumulator) OrderSensitive() bool { return len(fa.naObs) > 0 }
 
 // foldShared replays other's shared per-object state into fa in insertion
 // order — identical saturation decisions to a sequential pass over fa's
-// stream followed by other's.
+// stream followed by other's. other must be uncapped (a shard): its
+// entries are then exactly the distinct values of its stream, which is
+// what the replay relies on.
 func (fa *FineAccumulator) foldShared(other *FineAccumulator) {
 	for _, id := range other.objs.ids {
 		ob := other.objs.get(id)
@@ -520,7 +540,7 @@ func (fa *FineAccumulator) foldShared(other *FineAccumulator) {
 		sh.Bytes += ob.Bytes
 		for _, e := range ob.exact.entries {
 			if !sh.exact.add(e.Value, e.Count, fa.cfg.MaxTrackedValues) {
-				sh.Overflow += e.Count
+				sh.overflow(e.Value, e.Count, &fa.cfg)
 			}
 		}
 		sh.Overflow += ob.Overflow
@@ -534,21 +554,31 @@ func (fa *FineAccumulator) foldShared(other *FineAccumulator) {
 // the sub-shard's records).
 func (fa *FineAccumulator) FoldAssoc(sub *FineAccumulator) {
 	fa.foldShared(sub)
-	for i, d := range fa.assocDets {
-		d.Merge(sub.assocDets[i])
+	for i, o := range fa.assocObs {
+		o.Merge(sub.assocObs[i])
+	}
+}
+
+// MergeOrderSensitive folds the order-sensitive observers of a shard fed
+// by ObserveOrderSensitive into fa — the second half of adding a batch
+// straight into fa with AddAssoc. fa then holds exactly the state
+// Merge of a full shard of the same batch would leave.
+func (fa *FineAccumulator) MergeOrderSensitive(shard *FineAccumulator) {
+	for i, o := range fa.naObs {
+		o.Merge(shard.naObs[i])
 	}
 }
 
 // Combine pre-folds shard other — the batch flushed immediately after
 // fa's — into fa, off the collector's critical path. Everything exactly
-// mergeable (shared context, ExactMerge detectors) folds now; the
-// order-sensitive detectors' merges are deferred: other rides along in
+// mergeable (shared context, ExactMerge observers) folds now; the
+// order-sensitive observers' merges are deferred: other rides along in
 // fa.pending and Merge replays it in flush order, so the master's state
 // stays bit-identical to absorbing the two shards separately.
 func (fa *FineAccumulator) Combine(other *FineAccumulator) {
 	fa.foldShared(other)
-	for i, d := range fa.assocDets {
-		d.Merge(other.assocDets[i])
+	for i, o := range fa.assocObs {
+		o.Merge(other.assocObs[i])
 	}
 	fa.pending = append(fa.pending, other)
 	fa.pending = append(fa.pending, other.pending...)
@@ -575,13 +605,13 @@ func (fa *FineAccumulator) TakePending() []*FineAccumulator {
 // to the engine's pool (Reset) or the collector's discard.
 func (fa *FineAccumulator) Merge(other *FineAccumulator) {
 	fa.foldShared(other)
-	for i, d := range fa.assocDets {
-		d.Merge(other.assocDets[i])
+	for i, o := range fa.assocObs {
+		o.Merge(other.assocObs[i])
 	}
-	for i, d := range fa.naDets {
-		d.Merge(other.naDets[i])
+	for i, o := range fa.naObs {
+		o.Merge(other.naObs[i])
 		for _, s := range other.pending {
-			d.Merge(s.naDets[i])
+			o.Merge(s.naObs[i])
 		}
 	}
 }
@@ -595,13 +625,16 @@ func (fa *FineAccumulator) Objects() []int {
 
 // Reset clears all accumulated state for the next GPU API (or the next
 // batch, for pooled shards) — in place: the object table, histograms, and
-// detectors that implement Resetter keep their allocations, so a reused
+// observers that implement Resetter keep their allocations, so a reused
 // accumulator's Add path is allocation-free in the steady state.
 func (fa *FineAccumulator) Reset() {
 	fa.objs.reset((*ObjectShared).clear)
 	fa.pending = fa.pending[:0]
 	rebuilt := false
 	for i, d := range fa.dets {
+		if _, ok := d.(Observer); !ok {
+			continue
+		}
 		if r, ok := d.(Resetter); ok {
 			r.Reset()
 		} else {
@@ -610,7 +643,7 @@ func (fa *FineAccumulator) Reset() {
 		}
 	}
 	if rebuilt {
-		fa.splitDetectors()
+		fa.splitObservers()
 	}
 }
 

@@ -372,7 +372,12 @@ func TestKindString(t *testing.T) {
 // each batch into an uncapped shard (as pipeline workers do) and merging
 // the shards in order into a master with the configured cap.
 func mergeStream(cfg FineConfig, accs []gpu.Access, objOf func(i int) int, batch int) []FineReport {
-	master := NewFineAccumulator(cfg)
+	return mergeStreamWith(cfg, FineDetectors(nil), accs, objOf, batch)
+}
+
+// mergeStreamWith is mergeStream over an explicit detector lineup.
+func mergeStreamWith(cfg FineConfig, regs []Registration, accs []gpu.Access, objOf func(i int) int, batch int) []FineReport {
+	master := NewFineAccumulatorWith(cfg, regs)
 	shardCfg := cfg
 	shardCfg.MaxTrackedValues = math.MaxInt
 	for lo := 0; lo < len(accs); lo += batch {
@@ -380,7 +385,7 @@ func mergeStream(cfg FineConfig, accs []gpu.Access, objOf func(i int) int, batch
 		if hi > len(accs) {
 			hi = len(accs)
 		}
-		shard := NewFineAccumulator(shardCfg)
+		shard := NewFineAccumulatorWith(shardCfg, regs)
 		for i := lo; i < hi; i++ {
 			shard.Add(objOf(i), accs[i])
 		}

@@ -31,33 +31,40 @@ func (g Grain) String() string {
 	return "fine"
 }
 
-// Detector recognizes one fine-grained value pattern over the
-// instrumented access stream of one kernel launch. Implementations hold
-// only their own per-object state; the access counters and exact-value
-// histogram every pattern needs live in the shared observation context
-// the accumulator maintains (ObjectShared).
-//
-// A detector participates in the analysis pipeline's compact/absorb path:
-// workers build an independent partial detector per flushed batch (via
-// the same factory) and the collector folds the partials into the launch
-// detector with Merge, in flush order — so a detector's merged state must
-// equal the state one sequential pass over the concatenated batches would
-// produce.
+// Detector recognizes one fine-grained value pattern for one kernel
+// launch. The access counters and exact-value histogram every pattern
+// needs live in the shared observation context the accumulator maintains
+// (ObjectShared); a detector that reads nothing else implements only
+// Finalize and costs nothing per access.
 type Detector interface {
-	// Observe ingests one access of data object objID. The accumulator
-	// has already folded the access into the object's shared observation.
-	Observe(objID int, a gpu.Access)
-
-	// Merge folds a partial detector of the same concrete type — built
-	// over one flushed batch on a pipeline worker — into this one, in
-	// batch order. Merge reads the partial's state without consuming it;
-	// the engine resets (Resetter) or discards the partial afterwards.
-	Merge(partial Detector)
-
 	// Finalize reports objID's match, if the pattern holds. sh is the
 	// object's shared observation context, with the ranked top values
 	// already computed.
 	Finalize(objID int, sh *ObjectShared) (Match, bool)
+}
+
+// Observer is the optional Detector extension for patterns that keep
+// per-access state of their own. Only observers are called on the
+// per-access path.
+//
+// An observer participates in the analysis pipeline's compact/absorb
+// path: workers build an independent partial observer per flushed batch
+// (via the same factory) and the collector folds the partials into the
+// launch observer with Merge, in flush order — so an observer's merged
+// state must equal the state one sequential pass over the concatenated
+// batches would produce.
+type Observer interface {
+	Detector
+
+	// Observe ingests one access of data object objID. The accumulator
+	// has already folded the access into the object's shared observation.
+	Observe(objID int, a gpu.Access)
+
+	// Merge folds a partial observer of the same concrete type — built
+	// over one flushed batch on a pipeline worker — into this one, in
+	// batch order. Merge reads the partial's state without consuming it;
+	// the engine resets (Resetter) or discards the partial afterwards.
+	Merge(partial Detector)
 }
 
 // FineAdvice maps one fine-grained match on a data object to the
@@ -88,14 +95,17 @@ type Registration struct {
 	// New builds the launch detector (fine kinds). nil for coarse kinds,
 	// whose snapshot machinery lives in the engine's coarse stage.
 	New func(cfg FineConfig) Detector
-	// ExactMerge declares the detector's Merge exactly associative:
-	// folding partials A then B into an empty detector and merging the
-	// result must equal merging A then B directly, bit for bit. Only
-	// such detectors participate in shard pre-combining and intra-batch
-	// chunked compaction; the rest (e.g. structured values, whose merge
+	// ExactMerge declares an Observer's Merge exactly associative and
+	// equal to sequential observation: folding partials A then B into an
+	// empty observer and merging the result must equal merging A then B
+	// directly, bit for bit, and both must equal observing A's and B's
+	// accesses in turn. Only such observers participate in shard
+	// pre-combining, intra-batch chunked compaction and the zero-worker
+	// engine's direct adds; the rest (e.g. structured values, whose merge
 	// rebases floating-point sums) always observe whole batches
 	// sequentially and merge strictly in flush order. Leave unset when
-	// in doubt — it only costs the pre-combine shortcut.
+	// in doubt — it only costs those shortcuts. Ignored for detectors
+	// that are not Observers.
 	ExactMerge bool
 	// Advise derives the advisor suggestion for one match (fine kinds);
 	// nil emits no per-match suggestions.

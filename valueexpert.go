@@ -255,9 +255,13 @@ type (
 	// PatternRegistration describes one value-pattern kind; see
 	// vpattern.Registration for field docs.
 	PatternRegistration = vpattern.Registration
-	// PatternDetector recognizes one fine-grained pattern over an
-	// instrumented access stream (Observe/Merge/Finalize).
+	// PatternDetector recognizes one fine-grained pattern at Finalize
+	// from the shared per-object observation.
 	PatternDetector = vpattern.Detector
+	// PatternObserver is a PatternDetector that also keeps per-access
+	// state of its own (Observe/Merge); only observers are called on the
+	// per-access path.
+	PatternObserver = vpattern.Observer
 	// PatternMatch is one detected pattern instance on a data object.
 	PatternMatch = vpattern.Match
 	// PatternGrain classifies a pattern as coarse (snapshot-based) or
