@@ -70,13 +70,13 @@ proptest:
 
 # daemon-smoke drives the vxprofd serving path end to end: start the
 # service, attach two workloads as sessions over the /v1 HTTP API, fetch
-# /v1/sessions/{id}/report and the 308-redirected legacy paths, diff
+# /v1/sessions/{id}/report, check the bare legacy paths are 404, diff
 # each per-session report against the equivalent one-shot run, exercise
 # admission quotas (202 queued / 429 rejected) and restart recovery from
 # the persistent store — plus a real SIGTERM drain of the re-executed
 # binary.
 daemon-smoke:
-	$(GO) test -count=1 -run 'TestDaemonSmoke|TestGracefulSIGTERM|TestLegacyRedirects|TestDaemonQuota|TestDaemonRestartRecovery' -v ./cmd/vxprofd
+	$(GO) test -count=1 -run 'TestDaemonSmoke|TestGracefulSIGTERM|TestBarePathsGone|TestDaemonQuota|TestDaemonRestartRecovery' -v ./cmd/vxprofd
 
 # cover enforces COVER_FLOOR percent statement coverage on COVER_PKGS.
 cover:

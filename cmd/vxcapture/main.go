@@ -10,7 +10,7 @@
 //
 //	vxcapture -trace run.trace -list
 //	vxcapture -trace run.trace -launch 3 -out gemm.capsule
-//	          [-device "RTX 2080 Ti"] [-program Darknet] [-trace-format binary]
+//	          [-device "RTX 2080 Ti"] [-program Darknet]
 //	vxcapture -capsule gemm.capsule [-json report.json]
 //	          [-fine] [-reuse] [-kernels ...] [-patterns ...] [-workers N]
 package main
@@ -57,7 +57,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vxcapture: -launch requires -out")
 			os.Exit(2)
 		}
-		err = extract(*tracePath, *launch, *out, *device, *program, o)
+		err = extract(*tracePath, *launch, *out, *device, *program)
 	default:
 		fmt.Fprintln(os.Stderr, "vxcapture: need -trace with -list or -launch, or -capsule (see -h)")
 		os.Exit(2)
@@ -88,12 +88,8 @@ func listLaunches(path string) error {
 }
 
 // extract captures one launch into a capsule file.
-func extract(tracePath string, launch int, out, device, program string, o *cliconfig.Options) error {
+func extract(tracePath string, launch int, out, device, program string) error {
 	prof, err := gpu.ProfileByName(device)
-	if err != nil {
-		return err
-	}
-	format, err := o.Format()
 	if err != nil {
 		return err
 	}
@@ -111,7 +107,7 @@ func extract(tracePath string, launch int, out, device, program string, o *clico
 	}
 	defer f.Close()
 	info, err := capsule.Extract(in, launch, f, capsule.ExtractOptions{
-		Device: prof, Program: program, Format: format,
+		Device: prof, Program: program,
 	})
 	if err != nil {
 		return err
@@ -120,8 +116,8 @@ func extract(tracePath string, launch int, out, device, program string, o *clico
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "captured launch %d (seq %d) with %d data objects (%d bytes, %s) to %s\n",
-		info.LaunchIndex, info.LaunchSeq, len(info.ObjectIDs), st.Size(), format, out)
+	fmt.Fprintf(os.Stderr, "captured launch %d (seq %d) with %d data objects (%d bytes) to %s\n",
+		info.LaunchIndex, info.LaunchSeq, len(info.ObjectIDs), st.Size(), out)
 	return nil
 }
 

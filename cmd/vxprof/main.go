@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -198,19 +197,13 @@ func writeTelemetry(tel *valueexpert.Telemetry, traceBuf *valueexpert.TraceBuffe
 }
 
 // recordRun captures a workload's API+access trace for later analysis,
-// streaming the selected encoding to the output file. A JSONL mirror
-// over a counting discard prices the readable encoding of the same
-// stream, so the summary can state the achieved compression ratio.
+// streaming the container to the output file.
 func recordRun(workload string, o *options, out string, optimized bool) error {
 	w, err := workloads.ByName(workload)
 	if err != nil {
 		return err
 	}
 	prof, err := gpu.ProfileByName(o.device)
-	if err != nil {
-		return err
-	}
-	format, err := o.Format()
 	if err != nil {
 		return err
 	}
@@ -223,12 +216,7 @@ func recordRun(workload string, o *options, out string, optimized bool) error {
 	}
 	defer f.Close()
 	rt := cuda.NewRuntime(prof)
-	rec := trace.Record(rt, f, format)
-	var jsonlMirror *trace.Writer
-	if format == trace.FormatBinary {
-		jsonlMirror = trace.NewWriter(io.Discard, trace.FormatJSONL)
-		rec.Mirror(jsonlMirror)
-	}
+	rec := trace.Record(rt, f, trace.FormatBinary)
 	variant := workloads.Original
 	if optimized {
 		variant = workloads.Optimized
@@ -240,13 +228,8 @@ func recordRun(workload string, o *options, out string, optimized bool) error {
 	if runErr != nil {
 		return fmt.Errorf("recording %s: %w", w.Name(), runErr)
 	}
-	fmt.Fprintf(os.Stderr, "recorded %d events, %d access records (%d bytes, %s) to %s\n",
-		rec.Events(), rec.Accesses(), rec.BytesWritten(), format, out)
-	if jsonlMirror != nil && rec.BytesWritten() > 0 {
-		fmt.Fprintf(os.Stderr, "compression: %.1fx vs JSONL (%d bytes)\n",
-			float64(jsonlMirror.BytesWritten())/float64(rec.BytesWritten()),
-			jsonlMirror.BytesWritten())
-	}
+	fmt.Fprintf(os.Stderr, "recorded %d events, %d access records (%d bytes) to %s\n",
+		rec.Events(), rec.Accesses(), rec.BytesWritten(), out)
 	return nil
 }
 
@@ -270,8 +253,13 @@ func replayRun(in string, o *options) error {
 // applies the engine options, and returns the finalized report — the
 // same bytes GET /v1/sessions/{id}/report would serve. The engine
 // flags travel in the handshake as the canonical option schema; -scale
-// stays local, because the workload executes here.
+// stays local, because the workload executes here. -faults is rejected
+// before dialing: the daemon replays the stream and cannot inject faults
+// into this process's run.
 func remoteRun(target, workload string, o *options, optimized bool) error {
+	if o.Faults != "" {
+		return fmt.Errorf("-faults cannot be combined with -remote (the daemon cannot inject faults into a streamed run)")
+	}
 	w, err := workloads.ByName(workload)
 	if err != nil {
 		return err

@@ -334,6 +334,13 @@ func TestRemoteRun(t *testing.T) {
 	if err := remoteRun(ln.Addr().String(), "NoSuchApp", o, false); err == nil {
 		t.Fatal("unknown workload accepted by remote attach")
 	}
+	// -faults cannot reach a streamed run: it is rejected before dialing,
+	// so the daemon never sees a session that would report clean.
+	faulted := opts("RTX 2080 Ti", eng)
+	faulted.Faults = "malloc@1"
+	if err := remoteRun(ln.Addr().String(), "Darknet", faulted, false); err == nil || len(svc.Sessions()) != 1 {
+		t.Fatalf("remote run with -faults = %v with %d sessions, want an error before dialing", err, len(svc.Sessions()))
+	}
 	addr := ln.Addr().String()
 	as.Close()
 	if err := remoteRun(addr, "Darknet", o, false); err == nil {

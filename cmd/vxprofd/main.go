@@ -26,7 +26,7 @@
 //	-attach       Unix socket for remote attach: vxprof -remote <socket>
 //	              streams another process's events into a session here
 //
-// Endpoints (see DESIGN.md §11; bare paths 308-redirect to /v1):
+// Endpoints (see DESIGN.md §11; of the bare paths only /healthz answers):
 //
 //	POST   /v1/sessions              {"workload": "Darknet", "options": {"sample": 20}}
 //	GET    /v1/sessions              list attached sessions

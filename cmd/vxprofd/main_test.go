@@ -138,11 +138,9 @@ func TestDaemonSmoke(t *testing.T) {
 		}
 	}
 
-	// /metrics exposes the service counters and each session's engine
-	// telemetry. (Fetched through the legacy bare path on purpose: the
-	// default client follows the 308 onto /v1/metrics, proving the old
-	// surface still answers during the deprecation window.)
-	resp, err := http.Get(ts.URL + "/metrics")
+	// /v1/metrics exposes the service counters and each session's
+	// engine telemetry.
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +214,12 @@ func TestBadRequests(t *testing.T) {
 		{"invalid sample", `{"workload": "Darknet", "options": {"sample": 0}}`, "-sample must be >= 1", "invalid_option", "sample"},
 		{"unknown pattern", `{"workload": "Darknet", "options": {"patterns": "bogus"}}`, "-patterns", "invalid_option", "patterns"},
 		{"bad fault spec", `{"workload": "Darknet", "options": {"faults": "zzz@1"}}`, "-faults", "invalid_option", "faults"},
-		// Pre-v1 clients sent Go field spellings; case-insensitive JSON
-		// matching keeps them working through the deprecation window.
-		{"legacy option key", `{"workload": "Darknet", "options": {"Sample": 0}}`, "-sample must be >= 1", "invalid_option", "sample"},
+		// Keys match case-insensitively (encoding/json), so a Go field
+		// spelling still reaches its option.
+		{"capitalized option key", `{"workload": "Darknet", "options": {"Sample": 0}}`, "-sample must be >= 1", "invalid_option", "sample"},
+		// Keys outside the canonical schema are rejected, not dropped.
+		{"unknown option key", `{"workload": "Darknet", "options": {"max-running": 2}}`, `unknown option "max-running"`, "invalid_option", "max-running"},
+		{"malformed options", `{"workload": "Darknet", "options": {"sample": "x"}}`, "invalid options", "invalid_request", "options"},
 	} {
 		code, e := post(tc.body)
 		if code != http.StatusBadRequest || !strings.Contains(e.Error.Message, tc.wantErr) {
@@ -242,10 +243,9 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestLegacyRedirects pins the deprecation contract: every bare path
-// answers 308 Permanent Redirect onto its /v1 twin, query preserved,
-// while /healthz stays live unversioned.
-func TestLegacyRedirects(t *testing.T) {
+// TestBarePathsGone pins the unversioned surface: bare API paths answer
+// 404, while /healthz stays live for load-balancer probes.
+func TestBarePathsGone(t *testing.T) {
 	svc := daemon.NewService()
 	defer svc.Shutdown()
 	ts := httptest.NewServer(svc.Handler(daemon.HandlerConfig{
@@ -253,41 +253,33 @@ func TestLegacyRedirects(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	for path, want := range map[string]string{
-		"/sessions":                   "/v1/sessions",
-		"/sessions/s-1/report":        "/v1/sessions/s-1/report",
-		"/sessions/s-1/trace":         "/v1/sessions/s-1/trace",
-		"/aggregate":                  "/v1/aggregate",
-		"/metrics":                    "/v1/metrics",
-		"/selftrace":                  "/v1/selftrace",
-		"/sessions/s-1/report?wait=1": "/v1/sessions/s-1/report?wait=1",
+	for _, path := range []string{
+		"/sessions", "/sessions/s-1/report", "/sessions/s-1/trace",
+		"/aggregate", "/metrics", "/selftrace",
 	} {
-		resp, err := noFollow.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("GET %s = %d, want 308", path, resp.StatusCode)
-			continue
-		}
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Errorf("GET %s redirects to %q, want %q", path, loc, want)
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{"workload": "Darknet"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s = %d, want 404", method, path, resp.StatusCode)
+			}
 		}
 	}
 
-	resp, err := noFollow.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unversioned /healthz = %d, want 200 (probes must not chase redirects)", resp.StatusCode)
+		t.Fatalf("unversioned /healthz = %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -480,7 +472,7 @@ func TestGracefulSIGTERM(t *testing.T) {
 	}
 	defer proc.Process.Kill()
 
-	resp, err := http.Post(base+"/sessions", "application/json",
+	resp, err := http.Post(base+"/v1/sessions", "application/json",
 		strings.NewReader(`{"workload": "Darknet"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +481,7 @@ func TestGracefulSIGTERM(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&info)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /sessions = %d", resp.StatusCode)
+		t.Fatalf("POST /v1/sessions = %d", resp.StatusCode)
 	}
 
 	if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
@@ -525,7 +517,7 @@ func waitHealthy(base string) bool {
 }
 
 // TestTraceEndpoint: a session created with "trace": true serves its
-// recorded container on /sessions/{id}/trace, and replaying those bytes
+// recorded container on /v1/sessions/{id}/trace, and replaying those bytes
 // through the one-shot engine reproduces the served report byte for
 // byte. Sessions created without tracing 404 on the same endpoint.
 func TestTraceEndpoint(t *testing.T) {
@@ -551,7 +543,7 @@ func TestTraceEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("POST /sessions = %d (%+v)", resp.StatusCode, info)
+			t.Fatalf("POST /v1/sessions = %d (%+v)", resp.StatusCode, info)
 		}
 		return info
 	}

@@ -55,8 +55,6 @@ type ExtractOptions struct {
 	Device gpu.Profile
 	// Program names the application for the capsule metadata and report.
 	Program string
-	// Format selects the capsule's container encoding.
-	Format trace.Format
 }
 
 // span is a half-open touched byte range.
@@ -147,7 +145,7 @@ func Extract(tr io.Reader, launchIndex int, w io.Writer, opt ExtractOptions) (*t
 		info.ObjectIDs = append(info.ObjectIDs, a.ID)
 	}
 
-	tw := trace.NewWriter(w, opt.Format)
+	tw := trace.NewWriter(w)
 	if err := tw.WriteEvent(&trace.Event{Kind: "capsule", Capsule: info}); err != nil {
 		return nil, err
 	}

@@ -77,7 +77,7 @@ func TestCapsuleByteIdentity(t *testing.T) {
 	for idx := 0; idx < len(launches) && idx < 4; idx++ {
 		var capBuf bytes.Buffer
 		info, err := Extract(bytes.NewReader(data), idx, &capBuf, ExtractOptions{
-			Device: gpu.RTX2080Ti, Program: "Darknet", Format: trace.FormatBinary,
+			Device: gpu.RTX2080Ti, Program: "Darknet",
 		})
 		if err != nil {
 			t.Fatalf("launch %d: %v", idx, err)
@@ -140,7 +140,7 @@ func TestLaunchListing(t *testing.T) {
 // rejected with errors that say so.
 func TestExtractErrors(t *testing.T) {
 	data := recordDarknet(t)
-	opt := ExtractOptions{Device: gpu.RTX2080Ti, Program: "Darknet", Format: trace.FormatBinary}
+	opt := ExtractOptions{Device: gpu.RTX2080Ti, Program: "Darknet"}
 
 	if _, err := Extract(bytes.NewReader(data), -1, &bytes.Buffer{}, opt); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {

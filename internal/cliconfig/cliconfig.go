@@ -17,7 +17,6 @@ import (
 
 	"valueexpert/internal/core"
 	"valueexpert/internal/faultinject"
-	"valueexpert/internal/trace"
 	"valueexpert/internal/vpattern"
 )
 
@@ -29,8 +28,8 @@ import (
 // is the flag name without its dash, so the daemon's POST /v1/sessions
 // "options" object and the remote-attach handshake accept exactly the
 // vocabulary the CLIs print, and a validation error's Option names both
-// the flag and the JSON field at once. (Decoding is case-insensitive,
-// so pre-v1 bodies using Go field spellings still parse.)
+// the flag and the JSON field at once. The daemon rejects keys outside
+// this schema; encoding/json matches them case-insensitively.
 type Options struct {
 	Coarse        bool   `json:"coarse"`
 	Fine          bool   `json:"fine"`
@@ -41,8 +40,7 @@ type Options struct {
 	Scale         int    `json:"scale"` // problem-size divisor for bundled workloads
 	Workers       int    `json:"workers"`
 	Depth         int    `json:"depth"`
-	Faults        string `json:"faults"`       // raw -faults spec ("" = no injection)
-	TraceFormat   string `json:"trace-format"` // trace container encoding: "binary" or "jsonl"
+	Faults        string `json:"faults"` // raw -faults spec ("" = no injection)
 }
 
 // OptionError is a rejected option value. Option is the canonical name —
@@ -95,7 +93,6 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "workers", 0, "analysis workers overlapping kernel execution (0 = synchronous)")
 	fs.IntVar(&o.Depth, "depth", 0, "flush-buffer pipeline depth (0 = workers+1 when pipelined, else 1)")
 	fs.StringVar(&o.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'seed=7,prob=0.05' or 'malloc@1,launch@2+16' (see DESIGN.md §8)")
-	fs.StringVar(&o.TraceFormat, "trace-format", "binary", "trace container encoding for recording: 'binary' (columnar, compact) or 'jsonl' (readable debug); replay sniffs either")
 }
 
 // FlagForField maps Config.Validate's typed field names back to the
@@ -157,20 +154,7 @@ func (o *Options) Validate() error {
 	if _, err := o.FaultPlan(); err != nil {
 		return err
 	}
-	if _, err := o.Format(); err != nil {
-		return err
-	}
 	return nil
-}
-
-// Format parses the -trace-format value; the empty flag (hand-built
-// Options) selects the binary default.
-func (o *Options) Format() (trace.Format, error) {
-	f, err := trace.ParseFormat(o.TraceFormat)
-	if err != nil {
-		return 0, optWrap("trace-format", err)
-	}
-	return f, nil
 }
 
 // PatternList turns the -patterns value into a validated name list. The

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"valueexpert/internal/trace"
 )
 
 // defaults returns an Options carrying the flag defaults, the way both
@@ -58,7 +56,6 @@ func TestValidate(t *testing.T) {
 		{"reuse without analyses", func(o *Options) { o.ReuseDistance = true; o.Coarse = false; o.Fine = false }, "-reuse"},
 		{"unknown pattern", func(o *Options) { o.Patterns = "bogus" }, "-patterns"},
 		{"bad fault spec", func(o *Options) { o.Faults = "bogus@x" }, "-faults"},
-		{"unknown trace format", func(o *Options) { o.TraceFormat = "protobuf" }, "-trace-format"},
 	}
 	for _, tc := range cases {
 		o := defaults(t)
@@ -116,7 +113,6 @@ func TestFlagJSONEquivalence(t *testing.T) {
 		"-coarse=false", "-reuse", "-kernels", "gemm_kernel",
 		"-patterns", "single zero", "-sample", "20", "-scale", "2",
 		"-workers", "4", "-depth", "3", "-faults", "seed=7,prob=0.5",
-		"-trace-format", "jsonl",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +120,7 @@ func TestFlagJSONEquivalence(t *testing.T) {
 	byJSON := defaults(t)
 	body := `{"coarse": false, "reuse": true, "kernels": "gemm_kernel",
 		"patterns": "single zero", "sample": 20, "scale": 2,
-		"workers": 4, "depth": 3, "faults": "seed=7,prob=0.5",
-		"trace-format": "jsonl"}`
+		"workers": 4, "depth": 3, "faults": "seed=7,prob=0.5"}`
 	if err := json.Unmarshal([]byte(body), byJSON); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +143,6 @@ func TestOptionErrorTyped(t *testing.T) {
 		{func(o *Options) { o.Depth = -1 }, "depth"},
 		{func(o *Options) { o.Patterns = "bogus" }, "patterns"},
 		{func(o *Options) { o.Faults = "bogus@x" }, "faults"},
-		{func(o *Options) { o.TraceFormat = "xml" }, "trace-format"},
 	}
 	for _, tc := range cases {
 		o := defaults(t)
@@ -247,25 +241,5 @@ func TestEngineConfig(t *testing.T) {
 	o.Patterns = "bogus"
 	if _, err := o.EngineConfig("demo"); err == nil {
 		t.Fatal("invalid patterns accepted by EngineConfig")
-	}
-}
-
-func TestFormat(t *testing.T) {
-	o := defaults(t)
-	if o.TraceFormat != "binary" {
-		t.Fatalf("default -trace-format = %q", o.TraceFormat)
-	}
-	for in, want := range map[string]trace.Format{
-		"": trace.FormatBinary, "binary": trace.FormatBinary, "jsonl": trace.FormatJSONL,
-	} {
-		o.TraceFormat = in
-		got, err := o.Format()
-		if err != nil || got != want {
-			t.Fatalf("Format(%q) = %v, %v", in, got, err)
-		}
-	}
-	o.TraceFormat = "xml"
-	if _, err := o.Format(); err == nil || !strings.Contains(err.Error(), "-trace-format") {
-		t.Fatalf("unknown format: %v", err)
 	}
 }

@@ -166,11 +166,8 @@ type SessionConfig struct {
 	// stream: a streaming trace recorder chains in front of the profiler
 	// (the profiled report stays byte-identical) and the serialized
 	// container is cached at finalization (Session.TraceData, the
-	// /sessions/{id}/trace endpoint).
+	// /v1/sessions/{id}/trace endpoint).
 	Trace bool
-	// TraceFormat selects the recorded container encoding; the zero
-	// value is the columnar binary format.
-	TraceFormat trace.Format
 	// Run issues the application's GPU work against the session runtime.
 	Run func(rt *cuda.Runtime) error
 	// Source, when non-nil, supplies the session's event source instead
@@ -250,19 +247,18 @@ func (s *Service) Attach(sc SessionConfig) (*Session, error) {
 	sc.Engine.Telemetry = tel
 
 	sess := &Session{
-		svc:      s,
-		id:       id,
-		seq:      s.seq,
-		program:  sc.Program,
-		device:   sc.Device.Name,
-		rt:       rt,
-		cfg:      sc.Engine,
-		tel:      tel,
-		src:      src,
-		traceOn:  sc.Trace,
-		traceFmt: sc.TraceFormat,
-		done:     make(chan struct{}),
-		state:    StateRunning,
+		svc:     s,
+		id:      id,
+		seq:     s.seq,
+		program: sc.Program,
+		device:  sc.Device.Name,
+		rt:      rt,
+		cfg:     sc.Engine,
+		tel:     tel,
+		src:     src,
+		traceOn: sc.Trace,
+		done:    make(chan struct{}),
+		state:   StateRunning,
 	}
 	s.sessions[id] = sess
 	// The WaitGroup covers queued sessions too: Shutdown force-starts
@@ -443,7 +439,6 @@ type Session struct {
 	tel      *telemetry.Recorder // nil on restored sessions
 	src      func(rt *cuda.Runtime) cuda.EventSource
 	traceOn  bool
-	traceFmt trace.Format
 	restored bool // loaded from the store at startup; never ran here
 
 	done chan struct{}
@@ -498,7 +493,7 @@ func (sess *Session) stream() {
 		sess.snap = snap
 		sess.mu.Unlock()
 		if sess.traceOn {
-			rec = trace.Record(rt, &traceBuf, sess.traceFmt)
+			rec = trace.Record(rt, &traceBuf, trace.FormatBinary)
 		}
 		return prof
 	})

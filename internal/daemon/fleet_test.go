@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -563,5 +564,42 @@ func TestRemoteAttachDisconnect(t *testing.T) {
 	}
 	if _, ok := sess.ReportJSON(); !ok {
 		t.Error("disconnected session has no partial report")
+	}
+}
+
+// TestRemoteAttachRejectsOptions: the handshake decodes options through
+// the same strict decoder as POST /v1/sessions — an unknown key is an
+// invalid_option naming it, keys match case-insensitively — and a
+// non-empty faults spec is rejected, because the faults would have to
+// arm the client's runtime, which the daemon never sees.
+func TestRemoteAttachRejectsOptions(t *testing.T) {
+	svc := NewService()
+	defer svc.Shutdown()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := svc.ServeAttach(ln, HandlerConfig{Defaults: remoteOpts(), Device: "RTX 2080 Ti"})
+	defer as.Close()
+
+	for _, tc := range []struct {
+		options, field, msg string
+	}{
+		{`{"faults": "malloc@1"}`, "faults", "-faults"},
+		{`{"sampel": 20}`, "sampel", `unknown option "sampel"`},
+		{`{"Sample": 0}`, "sample", "-sample must be >= 1"},
+	} {
+		_, err := DialAttach("tcp", ln.Addr().String(), AttachRequest{
+			Program: "rnd-27", Options: []byte(tc.options),
+		})
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != CodeInvalidOption || ae.Field != tc.field ||
+			!strings.Contains(ae.Message, tc.msg) {
+			t.Errorf("options %s: dial error = %#v, want %s on field %q containing %q",
+				tc.options, err, CodeInvalidOption, tc.field, tc.msg)
+		}
+	}
+	if n := len(svc.Sessions()); n != 0 {
+		t.Fatalf("rejected handshakes left %d sessions", n)
 	}
 }

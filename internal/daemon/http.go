@@ -14,11 +14,8 @@
 //	GET    /v1/metrics              service + per-session telemetry metrics
 //	GET    /v1/selftrace            shared Perfetto self-trace (all sessions)
 //
-// The pre-versioning bare paths (/sessions, /aggregate, …) answer with
-// 308 Permanent Redirect to their /v1 twins for one release — 308
-// preserves method and body, so an old `curl -X POST /sessions` client
-// keeps working through the window. /healthz stays live unversioned
-// forever (load-balancer probes should not chase redirects).
+// Only /healthz also answers unversioned (load-balancer probes); every
+// other bare path is 404.
 //
 // Errors share one typed envelope — {"error": {code, message, field}} —
 // with the stable codes defined in errors.go; admission rejections are
@@ -32,9 +29,12 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
@@ -57,7 +57,7 @@ type HandlerConfig struct {
 }
 
 // Handler builds the service's HTTP handler: the /v1 API plus the
-// legacy-path redirects.
+// unversioned /healthz.
 func (s *Service) Handler(hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	healthz := func(w http.ResponseWriter, r *http.Request) {
@@ -70,7 +70,7 @@ func (s *Service) Handler(hc HandlerConfig) http.Handler {
 		})
 	}
 	mux.HandleFunc("GET /v1/healthz", healthz)
-	// Unversioned liveness stays: probes should not follow redirects.
+	// Unversioned liveness for load-balancer probes.
 	mux.HandleFunc("GET /healthz", healthz)
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		infos := []Info{}
@@ -115,20 +115,6 @@ func (s *Service) Handler(hc HandlerConfig) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		s.trace.WriteJSON(w)
 	})
-
-	// Legacy bare paths: one release of 308s (method- and
-	// body-preserving) onto the /v1 twins. See DESIGN.md §11 for the
-	// deprecation window.
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		u := *r.URL
-		u.Path = "/v1" + u.Path
-		http.Redirect(w, r, u.String(), http.StatusPermanentRedirect)
-	})
-	mux.Handle("/sessions", legacy)
-	mux.Handle("/sessions/", legacy)
-	mux.Handle("/aggregate", legacy)
-	mux.Handle("/metrics", legacy)
-	mux.Handle("/selftrace", legacy)
 	return mux
 }
 
@@ -142,8 +128,7 @@ type createRequest struct {
 	Optimized bool   `json:"optimized"`
 	// Trace additionally records the session's event stream; the
 	// container is served by GET /v1/sessions/{id}/trace after the
-	// session finalizes. The encoding follows the options' trace-format
-	// field.
+	// session finalizes.
 	Trace   bool            `json:"trace"`
 	Options json.RawMessage `json:"options"`
 }
@@ -181,16 +166,10 @@ func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc Handl
 		return
 	}
 
-	// JSON-merge: absent option fields inherit the daemon's defaults.
-	opts := hc.Defaults
-	if len(req.Options) > 0 {
-		if err := json.Unmarshal(req.Options, &opts); err != nil {
-			writeAPIError(w, &APIError{
-				Code: CodeInvalidRequest, Message: fmt.Sprintf("invalid options: %v", err),
-				Field: "options",
-			})
-			return
-		}
+	opts, ae := decodeOptions(hc.Defaults, req.Options)
+	if ae != nil {
+		writeAPIError(w, ae)
+		return
 	}
 	if opts.Scale != hc.Defaults.Scale {
 		writeAPIError(w, &APIError{
@@ -213,22 +192,16 @@ func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc Handl
 		writeAPIError(w, apiError(err, CodeInvalidOption))
 		return
 	}
-	traceFormat, err := opts.Format()
-	if err != nil {
-		writeAPIError(w, apiError(err, CodeInvalidOption))
-		return
-	}
 	variant := workloads.Original
 	if req.Optimized {
 		variant = workloads.Optimized
 	}
 	sess, err := s.Attach(SessionConfig{
-		Program:     wl.Name(),
-		Device:      prof,
-		Engine:      cfg,
-		Faults:      plan,
-		Trace:       req.Trace,
-		TraceFormat: traceFormat,
+		Program: wl.Name(),
+		Device:  prof,
+		Engine:  cfg,
+		Faults:  plan,
+		Trace:   req.Trace,
 		Run: func(rt *cuda.Runtime) error {
 			return wl.Run(rt, variant)
 		},
@@ -245,6 +218,31 @@ func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc Handl
 		status = http.StatusAccepted
 	}
 	writeJSON(w, status, info)
+}
+
+// decodeOptions merges a request's "options" object over defaults, for
+// both POST /v1/sessions and the attach handshake. A key outside the
+// canonical schema is an invalid_option naming that key, never silently
+// dropped; keys match case-insensitively, as encoding/json always does.
+func decodeOptions(defaults cliconfig.Options, raw json.RawMessage) (cliconfig.Options, *APIError) {
+	opts := defaults
+	if len(raw) == 0 {
+		return opts, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&opts)
+	if err == nil {
+		return opts, nil
+	}
+	// encoding/json has no typed error for an unknown key; its message
+	// is "json: unknown field " + strconv.Quote(key), so Unquote cannot
+	// fail.
+	if key, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		key, _ = strconv.Unquote(key)
+		return opts, &APIError{Code: CodeInvalidOption, Field: key, Message: fmt.Sprintf("unknown option %q", key)}
+	}
+	return opts, &APIError{Code: CodeInvalidRequest, Field: "options", Message: fmt.Sprintf("invalid options: %v", err)}
 }
 
 // serveReport emits one session's report. JSON (the default) serves the

@@ -106,7 +106,7 @@ func (s *Service) ServeAttach(ln net.Listener, hc HandlerConfig) *AttachServer {
 func (as *AttachServer) Addr() net.Addr { return as.ln.Addr() }
 
 // Close stops accepting, closes every open attach connection (a
-// half-streamed session fails through the trace-format path and still
+// half-streamed session fails with a truncated-trace error and still
 // finalizes), and waits for the connection handlers to exit.
 func (as *AttachServer) Close() error {
 	as.mu.Lock()
@@ -193,12 +193,20 @@ func (as *AttachServer) handle(conn net.Conn) {
 		enc.Encode(attachReply{Error: apiError(err, CodeUnknownDevice)})
 		return
 	}
-	opts := as.hc.Defaults
-	if len(req.Options) > 0 {
-		if err := json.Unmarshal(req.Options, &opts); err != nil {
-			enc.Encode(attachReply{Error: apiError(err, CodeInvalidRequest)})
-			return
-		}
+	// Faults arm the runtime that executes the program, which for a
+	// remote stream is the client's: the daemon cannot inject them, so
+	// its default spec does not apply and a handshake naming one is
+	// rejected rather than silently profiled clean.
+	defaults := as.hc.Defaults
+	defaults.Faults = ""
+	opts, ae := decodeOptions(defaults, req.Options)
+	if ae == nil && opts.Faults != "" {
+		ae = &APIError{Code: CodeInvalidOption, Field: "faults",
+			Message: "-faults cannot apply to a remote-attach stream: the program runs in the client process"}
+	}
+	if ae != nil {
+		enc.Encode(attachReply{Error: ae})
+		return
 	}
 	// Scale sizes the *client's* program; the daemon neither runs the
 	// workload nor can honor a different scale, so the handshake value is
@@ -216,21 +224,15 @@ func (as *AttachServer) handle(conn net.Conn) {
 		enc.Encode(attachReply{Error: apiError(err, CodeInvalidOption)})
 		return
 	}
-	tf, err := opts.Format()
-	if err != nil {
-		enc.Encode(attachReply{Error: apiError(err, CodeInvalidOption)})
-		return
-	}
 
 	// Everything the decoder over-read during the handshake belongs to
 	// the trace stream that follows.
 	stream := io.MultiReader(dec.Buffered(), conn)
 	sess, err := as.svc.Attach(SessionConfig{
-		Program:     req.Program,
-		Device:      prof,
-		Engine:      cfg,
-		Trace:       req.Trace,
-		TraceFormat: tf,
+		Program: req.Program,
+		Device:  prof,
+		Engine:  cfg,
+		Trace:   req.Trace,
 		Source: func(rt *cuda.Runtime) cuda.EventSource {
 			return trace.NewSourceOn(stream, rt)
 		},
@@ -333,6 +335,6 @@ func (rs *RemoteSession) Wait() (Info, []byte, error) {
 }
 
 // Close closes the attach connection. Closing before the stream's end
-// chunk was sent fails the daemon-side session through the trace-format
-// path (it still finalizes, Degraded-style, with a partial report).
+// chunk was sent fails the daemon-side session with a truncated-trace
+// error (it still finalizes, Degraded-style, with a partial report).
 func (rs *RemoteSession) Close() error { return rs.conn.Close() }

@@ -114,7 +114,7 @@ func BuildCorpus(dir string) ([]string, error) {
 		}
 		var capBuf bytes.Buffer
 		_, err = capsule.Extract(bytes.NewReader(recording), e.Launch, &capBuf, capsule.ExtractOptions{
-			Device: gpu.RTX2080Ti, Program: e.Workload, Format: trace.FormatBinary,
+			Device: gpu.RTX2080Ti, Program: e.Workload,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s launch %d: %w", e.Workload, e.Launch, err)

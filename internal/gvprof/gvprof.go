@@ -66,16 +66,6 @@ type Profiler struct {
 	copiedBytes  uint64
 }
 
-// Profile attaches GVProf to src's runtime and runs the source's event
-// stream through it.
-//
-// Deprecated: both profilers now share one entry path; this is a thin
-// alias for cuda.Drive(src, Attach), kept so existing comparison
-// harnesses keep compiling. New code should call cuda.Drive directly.
-func Profile(src cuda.EventSource) (*Profiler, error) {
-	return cuda.Drive(src, Attach)
-}
-
 // Attach installs GVProf on the runtime.
 func Attach(rt *cuda.Runtime) *Profiler {
 	p := &Profiler{

@@ -15,11 +15,10 @@
 //	(e) running the program as a daemon session (internal/daemon) on a
 //	    stream-handler goroutine produces a report byte-identical to
 //	    the one-shot baseline;
-//	(f) one recorded execution serialized to both trace encodings
-//	    replays byte-identically from either (binary ≡ JSONL ≡ live),
-//	    and a kernel capsule extracted for a random launch re-profiles
-//	    in isolation byte-identically to that launch's slice of the
-//	    full-trace report;
+//	(f) the recorded VXTR trace of (b) replays byte-identically to the
+//	    live run (binary ≡ live), and a kernel capsule extracted from it
+//	    for a random launch re-profiles in isolation byte-identically to
+//	    that launch's slice of the full-trace report (capsule ≡ slice);
 //	(g) the program streamed to a daemon over the remote-attach socket —
 //	    queued behind a running session, then admitted — produces a
 //	    report byte-identical to profiling it in process with the same
@@ -125,26 +124,25 @@ func runLive(seed int64, plan *faultinject.Plan, c core.Config, tolerant bool) (
 	return out, err
 }
 
-// record executes the seed's clean run once with a streaming recorder,
-// serializing the binary encoding to bin and mirroring the same stream
-// as JSONL to jsonl.
-func record(seed int64, bin, jsonl *bytes.Buffer) error {
+// record executes the seed's clean run once with a streaming recorder
+// and returns the serialized trace.
+func record(seed int64) ([]byte, error) {
+	var buf bytes.Buffer
 	var rec *trace.Recorder
 	errs := execute(seed, true, func(rt *cuda.Runtime) {
-		rec = trace.Record(rt, bin, trace.FormatBinary)
-		rec.Mirror(trace.NewWriter(jsonl, trace.FormatJSONL))
+		rec = trace.Record(rt, &buf, trace.FormatBinary)
 	})
 	if len(errs) != 0 {
 		rec.Close()
-		return fmt.Errorf("recording run failed: %v", errs[0])
+		return nil, fmt.Errorf("recording run failed: %v", errs[0])
 	}
 	if err := rec.Close(); err != nil {
-		return fmt.Errorf("trace serialization: %w", err)
+		return nil, fmt.Errorf("trace serialization: %w", err)
 	}
-	return nil
+	return buf.Bytes(), nil
 }
 
-// replay profiles a serialized trace (either encoding) under c.
+// replay profiles a serialized trace under c.
 func replay(data []byte, c core.Config) ([]byte, error) {
 	p, err := core.Profile(trace.NewSource(bytes.NewReader(data), gpu.RTX2080Ti), c)
 	if err != nil {
@@ -251,14 +249,14 @@ func CheckSeed(seed int64) error {
 		return fmt.Errorf("after saturating runs: %w", err)
 	}
 
-	// (b) Replaying a recorded trace reproduces the live report. One
-	// recording execution serializes both encodings (binary + mirrored
-	// JSONL); property (f) reuses them below.
-	var binTrace, jsonlTrace bytes.Buffer
-	if err := record(seed, &binTrace, &jsonlTrace); err != nil {
+	// (b) Replaying a recorded trace reproduces the live report (the
+	// binary ≡ live half of property (f)); the capsule check below reuses
+	// the recording.
+	binTrace, err := record(seed)
+	if err != nil {
 		return fmt.Errorf("property (b): %w", err)
 	}
-	replayed, err := replay(binTrace.Bytes(), cfg(0, 0))
+	replayed, err := replay(binTrace, cfg(0, 0))
 	if err != nil {
 		return fmt.Errorf("property (b): %w", err)
 	}
@@ -270,23 +268,9 @@ func CheckSeed(seed int64) error {
 		return fmt.Errorf("after replay run: %w", err)
 	}
 
-	// (f) Format equivalence: the JSONL mirror of the same execution
-	// replays byte-identically to the binary encoding and the live run.
-	jsonlReplayed, err := replay(jsonlTrace.Bytes(), cfg(0, 0))
-	if err != nil {
-		return fmt.Errorf("property (f): jsonl %w", err)
-	}
-	if !bytes.Equal(baseline.report, jsonlReplayed) {
-		return fmt.Errorf("property (f): live and JSONL-replayed reports differ (%d vs %d bytes)",
-			len(baseline.report), len(jsonlReplayed))
-	}
-	if err := awaitGoroutines(base); err != nil {
-		return fmt.Errorf("after jsonl replay run: %w", err)
-	}
-
 	// (f) Capsule isolation: re-profiling an extracted launch reproduces
 	// that launch's slice of the full-trace report byte for byte.
-	if err := checkCapsule(seed, binTrace.Bytes()); err != nil {
+	if err := checkCapsule(seed, binTrace); err != nil {
 		return fmt.Errorf("property (f): %w", err)
 	}
 	if err := awaitGoroutines(base); err != nil {
@@ -481,7 +465,6 @@ func checkCapsule(seed int64, binTrace []byte) error {
 	info, err := capsule.Extract(bytes.NewReader(binTrace), idx, &capBuf, capsule.ExtractOptions{
 		Device:  gpu.RTX2080Ti,
 		Program: "proptest",
-		Format:  trace.FormatBinary,
 	})
 	if err != nil {
 		return fmt.Errorf("extract launch %d: %w", idx, err)

@@ -78,9 +78,12 @@ const readChunkStep = 64 * 1024
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// binWriter encodes the chunk stream. buf accumulates one chunk's
-// payload; col stages one column before its length prefix is known.
-type binWriter struct {
+// Writer is a streaming trace encoder: events are serialized as they are
+// written. Close finalizes the container (the footer chunk carrying
+// event/access counts); a trace without its footer is detected as
+// truncated on read. buf accumulates one chunk's payload; col stages
+// one column before its length prefix is known.
+type Writer struct {
 	w      io.Writer
 	dict   map[string]uint64
 	buf    []byte
@@ -88,13 +91,25 @@ type binWriter struct {
 	head   []byte
 	wroteH bool
 	err    error // sticky
+
+	n        int64 // bytes written so far
+	events   int
+	accesses uint64
+	closed   bool
 }
 
-func newBinWriter(w io.Writer) *binWriter {
-	return &binWriter{w: w, dict: make(map[string]uint64)}
+// write forwards p to the underlying writer, counting the bytes and
+// making a failure sticky.
+func (bw *Writer) write(p []byte) error {
+	n, err := bw.w.Write(p)
+	bw.n += int64(n)
+	if err != nil {
+		bw.err = err
+	}
+	return err
 }
 
-func (bw *binWriter) appendString(dst []byte, s string) []byte {
+func (bw *Writer) appendString(dst []byte, s string) []byte {
 	if n, ok := bw.dict[s]; ok {
 		return binary.AppendUvarint(dst, n+1)
 	}
@@ -104,7 +119,7 @@ func (bw *binWriter) appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendFrames(bw *binWriter, dst []byte, frames []callpath.Frame) []byte {
+func appendFrames(bw *Writer, dst []byte, frames []callpath.Frame) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(frames)))
 	for _, f := range frames {
 		dst = bw.appendString(dst, f.Func)
@@ -115,7 +130,7 @@ func appendFrames(bw *binWriter, dst []byte, frames []callpath.Frame) []byte {
 }
 
 // flushChunk writes one framed chunk: type byte, payload length, payload.
-func (bw *binWriter) flushChunk(typ byte) error {
+func (bw *Writer) flushChunk(typ byte) error {
 	if bw.err != nil {
 		return bw.err
 	}
@@ -128,18 +143,13 @@ func (bw *binWriter) flushChunk(typ byte) error {
 	bw.head = bw.head[:0]
 	bw.head = append(bw.head, typ)
 	bw.head = binary.AppendUvarint(bw.head, uint64(len(bw.buf)))
-	if _, err := bw.w.Write(bw.head); err != nil {
-		bw.err = err
+	if err := bw.write(bw.head); err != nil {
 		return err
 	}
-	if _, err := bw.w.Write(bw.buf); err != nil {
-		bw.err = err
-		return err
-	}
-	return nil
+	return bw.write(bw.buf)
 }
 
-func (bw *binWriter) writeHeader() error {
+func (bw *Writer) writeHeader() error {
 	if bw.err != nil {
 		return bw.err
 	}
@@ -147,13 +157,10 @@ func (bw *binWriter) writeHeader() error {
 	copy(hdr[:], binMagic)
 	binary.LittleEndian.PutUint16(hdr[4:], binVersion)
 	binary.LittleEndian.PutUint16(hdr[6:], 0) // flags, reserved
-	if _, err := bw.w.Write(hdr[:]); err != nil {
-		bw.err = err
-	}
-	return bw.err
+	return bw.write(hdr[:])
 }
 
-func (bw *binWriter) writeEvent(e *Event) error {
+func (bw *Writer) writeEvent(e *Event) error {
 	if bw.err != nil {
 		return bw.err
 	}
@@ -217,7 +224,7 @@ func (bw *binWriter) writeEvent(e *Event) error {
 	return bw.flushChunk(chunkEvent)
 }
 
-func (bw *binWriter) appendCapsule(ci *CapsuleInfo) {
+func (bw *Writer) appendCapsule(ci *CapsuleInfo) {
 	b := bw.buf
 	if ci == nil {
 		ci = &CapsuleInfo{}
@@ -234,13 +241,13 @@ func (bw *binWriter) appendCapsule(ci *CapsuleInfo) {
 }
 
 // appendColumn stages bw.col into the payload behind its length prefix.
-func (bw *binWriter) appendColumn() {
+func (bw *Writer) appendColumn() {
 	bw.buf = binary.AppendUvarint(bw.buf, uint64(len(bw.col)))
 	bw.buf = append(bw.buf, bw.col...)
 	bw.col = bw.col[:0]
 }
 
-func (bw *binWriter) appendLaunch(e *Event) error {
+func (bw *Writer) appendLaunch(e *Event) error {
 	b := bw.buf
 	b = bw.appendString(b, e.Name)
 	b = appendFrames(bw, b, e.Frames)
@@ -361,10 +368,10 @@ func packFlags(r *AccessRec) (byte, error) {
 	return f, nil
 }
 
-func (bw *binWriter) writeEnd(events int, accesses uint64) error {
+func (bw *Writer) writeEnd() error {
 	bw.buf = bw.buf[:0]
-	bw.buf = binary.AppendUvarint(bw.buf, uint64(events))
-	bw.buf = binary.AppendUvarint(bw.buf, accesses)
+	bw.buf = binary.AppendUvarint(bw.buf, uint64(bw.events))
+	bw.buf = binary.AppendUvarint(bw.buf, bw.accesses)
 	return bw.flushChunk(chunkEnd)
 }
 
@@ -737,7 +744,7 @@ func (br *binReader) decodeEvent(c *cursor) error {
 	}
 	// API names are canonical per kind (the runtime emits exactly one
 	// spelling each), so the wire omits them and the decoder restores
-	// them — binary → JSONL conversion stays lossless.
+	// them, so the decoded Event equals the recorded one.
 	e.Name = apiName[e.Kind]
 	return nil
 }

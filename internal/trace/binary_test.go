@@ -40,27 +40,11 @@ func sampleEvents() []*Event {
 	}
 }
 
-// encodeSample serializes sampleEvents in the given format.
-func encodeSample(t *testing.T, f Format) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf, f)
-	for _, e := range sampleEvents() {
-		if err := w.WriteEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestBinaryRoundTrip: every field of every event kind survives the
 // columnar encoding. Comparison goes through the canonical JSON form,
 // which normalizes nil-vs-empty slices.
 func TestBinaryRoundTrip(t *testing.T) {
-	data := encodeSample(t, FormatBinary)
+	data := encodeEvents(t, sampleEvents()...)
 	want := sampleEvents()
 	i := 0
 	if err := Scan(bytes.NewReader(data), func(e *Event) error {
@@ -88,17 +72,11 @@ func TestBinaryRoundTrip(t *testing.T) {
 // record: 11.79 when the cap was set, plus 25 % headroom.
 const maxBytesPerAccess = 14.7
 
-// TestBinaryCompression asserts the size criteria the format exists
-// for: the Darknet recording's binary container is at least 5x smaller
-// than the JSONL encoding of the identical stream, and costs at most
-// maxBytesPerAccess bytes per access record.
+// TestBinaryCompression asserts the size criterion the format exists
+// for: the Darknet recording costs at most maxBytesPerAccess bytes per
+// access record.
 func TestBinaryCompression(t *testing.T) {
-	bin := recordDarknetFormat(t, FormatBinary)
-	jsonl := recordDarknetFormat(t, FormatJSONL)
-	ratio := float64(len(jsonl)) / float64(len(bin))
-	if ratio < 5 {
-		t.Fatalf("binary %d bytes, jsonl %d bytes: compression %.2fx < 5x", len(bin), len(jsonl), ratio)
-	}
+	bin := recordDarknet(t)
 	var accesses int
 	if err := Scan(bytes.NewReader(bin), func(e *Event) error {
 		accesses += len(e.Accesses)
@@ -113,24 +91,22 @@ func TestBinaryCompression(t *testing.T) {
 	if perAccess > maxBytesPerAccess {
 		t.Fatalf("binary %d bytes for %d access records: %.2f B/access > %.1f", len(bin), accesses, perAccess, maxBytesPerAccess)
 	}
-	t.Logf("binary %d bytes, jsonl %d bytes (%.1fx), %.2f B/access", len(bin), len(jsonl), ratio, perAccess)
+	t.Logf("binary %d bytes, %.2f B/access", len(bin), perAccess)
 }
 
 // TestBinaryTruncation cuts a valid container at every byte boundary:
-// no prefix may decode cleanly (the end chunk is mandatory), and from
-// the magic onward the failure must be a typed *FormatError.
+// no prefix may decode cleanly (the end chunk is mandatory), and the
+// failure must be a typed *FormatError — a cut inside the magic too.
 func TestBinaryTruncation(t *testing.T) {
-	data := encodeSample(t, FormatBinary)
+	data := encodeEvents(t, sampleEvents()...)
 	for cut := 1; cut < len(data); cut++ {
 		err := Scan(bytes.NewReader(data[:cut]), func(e *Event) error { return nil })
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(data))
 		}
-		if cut >= len(binMagic) {
-			var fe *FormatError
-			if !errors.As(err, &fe) {
-				t.Fatalf("truncation at %d: error is not a *FormatError: %v", cut, err)
-			}
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Fatalf("truncation at %d: error is not a *FormatError: %v", cut, err)
 		}
 	}
 }
@@ -138,15 +114,7 @@ func TestBinaryTruncation(t *testing.T) {
 // TestBinaryCountMismatch: a forged end chunk whose totals disagree with
 // the decoded stream is rejected.
 func TestBinaryCountMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, FormatBinary)
-	if err := w.WriteEvent(&Event{Kind: kindMalloc, Name: "cudaMalloc", Dst: 0x7f00_0000_0000, Bytes: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeEvents(t, &Event{Kind: kindMalloc, Name: "cudaMalloc", Dst: 0x7f00_0000_0000, Bytes: 64})
 	// The end chunk is the final 4 bytes here: type 0x03, length 2,
 	// event count 1, access count 0. Forge the event count.
 	forged := append([]byte(nil), data...)
@@ -163,7 +131,7 @@ func TestBinaryCountMismatch(t *testing.T) {
 // the fixed-size footer.
 func TestWriterStreams(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, FormatBinary)
+	w := NewWriter(&buf)
 	last := 0
 	for i, e := range sampleEvents() {
 		if err := w.WriteEvent(e); err != nil {
@@ -187,7 +155,7 @@ func TestWriterStreams(t *testing.T) {
 
 // TestWriterRejectsAfterClose: the writer is single-use.
 func TestWriterRejectsAfterClose(t *testing.T) {
-	w := NewWriter(&bytes.Buffer{}, FormatBinary)
+	w := NewWriter(&bytes.Buffer{})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,20 +164,5 @@ func TestWriterRejectsAfterClose(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("repeated Close: %v", err)
-	}
-}
-
-// TestParseFormat covers the CLI-facing format names.
-func TestParseFormat(t *testing.T) {
-	for in, want := range map[string]Format{
-		"": FormatBinary, "binary": FormatBinary, "jsonl": FormatJSONL,
-	} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseFormat(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseFormat("protobuf"); err == nil {
-		t.Fatal("unknown format accepted")
 	}
 }

@@ -13,38 +13,27 @@ import (
 // exercising every chunk kind: the dictionary, frame encoding, a launch
 // with delta/RLE columns, a capsule header, and host bytes.
 func fuzzSampleBinary(tb testing.TB) []byte {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, FormatBinary)
-	events := []*Event{
-		{Kind: kindCapsule, Capsule: &CapsuleInfo{
+	return encodeEvents(tb,
+		&Event{Kind: kindCapsule, Capsule: &CapsuleInfo{
 			Program: "fuzz", Device: "A100", LaunchSeq: 3, LaunchIndex: 0, ObjectIDs: []int{1},
 		}},
-		{Kind: kindAllocAt, Name: "cudaMalloc", ObjID: 1, Dst: 0x7f00_0000_0000, Bytes: 64, Tag: "x",
+		&Event{Kind: kindAllocAt, Name: "cudaMalloc", ObjID: 1, Dst: 0x7f00_0000_0000, Bytes: 64, Tag: "x",
 			Frames: []callpath.Frame{{Func: "main.run", File: "main.go", Line: 10}}},
-		{Kind: kindRestore, Name: "restore", Dst: 0x7f00_0000_0000, Bytes: 4, HostSrc: []byte{1, 2, 3, 4}},
-		{Kind: kindMemset, Name: "cudaMemset", Dst: 0x7f00_0000_0000, Bytes: 8},
-		{Kind: kindLaunch, Name: "k", Seq: 3,
+		&Event{Kind: kindRestore, Name: "restore", Dst: 0x7f00_0000_0000, Bytes: 4, HostSrc: []byte{1, 2, 3, 4}},
+		&Event{Kind: kindMemset, Name: "cudaMemset", Dst: 0x7f00_0000_0000, Bytes: 8},
+		&Event{Kind: kindLaunch, Name: "k", Seq: 3,
 			Grid: [3]int{2, 1, 1}, Block: [3]int{32, 1, 1},
 			Accesses: []AccessRec{
 				{PC: 0x10, Addr: 0x7f00_0000_0000, Size: 4, Kind: 1, Raw: 0x3f800000, Block: 0, Thread: 0},
 				{PC: 0x18, Addr: 0x7f00_0000_0004, Size: 4, Kind: 1, Store: true, Raw: 0, Count: 3, Block: 1, Thread: 2},
 			}},
-		{Kind: kindFree, Name: "cudaFree", Dst: 0x7f00_0000_0000},
-	}
-	for _, e := range events {
-		if err := w.WriteEvent(e); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+		&Event{Kind: kindFree, Name: "cudaFree", Dst: 0x7f00_0000_0000},
+	)
 }
 
 // FuzzScan feeds the trace decoder arbitrary bytes: it must never panic
 // and never allocate proportionally to a length field a malformed input
-// merely claims, and a binary container it rejects must carry a typed
+// merely claims, and any input it rejects must carry a typed
 // *FormatError locating the malformation.
 func FuzzScan(f *testing.F) {
 	sample := fuzzSampleBinary(f)
@@ -66,24 +55,18 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte(`{"kind":"malloc","name":"cudaMalloc","bytes":64,"dst":1234}` + "\n"))
 	f.Add([]byte(`{"kind":"warp"}` + "\n not json"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		binary := bytes.HasPrefix(data, []byte(binMagic))
 		err := Scan(bytes.NewReader(data), func(e *Event) error {
-			// Binary-decoded events must re-encode: that decoder may only
-			// produce field values the writer's validation admits. (JSONL
-			// passes unknown kinds through; replay rejects them later.)
-			if !binary {
-				return nil
-			}
-			w := NewWriter(io.Discard, FormatBinary)
-			if werr := w.WriteEvent(e); werr != nil {
+			// Decoded events must re-encode: the decoder may only produce
+			// field values the writer's validation admits.
+			if werr := NewWriter(io.Discard).WriteEvent(e); werr != nil {
 				t.Fatalf("decoded event does not re-encode: %v (%+v)", werr, e)
 			}
 			return nil
 		})
-		if err != nil && binary {
+		if err != nil {
 			var fe *FormatError
 			if !errors.As(err, &fe) {
-				t.Fatalf("binary decode error is not a *FormatError: %v", err)
+				t.Fatalf("decode error is not a *FormatError: %v", err)
 			}
 		}
 	})

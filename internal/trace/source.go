@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,46 +13,28 @@ import (
 // ErrStop stops a Scan early with a nil error.
 var ErrStop = errors.New("trace: stop scan")
 
-// Scan decodes a trace event by event, sniffing the encoding from the
-// first bytes ("VXTR" magic ⇒ binary, anything else ⇒ JSONL), and calls
-// fn for each event. The Event (and its slices) passed to fn is reused
-// between calls — copy what must outlive the callback. fn returning
-// ErrStop ends the scan cleanly; any other error aborts it. A malformed
-// binary trace — truncation included — surfaces as a *FormatError.
+// Scan decodes a VXTR trace event by event and calls fn for each event.
+// The Event (and its slices) passed to fn is reused between calls — copy
+// what must outlive the callback. fn returning ErrStop ends the scan
+// cleanly; any other error aborts it. A malformed trace — one that does
+// not open with the VXTR magic, or is truncated — surfaces as a
+// *FormatError.
 func Scan(rd io.Reader, fn func(e *Event) error) error {
 	br := bufio.NewReader(rd)
-	// Skip leading whitespace before sniffing: a remote-attach stream
-	// follows a JSON handshake whose encoder terminates with a newline,
-	// and hand-written JSONL may open with blank lines. The binary
-	// container never starts with whitespace, so this cannot misdetect.
+	// Skip leading whitespace: a remote-attach stream follows a JSON
+	// handshake whose encoder terminates with a newline. The container
+	// never starts with whitespace, so this cannot swallow trace bytes.
 	for {
-		b, err := br.Peek(1)
-		if len(b) == 0 {
-			if err == io.EOF {
-				return nil // empty trace
-			}
-			return err
-		}
-		if b[0] != ' ' && b[0] != '\t' && b[0] != '\n' && b[0] != '\r' {
+		b, err := br.ReadByte()
+		if err != nil {
 			break
 		}
-		br.ReadByte()
-	}
-	head, err := br.Peek(len(binMagic))
-	if len(head) == 0 {
-		if err == io.EOF {
-			return nil // empty trace
+		if b != ' ' && b != '\t' && b != '\n' && b != '\r' {
+			br.UnreadByte()
+			break
 		}
-		return err
 	}
-	if string(head) == binMagic {
-		return scanBinary(br, fn)
-	}
-	return scanJSONL(br, fn)
-}
-
-func scanBinary(rd io.Reader, fn func(e *Event) error) error {
-	r := newBinReader(rd)
+	r := newBinReader(br)
 	for {
 		e, err := r.next()
 		if err == io.EOF {
@@ -63,28 +44,6 @@ func scanBinary(rd io.Reader, fn func(e *Event) error) error {
 			return err
 		}
 		if err := fn(e); err != nil {
-			if err == ErrStop {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-func scanJSONL(rd io.Reader, fn func(e *Event) error) error {
-	dec := json.NewDecoder(rd)
-	var e Event
-	for i := 0; ; i++ {
-		e = Event{}
-		if err := dec.Decode(&e); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("trace: decode event %d: %w", i, err)
-		}
-		if e.Seq == 0 {
-			e.Seq = i + 1 // hand-written traces may omit seq
-		}
-		if err := fn(&e); err != nil {
 			if err == ErrStop {
 				return nil
 			}
@@ -223,8 +182,7 @@ func (rp *Replayer) applyEvent(e *Event) error {
 // counterpart of cuda.LiveSource. Allocation order is replayed exactly,
 // so object IDs and device addresses match the recording, and any
 // consumer attached to Runtime() before Run observes the same stream the
-// live program produced. Both encodings replay through the same Source;
-// the format is sniffed.
+// live program produced.
 type Source struct {
 	rp      *Replayer
 	rd      io.Reader

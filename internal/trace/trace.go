@@ -4,23 +4,17 @@
 // re-analyzed offline with different thresholds, copy strategies, or
 // analyses (the postmortem side of the paper's offline analyzer).
 //
-// Two encodings share one event vocabulary behind the Format seam:
+// The container (VXTR) is versioned, chunked and columnar: a
+// magic/version header, one chunk per API event, and per-launch access
+// columns (PC/addr/size/kind/raw/block/thread as separate
+// delta+varint-encoded columns). The Writer streams — each chunk is
+// emitted as its launch completes, so recording peak memory is bounded
+// by one launch, not the run. See DESIGN.md §10 for the wire format.
 //
-//   - FormatBinary (the default) is a versioned, chunked, columnar
-//     container: a magic/version header, one chunk per API event, and
-//     per-launch access columns (PC/addr/size/kind/raw/block/thread as
-//     separate delta+varint-encoded columns). The Writer streams — each
-//     chunk is emitted as its launch completes, so recording peak memory
-//     is bounded by one launch, not the run. See DESIGN.md §10 for the
-//     wire format.
-//   - FormatJSONL is the original one-JSON-object-per-event encoding,
-//     kept as the human-readable debug format.
-//
-// Readers sniff the format from the first bytes, so existing JSONL
-// traces keep replaying unchanged. Replay reconstructs device memory
-// from the recorded effects: memsets and copies are re-applied, and
-// kernel stores are re-applied from the recorded access records, so
-// snapshot-based coarse analysis sees byte-identical values.
+// Replay reconstructs device memory from the recorded effects: memsets
+// and copies are re-applied, and kernel stores are re-applied from the
+// recorded access records, so snapshot-based coarse analysis sees
+// byte-identical values.
 //
 // The container also carries kernel capsules (internal/capsule): the
 // alloc_at/restore event kinds pin allocations to their original IDs and
@@ -29,7 +23,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -38,38 +31,12 @@ import (
 	"valueexpert/gpu"
 )
 
-// Format selects a trace encoding.
+// Format names a trace encoding. VXTR is the only one; the type remains
+// because Record's signature carries it (see Record).
 type Format uint8
 
-// The trace encodings.
-const (
-	// FormatBinary is the chunked columnar container (default).
-	FormatBinary Format = iota
-	// FormatJSONL is the readable one-JSON-object-per-event debug format.
-	FormatJSONL
-)
-
-// String names the format as the -trace-format flag spells it.
-func (f Format) String() string {
-	switch f {
-	case FormatBinary:
-		return "binary"
-	case FormatJSONL:
-		return "jsonl"
-	}
-	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
-// ParseFormat parses a -trace-format value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "binary", "":
-		return FormatBinary, nil
-	case "jsonl":
-		return FormatJSONL, nil
-	}
-	return 0, fmt.Errorf("unknown trace format %q (want binary or jsonl)", s)
-}
+// FormatBinary is the VXTR container.
+const FormatBinary Format = 0
 
 // AccessRec is one recorded access (scalar or compacted range).
 type AccessRec struct {
@@ -84,8 +51,8 @@ type AccessRec struct {
 	Thread int32         `json:"thread"`
 }
 
-// Event is one recorded API invocation — the portable vocabulary both
-// encodings serialize. Beyond the recorded runtime APIs, three kinds
+// Event is one recorded API invocation — the portable vocabulary the
+// container serializes. Beyond the recorded runtime APIs, three kinds
 // exist only in capsule containers: "alloc_at" pins an allocation to its
 // original ID and address, "restore" writes a snapshot of device bytes
 // back without an API event, and "capsule" carries the capsule metadata.
@@ -100,7 +67,7 @@ type Event struct {
 	Bytes    uint64 `json:"bytes,omitempty"`
 	CopyKind uint8  `json:"copy_kind,omitempty"`
 	MemsetV  byte   `json:"memset_value,omitempty"`
-	HostSrc  []byte `json:"host_src,omitempty"` // H2D payload / restore bytes (base64 via JSON)
+	HostSrc  []byte `json:"host_src,omitempty"` // H2D payload / restore bytes
 	Tag      string `json:"tag,omitempty"`
 
 	Grid     [3]int             `json:"grid,omitempty"`
@@ -132,87 +99,36 @@ type CapsuleInfo struct {
 	ObjectIDs []int `json:"object_ids,omitempty"`
 }
 
-// Writer is a streaming trace encoder: events are serialized as they are
-// written, in either format. Close finalizes the container (the binary
-// footer chunk carrying event/access counts); a trace without its footer
-// is detected as truncated on read.
-type Writer struct {
-	format Format
-	cw     countingWriter
-	bin    *binWriter
-	enc    *json.Encoder
-
-	events   int
-	accesses uint64
-	closed   bool
+// NewWriter creates a streaming encoder emitting the container to w.
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{w: w, dict: make(map[string]uint64)}
 }
-
-// NewWriter creates a streaming encoder emitting format to w.
-func NewWriter(w io.Writer, format Format) *Writer {
-	tw := &Writer{format: format, cw: countingWriter{w: w}}
-	if format == FormatJSONL {
-		tw.enc = json.NewEncoder(&tw.cw)
-	} else {
-		tw.bin = newBinWriter(&tw.cw)
-	}
-	return tw
-}
-
-// Format returns the encoding the writer emits.
-func (w *Writer) Format() Format { return w.format }
 
 // WriteEvent serializes one event.
-func (w *Writer) WriteEvent(e *Event) error {
-	if w.closed {
+func (bw *Writer) WriteEvent(e *Event) error {
+	if bw.closed {
 		return fmt.Errorf("trace: write to closed writer")
 	}
-	w.events++
+	bw.events++
 	if e.Kind == kindLaunch {
-		w.accesses += uint64(len(e.Accesses))
+		bw.accesses += uint64(len(e.Accesses))
 	}
-	if w.format == FormatJSONL {
-		if err := w.enc.Encode(e); err != nil {
-			return fmt.Errorf("trace: encode event %d: %w", w.events-1, err)
-		}
-		return nil
-	}
-	return w.bin.writeEvent(e)
+	return bw.writeEvent(e)
 }
 
-// Close finalizes the container. For the binary format it writes the end
-// chunk (event and access-record counts) readers use to detect
-// truncation; JSONL needs no footer. Close does not close the underlying
-// writer. Idempotent.
-func (w *Writer) Close() error {
-	if w.closed {
+// Close finalizes the container by writing the end chunk (event and
+// access-record counts) readers use to detect truncation. Close does not
+// close the underlying writer. Idempotent.
+func (bw *Writer) Close() error {
+	if bw.closed {
 		return nil
 	}
-	w.closed = true
-	if w.format == FormatBinary {
-		return w.bin.writeEnd(w.events, w.accesses)
-	}
-	return nil
+	bw.closed = true
+	return bw.writeEnd()
 }
 
 // BytesWritten reports the encoded size so far.
-func (w *Writer) BytesWritten() int64 { return w.cw.n }
-
-// Events reports the number of events written so far.
-func (w *Writer) Events() int { return w.events }
-
-// Accesses reports the number of access records written so far.
-func (w *Writer) Accesses() uint64 { return w.accesses }
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
+func (bw *Writer) BytesWritten() int64 { return bw.n }
 
 // Recorder is a cuda.Interceptor that streams the captured event stream
 // to a Writer as the program runs: each API event is encoded at its
@@ -226,51 +142,46 @@ type Recorder struct {
 	rt    *cuda.Runtime
 	inner cuda.Interceptor
 	w     *Writer
-	tees  []*Writer
 	cur   []AccessRec
 	err   error
 }
 
-// Record attaches a streaming recorder to the runtime, encoding format
-// to w. Recording instruments every kernel (no sampling): the point is
-// to capture once and analyze often. Close the recorder after the
-// program ran to detach it and finalize the container.
-func Record(rt *cuda.Runtime, w io.Writer, format Format) *Recorder {
-	r := &Recorder{rt: rt, inner: rt.Interceptor(), w: NewWriter(w, format)}
+// Record attaches a streaming recorder to the runtime, encoding the
+// container to w. Recording instruments every kernel (no sampling): the
+// point is to capture once and analyze often. Close the recorder after
+// the program ran to detach it and finalize the container.
+//
+// The Format argument is ignored; it stays only so the bench module's
+// existing Record(rt, w, FormatBinary) call keeps compiling.
+func Record(rt *cuda.Runtime, w io.Writer, _ Format) *Recorder {
+	r := &Recorder{rt: rt, inner: rt.Interceptor(), w: NewWriter(w)}
 	rt.SetInterceptor(r)
 	return r
 }
-
-// Mirror additionally encodes every subsequent event to tw — one
-// instrumented run serialized in several formats at once (vxprof uses a
-// JSONL mirror over a counting discard to report the compression ratio).
-func (r *Recorder) Mirror(tw *Writer) { r.tees = append(r.tees, tw) }
 
 // Detach removes the recorder from the runtime, restoring whatever
 // interceptor it chained in front of.
 func (r *Recorder) Detach() { r.rt.SetInterceptor(r.inner) }
 
-// Close detaches the recorder and finalizes every attached writer,
-// returning the first error recording hit (encode errors are sticky:
-// APIEnd cannot fail, so they surface here).
+// Close detaches the recorder and finalizes the container, returning the
+// first error recording hit (encode errors are sticky: APIEnd cannot
+// fail, so they surface here).
 func (r *Recorder) Close() error {
 	r.Detach()
-	for _, w := range append([]*Writer{r.w}, r.tees...) {
-		if err := w.Close(); err != nil && r.err == nil {
-			r.err = err
-		}
+	if err := r.w.Close(); err != nil && r.err == nil {
+		r.err = err
 	}
 	return r.err
 }
 
 // Events reports the number of events recorded so far.
-func (r *Recorder) Events() int { return r.w.Events() }
+func (r *Recorder) Events() int { return r.w.events }
 
 // Accesses reports the number of access records recorded so far.
-func (r *Recorder) Accesses() uint64 { return r.w.Accesses() }
+func (r *Recorder) Accesses() uint64 { return r.w.accesses }
 
-// BytesWritten reports the primary writer's encoded size so far.
-func (r *Recorder) BytesWritten() int64 { return r.w.BytesWritten() }
+// BytesWritten reports the encoded size so far.
+func (r *Recorder) BytesWritten() int64 { return r.w.n }
 
 // Err returns the first sticky recording error, if any.
 func (r *Recorder) Err() error { return r.err }
@@ -347,14 +258,12 @@ func (r *Recorder) APIEnd(ev *cuda.APIEvent) {
 		e.Accesses = r.cur
 		r.cur = r.cur[:0]
 	}
-	for _, w := range append([]*Writer{r.w}, r.tees...) {
-		if err := w.WriteEvent(&e); err != nil && r.err == nil {
-			r.err = err
-		}
+	if err := r.w.WriteEvent(&e); err != nil && r.err == nil {
+		r.err = err
 	}
 }
 
-// The event kind vocabulary shared by both encodings.
+// The event kind vocabulary.
 const (
 	kindMalloc  = "malloc"
 	kindFree    = "free"

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,9 +14,9 @@ import (
 	"valueexpert/internal/workloads"
 )
 
-// recordDarknetFormat records the Darknet workload in the given
-// encoding and returns the serialized trace.
-func recordDarknetFormat(t *testing.T, f Format) []byte {
+// recordDarknet records the Darknet workload and returns the serialized
+// trace.
+func recordDarknet(t *testing.T) []byte {
 	t.Helper()
 	old := workloads.Scale
 	workloads.Scale = 64
@@ -26,7 +27,7 @@ func recordDarknetFormat(t *testing.T, f Format) []byte {
 	}
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	var buf bytes.Buffer
-	rec := Record(rt, &buf, f)
+	rec := Record(rt, &buf, FormatBinary)
 	if err := w.Run(rt, workloads.Original); err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,6 @@ func recordDarknetFormat(t *testing.T, f Format) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// recordDarknet records the Darknet workload in the default (binary)
-// encoding.
-func recordDarknet(t *testing.T) []byte {
-	t.Helper()
-	return recordDarknetFormat(t, FormatBinary)
 }
 
 // profileLive profiles the workload directly for comparison.
@@ -178,16 +172,45 @@ func TestReplayCountsPreserved(t *testing.T) {
 	}
 }
 
+// encodeEvents serializes events into a VXTR container.
+func encodeEvents(tb testing.TB, events ...*Event) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, e := range events {
+		if err := w.WriteEvent(e); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestReplayErrors(t *testing.T) {
-	if err := Replay(strings.NewReader("{bad json"), gpu.A100, nil); err == nil {
-		t.Fatal("bad trace accepted")
+	var fe *FormatError
+	if err := Replay(strings.NewReader(`{"kind":"malloc"}`+"\n"), gpu.A100, nil); !errors.As(err, &fe) {
+		t.Fatalf("non-VXTR input: got %v, want a *FormatError", err)
 	}
-	if err := Replay(strings.NewReader(`{"kind":"warp"}`+"\n"), gpu.A100, nil); err == nil {
-		t.Fatal("unknown event kind accepted")
+
+	// A hand-built event chunk whose kind byte names no event kind.
+	free := encodeEvents(t, &Event{Kind: kindFree, Name: "cudaFree", Dst: 0x40})
+	// Header (8 bytes), then the event chunk: type, length, kind byte.
+	if free[8] != chunkEvent || free[10] != bkFree {
+		t.Fatalf("unexpected layout % x", free[:11])
 	}
+	unknown := append([]byte(nil), free...)
+	unknown[10] = 0x7f
+	if err := Replay(bytes.NewReader(unknown), gpu.A100, nil); !errors.As(err, &fe) ||
+		!strings.Contains(fe.Msg, "unknown event kind") {
+		t.Fatalf("unknown event kind: got %v, want a *FormatError", err)
+	}
+
 	// Allocator divergence: a malloc event with the wrong recorded address.
-	bad := `{"kind":"malloc","name":"cudaMalloc","bytes":64,"dst":1234,"tag":"x"}` + "\n"
-	if err := Replay(strings.NewReader(bad), gpu.A100, nil); err == nil {
-		t.Fatal("allocator divergence not detected")
+	bad := encodeEvents(t, &Event{Kind: kindMalloc, Name: "cudaMalloc", Bytes: 64, Dst: 1234, Tag: "x"})
+	if err := Replay(bytes.NewReader(bad), gpu.A100, nil); err == nil ||
+		!strings.Contains(err.Error(), "allocator divergence") {
+		t.Fatalf("allocator divergence: got %v", err)
 	}
 }

@@ -111,7 +111,7 @@ func TestServeHandlerFacade(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/sessions", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
 		strings.NewReader(`{"workload": "Rodinia/bfs"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +122,10 @@ func TestServeHandlerFacade(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated || info.ID == "" {
-		t.Fatalf("POST /sessions = %d %+v", resp.StatusCode, info)
+		t.Fatalf("POST /v1/sessions = %d %+v", resp.StatusCode, info)
 	}
 
-	resp, err = http.Get(ts.URL + "/sessions/" + info.ID + "/report?wait=1")
+	resp, err = http.Get(ts.URL + "/v1/sessions/" + info.ID + "/report?wait=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestServeHandlerFacade(t *testing.T) {
 		t.Fatalf("report = %d program=%q objects=%d", resp.StatusCode, rep.Program, len(rep.Objects))
 	}
 
-	resp, err = http.Get(ts.URL + "/aggregate")
+	resp, err = http.Get(ts.URL + "/v1/aggregate")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,16 +133,6 @@ type (
 	TraceRecorder = trace.Recorder
 	// TraceSource replays a recorded trace as an EventSource.
 	TraceSource = trace.Source
-	// TraceFormat selects a trace encoding (TraceBinary, TraceJSONL).
-	TraceFormat = trace.Format
-)
-
-// The trace encodings: the columnar binary container (default) and the
-// readable JSONL debug format. Readers sniff the encoding, so either
-// replays through NewTraceSource.
-const (
-	TraceBinary = trace.FormatBinary
-	TraceJSONL  = trace.FormatJSONL
 )
 
 // Recording is an in-progress trace capture started by Record. The
@@ -162,24 +152,19 @@ func (r *Recording) Events() int { return r.rec.Events() }
 func (r *Recording) Close() error { return r.rec.Close() }
 
 // Record attaches a streaming trace recorder to rt that serializes the
-// binary format to w as the program runs: run the program against rt,
+// VXTR container to w as the program runs: run the program against rt,
 // then Close the recording.
 //
 //	rec := valueexpert.Record(rt, f)
 //	// ... run the GPU program against rt ...
 //	if err := rec.Close(); err != nil { ... }
 func Record(rt *cuda.Runtime, w io.Writer) *Recording {
-	return RecordFormat(rt, w, trace.FormatBinary)
-}
-
-// RecordFormat is Record with an explicit trace encoding.
-func RecordFormat(rt *cuda.Runtime, w io.Writer, f TraceFormat) *Recording {
-	return &Recording{rec: trace.Record(rt, w, f)}
+	return &Recording{rec: trace.Record(rt, w, trace.FormatBinary)}
 }
 
 // NewTraceSource replays a trace previously serialized by a Recording
-// into a fresh runtime simulating device, sniffing the encoding from
-// the first bytes; feed it to Profile like any live source.
+// into a fresh runtime simulating device; feed it to Profile like any
+// live source.
 func NewTraceSource(r io.Reader, device gpu.Profile) *TraceSource {
 	return trace.NewSource(r, device)
 }
