@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadModule$$' -fuzztime=$(FUZZTIME) ./sass
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=$(FUZZTIME) ./sass
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzRefresh$$' -fuzztime=$(FUZZTIME) ./internal/vpattern
 
 # proptest runs the property-based differential harness over
 # PROPTEST_SEEDS seeds under the race detector. A failure prints the

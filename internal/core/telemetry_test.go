@@ -84,7 +84,7 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 		"collector.flush_capture", "pipeline.drain_wait",
 		"stage.coarse.compact", "stage.coarse.absorb",
 		"stage.fine.compact", "stage.fine.absorb",
-		"scheduler.wait", "snapshot.diff", "snapshot.apply", "merge.time",
+		"scheduler.wait", "snapshot.refresh", "merge.time",
 	} {
 		if _, ok := m.Timers[timer]; !ok {
 			t.Errorf("timer %q missing from export (have %v)", timer, keys(m.Timers))

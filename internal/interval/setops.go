@@ -4,18 +4,24 @@ package interval
 // by MergeSequential / MergeParallel). The snapshot analyzer uses them to
 // restrict redundancy diffs to bytes whose previous value is defined.
 
-// Union merges two sorted disjoint interval lists into one.
+// Union merges two sorted disjoint interval lists into one, in a single
+// linear sweep.
 func Union(a, b []Interval) []Interval {
-	if len(a) == 0 {
-		return append([]Interval(nil), b...)
+	out := make([]Interval, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		var next Interval
+		if len(b) == 0 || (len(a) > 0 && a[0].Start <= b[0].Start) {
+			next, a = a[0], a[1:]
+		} else {
+			next, b = b[0], b[1:]
+		}
+		if n := len(out); n > 0 && next.Start <= out[n-1].End {
+			out[n-1].End = max(out[n-1].End, next.End)
+		} else {
+			out = append(out, next)
+		}
 	}
-	if len(b) == 0 {
-		return append([]Interval(nil), a...)
-	}
-	all := make([]Interval, 0, len(a)+len(b))
-	all = append(all, a...)
-	all = append(all, b...)
-	return MergeSequential(all)
+	return out
 }
 
 // Intersect returns the overlap of two sorted disjoint interval lists.

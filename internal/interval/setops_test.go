@@ -35,7 +35,7 @@ func TestIntersectBasics(t *testing.T) {
 }
 
 // Property: membership in Union/Intersect matches boolean algebra on a
-// sampled domain.
+// sampled domain, and Union equals MergeSequential of both lists.
 func TestSetOpsProperty(t *testing.T) {
 	mk := func(raw []uint8) []Interval {
 		var ivs []Interval
@@ -56,6 +56,9 @@ func TestSetOpsProperty(t *testing.T) {
 	f := func(ra, rb []uint8) bool {
 		a, b := mk(ra), mk(rb)
 		u, n := Union(a, b), Intersect(a, b)
+		if !eq(u, MergeSequential(append(append([]Interval(nil), a...), b...))) {
+			return false // the linear sweep must match the sort-and-sweep merge
+		}
 		for x := uint64(0); x < 280; x += 3 {
 			inA, inB := contains(a, x), contains(b, x)
 			if contains(u, x) != (inA || inB) {
