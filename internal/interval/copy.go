@@ -106,32 +106,24 @@ func density(merged []Interval) float64 {
 // Clip restricts merged intervals to the object bounds, dropping empties.
 func Clip(obj Interval, merged []Interval) []Interval { return clip(obj, merged) }
 
-// Split subdivides intervals longer than maxBytes into consecutive pieces
-// of at most maxBytes each, preserving order and total coverage. It is the
-// chunking step that lets large snapshot diffs and copy plans spread over a
-// worker pool. maxBytes == 0 returns the input unchanged.
-func Split(ivs []Interval, maxBytes uint64) []Interval {
-	if maxBytes == 0 {
-		return ivs
-	}
-	needs := false
+// Chunks cuts sorted, disjoint intervals into chunks of exactly maxBytes
+// in total, the last one possibly smaller, preserving order and coverage:
+// long intervals are cut at chunk boundaries and short ones packed
+// together. It is the chunking step that spreads a large snapshot refresh
+// over a worker pool while a small plan, however scattered, stays one
+// chunk. maxBytes must be positive.
+func Chunks(ivs []Interval, maxBytes uint64) [][]Interval {
+	var out [][]Interval
+	fill := maxBytes
 	for _, iv := range ivs {
-		if iv.Len() > maxBytes {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return ivs
-	}
-	var out []Interval
-	for _, iv := range ivs {
-		for iv.Len() > maxBytes {
-			out = append(out, Interval{Start: iv.Start, End: iv.Start + maxBytes})
-			iv.Start += maxBytes
-		}
-		if iv.Valid() {
-			out = append(out, iv)
+		for iv.Valid() {
+			if fill == maxBytes {
+				out, fill = append(out, nil), 0
+			}
+			piece := Interval{Start: iv.Start, End: iv.Start + min(iv.Len(), maxBytes-fill)}
+			out[len(out)-1] = append(out[len(out)-1], piece)
+			fill += piece.Len()
+			iv.Start = piece.End
 		}
 	}
 	return out

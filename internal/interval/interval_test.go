@@ -226,6 +226,40 @@ func TestPlanCopyClipsToObject(t *testing.T) {
 	}
 }
 
+// TestChunks: chunks cover exactly the input, in order, and every chunk
+// but the last holds exactly maxBytes, so a small plan is one chunk.
+func TestChunks(t *testing.T) {
+	if got := Chunks(nil, 8); got != nil {
+		t.Fatalf("Chunks(nil) = %v, want nil", got)
+	}
+	small := []Interval{{0, 3}, {10, 12}, {20, 21}}
+	if got := Chunks(small, 64); len(got) != 1 || !eq(got[0], small) {
+		t.Fatalf("small plan = %v, want one chunk %v", got, small)
+	}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var ivs []Interval
+		n := r.Intn(30)
+		for at := uint64(r.Intn(50)); len(ivs) < n; at += uint64(1 + r.Intn(50)) {
+			end := at + 1 + uint64(r.Intn(200))
+			ivs = append(ivs, Interval{at, end})
+			at = end
+		}
+		maxBytes := uint64(1 + r.Intn(100))
+		chunks := Chunks(ivs, maxBytes)
+		var flat []Interval
+		for i, c := range chunks {
+			if n := TotalBytes(c); n > maxBytes || (i < len(chunks)-1 && n != maxBytes) || n == 0 {
+				t.Fatalf("trial %d: chunk %d of %d holds %d bytes, max %d", trial, i, len(chunks), n, maxBytes)
+			}
+			flat = append(flat, c...)
+		}
+		if !eq(MergeSequential(flat), MergeSequential(ivs)) || TotalBytes(flat) != TotalBytes(ivs) {
+			t.Fatalf("trial %d: chunks %v do not cover %v", trial, chunks, ivs)
+		}
+	}
+}
+
 func TestCopyCostPrefersRightStrategy(t *testing.T) {
 	model := CopyCostModel{PerCall: 10 * time.Microsecond, Bandwidth: 10e9}
 	obj := Interval{0, 1 << 20}
