@@ -53,15 +53,17 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz runs each fuzz target for FUZZTIME, growing the checked-in seed
-# corpora under {sass,internal/trace}/testdata/fuzz/. Plain `go test`
-# replays the corpora; this target explores beyond them.
+# fuzz runs each fuzz target in sass, internal/trace and internal/vpattern
+# for FUZZTIME. Plain `go test` replays each target's seeds (its f.Add
+# calls, plus the corpora checked in under sass/testdata/fuzz/); this
+# target explores beyond them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./sass
 	$(GO) test -run='^$$' -fuzz='^FuzzReadModule$$' -fuzztime=$(FUZZTIME) ./sass
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=$(FUZZTIME) ./sass
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzRefresh$$' -fuzztime=$(FUZZTIME) ./internal/vpattern
+	$(GO) test -run='^$$' -fuzz='^FuzzAddRange$$' -fuzztime=$(FUZZTIME) ./internal/vpattern
 
 # proptest runs the property-based differential harness over
 # PROPTEST_SEEDS seeds under the race detector. A failure prints the

@@ -165,9 +165,9 @@ func (la *fineLaunch) analyzeInline(b *Batch) {
 	la.st.putShard(shard)
 }
 
-// addRecords walks records [lo, hi), expanding compacted range records,
-// and feeds each element access to dst (and, in modeInline, ord) under
-// the given mode.
+// addRecords walks records [lo, hi) and feeds each to dst (and, in
+// modeInline, ord) under the given mode. A compacted range record is
+// decoded once (into dst's scratch) and ingested whole.
 func addRecords(dst, ord *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addMode) {
 	for i := lo; i < hi; i++ {
 		if b.Yield && i%yieldStride == 0 {
@@ -178,30 +178,10 @@ func addRecords(dst, ord *vpattern.FineAccumulator, b *Batch, lo, hi int, mode a
 		if id < 0 {
 			continue
 		}
-		if a.Count > 1 {
-			// Expand compacted range records: fills repeat the stored
-			// value; load values decode from the flush-time capture.
-			elem := a
-			elem.Count = 1
-			if a.Store {
-				for e := 0; e < a.Elems(); e++ {
-					elem.Addr = a.Addr + uint64(e)*uint64(a.Size)
-					addOne(dst, ord, mode, id, elem)
-				}
-			} else if vals := b.RangeVal(i); vals != nil {
-				for e := 0; e < a.Elems(); e++ {
-					off := uint64(e) * uint64(a.Size)
-					elem.Addr = a.Addr + off
-					raw, err := gpu.RawValue(vals[off:], a.Size)
-					if err != nil {
-						continue // unsupported width: rejected upstream, skip defensively
-					}
-					elem.Raw = raw
-					addOne(dst, ord, mode, id, elem)
-				}
-			}
-		} else {
+		if a.Count <= 1 {
 			addOne(dst, ord, mode, id, a)
+		} else if raws := dst.DecodeRange(a, b.RangeVal(i)); raws != nil {
+			addRange(dst, ord, mode, id, a, raws)
 		}
 	}
 }
@@ -217,6 +197,20 @@ func addOne(dst, ord *vpattern.FineAccumulator, mode addMode, id int, a gpu.Acce
 	default:
 		dst.AddAssoc(id, a)
 		ord.ObserveOrderSensitive(id, a)
+	}
+}
+
+func addRange(dst, ord *vpattern.FineAccumulator, mode addMode, id int, a gpu.Access, raws []uint64) {
+	switch mode {
+	case modeFull:
+		dst.AddRange(id, a, raws)
+	case modeAssoc:
+		dst.AddAssocRange(id, a, raws)
+	case modeOrder:
+		dst.ObserveOrderSensitiveRange(id, a, raws)
+	default:
+		dst.AddAssocRange(id, a, raws)
+		ord.ObserveOrderSensitiveRange(id, a, raws)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -12,8 +13,9 @@ import (
 )
 
 // testFineBatch synthesizes a resolved batch of n records over a handful
-// of objects, mixing plain accesses with compacted store ranges and one
-// captured load range, the shapes the fine stage expands.
+// of objects, mixing plain accesses with compacted store ranges and load
+// ranges of every width and kind, captured or not, the shapes the fine
+// stage ingests.
 func testFineBatch(rng *rand.Rand, n int) *Batch {
 	b := &Batch{Recs: make([]gpu.Access, n), IDs: make([]int, n)}
 	for i := range b.Recs {
@@ -28,14 +30,38 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 		b.Recs[i] = a
 		b.IDs[i] = rng.Intn(4)
 	}
-	// One captured load range decoded from the batch's capture buffer.
-	b.Recs[1] = gpu.Access{Addr: 0x100, Size: 4, Kind: gpu.KindUint, Count: 3}
-	b.rangeBytes = []byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}
+	// Load ranges spread over the batch, so chunked compaction decodes
+	// them in several sub-shards. All but the last decode from the
+	// batch's capture buffer.
+	loads := []gpu.Access{
+		{Addr: 0x100, Size: 4, Kind: gpu.KindUint, Count: 3},
+		{Addr: 0x200, Size: 1, Kind: gpu.KindUint, Count: 40},
+		{Addr: 0x300, Size: 2, Kind: gpu.KindInt, Count: 17},
+		{Addr: 0x400, Size: 8, Kind: gpu.KindInt, Count: 9},
+		{Addr: 0x500, Size: 8, Kind: gpu.KindFloat, Count: 33},
+		{Addr: 0x600, Size: 4, Kind: gpu.KindFloat, Count: 5},
+	}
 	b.rangeOff = make([]int32, n)
 	for i := range b.rangeOff {
 		b.rangeOff[i] = -1
 	}
-	b.rangeOff[1] = 0
+	for j, a := range loads {
+		i := 1 + j*(n/len(loads))
+		b.Recs[i] = a
+		if j == len(loads)-1 {
+			break // no capture
+		}
+		b.rangeOff[i] = int32(len(b.rangeBytes))
+		for e := 0; e < a.Elems(); e++ {
+			var elem [8]byte
+			v := uint64(rng.Intn(8))
+			if a.Kind == gpu.KindFloat {
+				v = gpu.RawFromFloat64(float64(v) * 0.25)
+			}
+			binary.LittleEndian.PutUint64(elem[:], v)
+			b.rangeBytes = append(b.rangeBytes, elem[:a.Size]...)
+		}
+	}
 	return b
 }
 

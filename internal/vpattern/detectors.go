@@ -105,7 +105,8 @@ func newHeavyTypeDetector(FineConfig) Detector { return &heavyTypeDetector{} }
 
 func (d *heavyTypeDetector) Reset() { d.objs.reset(nil) }
 
-func (d *heavyTypeDetector) Observe(objID int, a gpu.Access) {
+// state returns objID's state after folding in a's declared access type.
+func (d *heavyTypeDetector) state(objID int, a gpu.Access) *heavyState {
 	at := gpu.AccessType{Kind: a.Kind, Size: a.Size}
 	st, created := d.objs.at(objID)
 	if created {
@@ -115,6 +116,11 @@ func (d *heavyTypeDetector) Observe(objID int, a gpu.Access) {
 	} else if st.at != at {
 		st.atConsist = false
 	}
+	return st
+}
+
+func (d *heavyTypeDetector) Observe(objID int, a gpu.Access) {
+	st := d.state(objID, a)
 	switch a.Kind {
 	case gpu.KindInt:
 		st.sawInt = true
@@ -139,6 +145,40 @@ func (d *heavyTypeDetector) Observe(objID int, a gpu.Access) {
 			f := gpu.Float64FromRaw(a.Raw)
 			if float64(float32(f)) != f {
 				st.allF64AsF32 = false
+			}
+		}
+	}
+}
+
+// ObserveRange folds a range's values with one state lookup: every
+// element shares a's declared type, so only the first can change the
+// type-consistency state.
+func (d *heavyTypeDetector) ObserveRange(objID int, a gpu.Access, raws []uint64) {
+	st := d.state(objID, a)
+	switch a.Kind {
+	case gpu.KindInt:
+		st.sawInt = true
+		lo, hi := st.minI, st.maxI
+		for _, raw := range raws {
+			s := signExtend(raw, a.Size)
+			lo, hi = min(lo, s), max(hi, s)
+		}
+		st.minI, st.maxI = lo, hi
+	case gpu.KindUint:
+		st.sawU = true
+		lo, hi := st.minU, st.maxU
+		for _, raw := range raws {
+			lo, hi = min(lo, raw), max(hi, raw)
+		}
+		st.minU, st.maxU = lo, hi
+	case gpu.KindFloat:
+		st.sawFloat = true
+		if a.Size == 8 && st.allF64AsF32 {
+			for _, raw := range raws {
+				if f := gpu.Float64FromRaw(raw); float64(float32(f)) != f {
+					st.allF64AsF32 = false
+					break
+				}
 			}
 		}
 	}
@@ -293,6 +333,44 @@ func (d *structuredDetector) Observe(objID int, a gpu.Access) {
 		st.sumXY += x * y
 		st.sumYY += y * y
 	}
+}
+
+// ObserveRange folds a range's values with one state lookup, adding to
+// the sums in element order so they match per-element observation bit for
+// bit.
+func (d *structuredDetector) ObserveRange(objID int, a gpu.Access, raws []uint64) {
+	st, _ := d.objs.at(objID)
+	if st.elemSize == 0 {
+		st.elemSize = uint64(a.Size)
+	}
+	es, step := st.elemSize, uint64(a.Size)
+	if !st.x0set {
+		st.x0 = float64(a.Addr / es)
+		st.x0set = true
+	}
+	// Element e's index is (a.Addr + e·step)/es, monotone in address;
+	// when the range strides by es it is simply the first index + e.
+	first := a.Addr / es
+	n, sumX, sumY, sumXX, sumXY, sumYY := st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY
+	v := Value{Size: a.Size, Kind: a.Kind}
+	for e, raw := range raws {
+		idx := first + uint64(e)
+		if es != step {
+			idx = (a.Addr + uint64(e)*step) / es
+		}
+		x := float64(idx) - st.x0
+		v.Raw = raw
+		y := v.Numeric()
+		if !math.IsNaN(y) && !math.IsInf(y, 0) {
+			n++
+			sumX += x
+			sumY += y
+			sumXX += x * x
+			sumXY += x * y
+			sumYY += y * y
+		}
+	}
+	st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY = n, sumX, sumY, sumXX, sumXY, sumYY
 }
 
 func (d *structuredDetector) Merge(partial Detector) {

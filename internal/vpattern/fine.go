@@ -1,6 +1,7 @@
 package vpattern
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 
@@ -401,6 +402,30 @@ type Resetter interface {
 	Reset()
 }
 
+// rangeObserver is the optional internal Observer extension for ingesting
+// a compacted range record whole: raws holds the values of a's
+// a.Elems() consecutive elements (element e at a.Addr + e·a.Size) in
+// element order. It must leave exactly the state Observe would leave
+// after each element in turn.
+type rangeObserver interface {
+	ObserveRange(objID int, a gpu.Access, raws []uint64)
+}
+
+// elementwise ingests a range through an Observer without ObserveRange
+// (e.g. an out-of-tree pattern): one Observe call per element, each a
+// scalar access (Count 1) at the element's address carrying its value.
+type elementwise struct{ Observer }
+
+func (o elementwise) ObserveRange(objID int, a gpu.Access, raws []uint64) {
+	elem := a
+	elem.Count = 1
+	for e, raw := range raws {
+		elem.Addr = a.Addr + uint64(e)*uint64(a.Size)
+		elem.Raw = raw
+		o.Observe(objID, elem)
+	}
+}
+
 // FineAccumulator ingests instrumented accesses grouped by data object and
 // produces per-object fine-grained pattern reports for the current GPU
 // API. It maintains the shared observation context (counters + exact
@@ -416,9 +441,18 @@ type FineAccumulator struct {
 	// machinery never test flags: the exactly-mergeable observers can
 	// fold in any association, the order-sensitive rest only ever observe
 	// whole batches sequentially and merge strictly in flush order.
-	assocObs []Observer
-	naObs    []Observer
-	objs     table[ObjectShared]
+	// assocRange and naRange are the same observers, index for index, as
+	// range ingesters (elementwise where ObserveRange is missing).
+	assocObs   []Observer
+	naObs      []Observer
+	assocRange []rangeObserver
+	naRange    []rangeObserver
+	objs       table[ObjectShared]
+
+	// raws is DecodeRange's scratch. It grows to the longest range
+	// decoded, which is bounded by that range's flush-time capture (loads)
+	// or by the device memory the fill wrote (stores).
+	raws []uint64
 
 	// pending holds shards combined into this one (Combine) whose
 	// order-sensitive detector state could not be pre-folded; Merge
@@ -448,16 +482,23 @@ func NewFineAccumulatorWith(cfg FineConfig, regs []Registration) *FineAccumulato
 // splitObservers rebuilds the assoc/order-sensitive observer views over
 // dets.
 func (fa *FineAccumulator) splitObservers() {
-	fa.assocObs = fa.assocObs[:0]
-	fa.naObs = fa.naObs[:0]
+	fa.assocObs, fa.naObs = fa.assocObs[:0], fa.naObs[:0]
+	fa.assocRange, fa.naRange = fa.assocRange[:0], fa.naRange[:0]
 	for i, r := range fa.regs {
 		o, ok := fa.dets[i].(Observer)
-		switch {
-		case !ok:
-		case r.ExactMerge:
+		if !ok {
+			continue
+		}
+		ro, ok := o.(rangeObserver)
+		if !ok {
+			ro = elementwise{o}
+		}
+		if r.ExactMerge {
 			fa.assocObs = append(fa.assocObs, o)
-		default:
+			fa.assocRange = append(fa.assocRange, ro)
+		} else {
 			fa.naObs = append(fa.naObs, o)
+			fa.naRange = append(fa.naRange, ro)
 		}
 	}
 }
@@ -487,6 +528,73 @@ func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
 	if !sh.exact.add(v, 1, fa.cfg.MaxTrackedValues) {
 		sh.overflow(v, 1, &fa.cfg)
 	}
+}
+
+// addSharedRange is addShared for every element of range a, valued raws,
+// in element order, after one object lookup.
+func (fa *FineAccumulator) addSharedRange(objID int, a gpu.Access, raws []uint64) {
+	sh, _ := fa.objs.at(objID)
+	n := uint64(len(raws))
+	if a.Store {
+		sh.Stores += n
+	} else {
+		sh.Loads += n
+	}
+	sh.Bytes += n * uint64(a.Size)
+
+	v := Value{Size: a.Size, Kind: a.Kind}
+	for _, raw := range raws {
+		v.Raw = raw
+		if !sh.exact.add(v, 1, fa.cfg.MaxTrackedValues) {
+			sh.overflow(v, 1, &fa.cfg)
+		}
+	}
+}
+
+// DecodeRange decodes the element values of compacted range record a
+// (a.Count > 1) into fa's scratch, in element order: a fill store repeats
+// a.Raw; a load decodes vals, the bytes its range held at flush time. It
+// returns nil for a load without a capture or of an unsupported width,
+// which the engine skips. The slice is valid until fa's next DecodeRange.
+func (fa *FineAccumulator) DecodeRange(a gpu.Access, vals []byte) []uint64 {
+	if !a.Store && vals == nil {
+		return nil
+	}
+	n := a.Elems()
+	if cap(fa.raws) < n {
+		fa.raws = make([]uint64, n)
+	}
+	raws := fa.raws[:n]
+	if a.Store {
+		for e := range raws {
+			raws[e] = a.Raw
+		}
+		return raws
+	}
+	switch a.Size {
+	case 1:
+		for e, b := range vals[:n] {
+			raws[e] = uint64(b)
+		}
+	case 2:
+		vals = vals[:2*n]
+		for e := range raws {
+			raws[e] = uint64(binary.LittleEndian.Uint16(vals[2*e:]))
+		}
+	case 4:
+		vals = vals[:4*n]
+		for e := range raws {
+			raws[e] = uint64(binary.LittleEndian.Uint32(vals[4*e:]))
+		}
+	case 8:
+		vals = vals[:8*n]
+		for e := range raws {
+			raws[e] = binary.LittleEndian.Uint64(vals[8*e:])
+		}
+	default:
+		return nil
+	}
+	return raws
 }
 
 // Add records one access belonging to the data object objID.
@@ -519,6 +627,30 @@ func (fa *FineAccumulator) AddAssoc(objID int, a gpu.Access) {
 func (fa *FineAccumulator) ObserveOrderSensitive(objID int, a gpu.Access) {
 	for _, o := range fa.naObs {
 		o.Observe(objID, a)
+	}
+}
+
+// AddRange is Add for every element of compacted range record a, whose
+// values raws holds in element order (DecodeRange): the shared context
+// and each observer take the whole range after one object lookup.
+func (fa *FineAccumulator) AddRange(objID int, a gpu.Access, raws []uint64) {
+	fa.AddAssocRange(objID, a, raws)
+	fa.ObserveOrderSensitiveRange(objID, a, raws)
+}
+
+// AddAssocRange is AddAssoc for every element of range a (see AddRange).
+func (fa *FineAccumulator) AddAssocRange(objID int, a gpu.Access, raws []uint64) {
+	fa.addSharedRange(objID, a, raws)
+	for _, o := range fa.assocRange {
+		o.ObserveRange(objID, a, raws)
+	}
+}
+
+// ObserveOrderSensitiveRange is ObserveOrderSensitive for every element
+// of range a (see AddRange).
+func (fa *FineAccumulator) ObserveOrderSensitiveRange(objID int, a gpu.Access, raws []uint64) {
+	for _, o := range fa.naRange {
+		o.ObserveRange(objID, a, raws)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestHeavyTypeInt(t *testing.T) {
 	if !ok {
 		t.Fatalf("no heavy type: %v", rep.Patterns)
 	}
-	if m.Detail == "" || m.Fraction <= 0 {
+	if m.Detail != "int32 values fit in int8 (range [0,49])" || m.Fraction != 0.75 {
 		t.Fatalf("heavy type match = %+v", m)
 	}
 	// Negative values that still fit int8.

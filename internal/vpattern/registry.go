@@ -45,7 +45,11 @@ type Detector interface {
 
 // Observer is the optional Detector extension for patterns that keep
 // per-access state of their own. Only observers are called on the
-// per-access path.
+// per-access path. A compacted range record (Count > 1) is decoded once
+// and ingested whole: the builtin observers take all its element values
+// after one state lookup, and an observer without that internal range
+// method gets one Observe call per element, in element order, each a
+// scalar access (Count 1) at the element's address with its value.
 //
 // An observer participates in the analysis pipeline's compact/absorb
 // path: workers build an independent partial observer per flushed batch
