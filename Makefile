@@ -77,9 +77,13 @@ proptest:
 # each per-session report against the equivalent one-shot run, exercise
 # admission quotas (202 queued / 429 rejected) and restart recovery from
 # the persistent store — plus a real SIGTERM drain of the re-executed
-# binary.
+# binary. Then, in-process: finished sessions release their engine and
+# keep a bounded heap each, the restored aggregate matches the one-shot
+# fold, and Cancel/Shutdown race finalization under -race.
 daemon-smoke:
 	$(GO) test -count=1 -run 'TestDaemonSmoke|TestGracefulSIGTERM|TestBarePathsGone|TestDaemonQuota|TestDaemonRestartRecovery' -v ./cmd/vxprofd
+	$(GO) test -count=1 -run 'TestFinishedSessionReleasesEngine|TestRetainedHeapPerSession|TestRestoredAggregateMatchesOneShot' -v ./internal/daemon
+	$(GO) test -race -count=1 -run 'TestCancelShutdownRaceFinalize' -v ./internal/daemon
 
 # cover enforces COVER_FLOOR percent statement coverage on COVER_PKGS.
 cover:

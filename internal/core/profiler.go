@@ -201,7 +201,10 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 	}
 	p.graph = vflow.New(p.tree)
 
-	env := Env{RT: rt, Tree: p.tree, Graph: p.graph, Cfg: &p.cfg, Patterns: patterns, Tel: cfg.Telemetry}
+	// Stages share cfg, a copy of p.cfg: a pointer into p would make the
+	// profiler reachable from its own stages, and a runtime finalizer
+	// never runs on such a cycle.
+	env := Env{RT: rt, Tree: p.tree, Graph: p.graph, Cfg: &cfg, Patterns: patterns, Tel: cfg.Telemetry}
 	if cfg.Coarse {
 		p.coarse = newCoarseStage(env)
 		p.stages = append(p.stages, p.coarse)

@@ -55,11 +55,82 @@ type Aggregate struct {
 	Stats profile.RunStats `json:"stats"`
 }
 
+// summary is what Fold reads of one finalized report, reduced once: a
+// finished session keeps its summary instead of its report, so the
+// aggregate never re-reads or re-parses the store.
+type summary struct {
+	program         string
+	patterns        []string // the report's pattern set, sorted
+	objects         int
+	objectBytes     uint64
+	redundantBytes  uint64
+	duplicateGroups int
+	degraded        bool
+	stats           profile.RunStats
+	kinds           []kindSum // fine records per pattern kind, first-seen order
+}
+
+// kindSum is one report's fine records carrying one pattern kind. The
+// integer sums are associative; the float terms are not, so each
+// record's Fraction×Accesses product is kept and added in record order —
+// exactly the additions a fold over the report itself would make.
+type kindSum struct {
+	kind     string
+	records  int
+	bytes    uint64
+	accesses uint64
+	terms    []float64
+}
+
+// summarize reduces a finalized report to its summary.
+func summarize(rep *profile.Report) *summary {
+	s := &summary{
+		program:         rep.Program,
+		patterns:        sortedKeys(rep.PatternSet()),
+		objects:         len(rep.Objects),
+		redundantBytes:  rep.RedundantBytes(),
+		duplicateGroups: len(rep.DuplicateGroups),
+		degraded:        rep.Degraded != nil,
+		stats:           rep.Stats,
+	}
+	for _, o := range rep.Objects {
+		s.objectBytes += o.Size
+	}
+	idx := map[string]int{}
+	for _, fr := range rep.Fine {
+		for _, p := range fr.Patterns {
+			i, ok := idx[p.Kind]
+			if !ok {
+				i = len(s.kinds)
+				idx[p.Kind] = i
+				s.kinds = append(s.kinds, kindSum{kind: p.Kind})
+			}
+			k := &s.kinds[i]
+			k.records++
+			k.bytes += fr.Bytes
+			k.accesses += fr.Accesses
+			// The conversion rounds the product, so it is never fused
+			// into the later addition.
+			k.terms = append(k.terms, float64(p.Fraction*float64(fr.Accesses)))
+		}
+	}
+	return s
+}
+
 // Fold builds the aggregate from finalized session reports. ids[i]
 // labels reps[i]; pairs are folded in sorted-ID order, making the result
 // independent of completion order.
 func Fold(ids []string, reps []*profile.Report) Aggregate {
-	ord := make([]int, len(reps))
+	sums := make([]*summary, len(reps))
+	for i, rep := range reps {
+		sums[i] = summarize(rep)
+	}
+	return fold(ids, sums)
+}
+
+// fold is Fold over report summaries.
+func fold(ids []string, sums []*summary) Aggregate {
+	ord := make([]int, len(sums))
 	for i := range ord {
 		ord[i] = i
 	}
@@ -71,36 +142,34 @@ func Fold(ids []string, reps []*profile.Report) Aggregate {
 	totals := map[string]*PatternTotal{}
 	weights := map[string]uint64{}
 	for _, i := range ord {
-		id, rep := ids[i], reps[i]
-		agg.Sessions = append(agg.Sessions, id)
-		programs[rep.Program] = true
-		for name := range rep.PatternSet() {
+		s := sums[i]
+		agg.Sessions = append(agg.Sessions, ids[i])
+		programs[s.program] = true
+		for _, name := range s.patterns {
 			patterns[name] = true
 		}
-		agg.Objects += len(rep.Objects)
-		for _, o := range rep.Objects {
-			agg.ObjectBytes += o.Size
-		}
-		agg.RedundantBytes += rep.RedundantBytes()
-		agg.DuplicateGroups += len(rep.DuplicateGroups)
-		if rep.Degraded != nil {
+		agg.Objects += s.objects
+		agg.ObjectBytes += s.objectBytes
+		agg.RedundantBytes += s.redundantBytes
+		agg.DuplicateGroups += s.duplicateGroups
+		if s.degraded {
 			agg.DegradedSessions++
 		}
-		for _, fr := range rep.Fine {
-			for _, p := range fr.Patterns {
-				t := totals[p.Kind]
-				if t == nil {
-					t = &PatternTotal{Kind: p.Kind}
-					totals[p.Kind] = t
-				}
-				t.Records++
-				t.Bytes += fr.Bytes
-				t.MeanFraction += p.Fraction * float64(fr.Accesses)
-				weights[p.Kind] += fr.Accesses
+		for _, k := range s.kinds {
+			t := totals[k.kind]
+			if t == nil {
+				t = &PatternTotal{Kind: k.kind}
+				totals[k.kind] = t
 			}
+			t.Records += k.records
+			t.Bytes += k.bytes
+			for _, x := range k.terms {
+				t.MeanFraction += x
+			}
+			weights[k.kind] += k.accesses
 		}
 
-		st := rep.Stats
+		st := s.stats
 		agg.Stats.KernelLaunches += st.KernelLaunches
 		agg.Stats.LaunchesProfiled += st.LaunchesProfiled
 		agg.Stats.MemcpyCalls += st.MemcpyCalls

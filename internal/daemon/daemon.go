@@ -101,14 +101,14 @@ type Service struct {
 }
 
 // NewService creates a service with its own telemetry recorder and the
-// shared self-trace buffer sessions emit into. With no options it is
+// shared self-trace ring sessions emit into. With no options it is
 // the unlimited in-memory service; WithLimits adds admission control
 // and WithStore the persistent report store (restoring any sessions the
 // store already holds).
 func NewService(opts ...Option) *Service {
 	s := &Service{
 		tel:      telemetry.New(),
-		trace:    telemetry.NewBuffer(),
+		trace:    telemetry.NewRing(),
 		sessions: make(map[string]*Session),
 	}
 	for _, opt := range opts {
@@ -368,33 +368,36 @@ func (s *Service) Sessions() []*Session {
 	return out
 }
 
-// Aggregate folds every finalized session's report into the
+// Aggregate folds every finalized session's report summary into the
 // process-level aggregate; still-running sessions are listed but not
 // folded (their profiles are untouchable while the stream goroutine owns
 // them).
 func (s *Service) Aggregate() Aggregate {
 	var (
 		ids     []string
-		reps    []*profile.Report
+		sums    []*summary
 		running []string
 	)
 	for _, sess := range s.Sessions() {
-		if rep, ok := sess.Report(); ok {
+		if sum, ok := sess.summary(); ok {
 			ids = append(ids, sess.id)
-			reps = append(reps, rep)
+			sums = append(sums, sum)
 		} else {
 			running = append(running, sess.id)
 		}
 	}
-	agg := Fold(ids, reps)
+	agg := fold(ids, sums)
 	agg.Running = running
 	return agg
 }
 
 // Metrics exports the service recorder plus every session recorder,
-// keyed by session ID.
+// keyed by session ID. The service entry also carries
+// telemetry.dropped_events, the events the self-trace ring overwrote.
 func (s *Service) Metrics() map[string]telemetry.Metrics {
-	out := map[string]telemetry.Metrics{"service": s.tel.Metrics()}
+	svc := s.tel.Metrics()
+	svc.Counters["telemetry.dropped_events"] = s.trace.Dropped()
+	out := map[string]telemetry.Metrics{"service": svc}
 	for _, sess := range s.Sessions() {
 		out[sess.id] = sess.tel.Metrics()
 	}
@@ -407,7 +410,8 @@ func (s *Service) Trace() *telemetry.Buffer { return s.trace }
 
 // Shutdown drains the service: no new sessions are admitted, every
 // running session's runtime is canceled (aborting a kernel mid-execution
-// through the engine's degradation path), queued sessions are
+// through the engine's degradation path; finished sessions hold no
+// runtime and ignore the cancel), queued sessions are
 // force-started against their canceled runtimes so they finalize
 // immediately, and the call blocks until all stream handlers have
 // finalized. Idempotent.
@@ -428,31 +432,41 @@ func (s *Service) Shutdown() {
 // Session is one attached application: a runtime, the engine profiling
 // it, and the stream handler goroutine in between. All exported methods
 // are safe from any goroutine.
+//
+// A finished session keeps only what it serves. Finalization releases
+// the engine (runtime, event source, snapshotter and, through them, the
+// profiler); with a store the session then keeps its manifest and
+// report summary, without one also the report, its bytes, the trace
+// bytes and the value-flow graph.
 type Session struct {
 	svc      *Service
 	id       string
 	seq      int
 	program  string
 	device   string
-	rt       *cuda.Runtime // nil on restored sessions
 	cfg      core.Config
 	tel      *telemetry.Recorder // nil on restored sessions
-	src      func(rt *cuda.Runtime) cuda.EventSource
 	traceOn  bool
 	restored bool // loaded from the store at startup; never ran here
 
 	done chan struct{}
 
-	mu         sync.Mutex
-	state      State
-	closing    bool
-	prof       *core.Profiler
+	mu      sync.Mutex
+	state   State
+	closing bool
+	// The engine, released at finalization (nil on finished and restored
+	// sessions).
+	rt   *cuda.Runtime
+	src  func(rt *cuda.Runtime) cuda.EventSource
+	snap *snapshotter // set by the stream goroutine at attach time
+	// What a finished session serves.
 	report     *profile.Report
 	reportJSON []byte
 	traceData  []byte
+	graph      *vflow.Graph
+	sum        *summary // computed lazily on restored sessions
 	runErr     error
-	manifest   *Manifest    // set once spilled to (or restored from) the store
-	snap       *snapshotter // set by the stream goroutine at attach time
+	manifest   *Manifest // set once spilled to (or restored from) the store
 
 	partialMu      sync.Mutex
 	partialWaiters []chan []byte
@@ -474,7 +488,10 @@ func (sess *Session) markRunning() {
 // this re-walks the pipeline.
 func (sess *Session) stream() {
 	defer sess.svc.wg.Done()
-	src := sess.src(sess.rt)
+	sess.mu.Lock()
+	rt, newSource := sess.rt, sess.src
+	sess.mu.Unlock()
+	src := newSource(rt)
 	// Interceptor chain, innermost out: profiler ← snapshotter ← trace
 	// recorder. The snapshotter serves ?partial=1 requests on this
 	// goroutine, between API events (where the pipeline has no in-flight
@@ -523,15 +540,22 @@ func (sess *Session) stream() {
 		counter = "daemon.sessions_failed"
 	}
 
+	sum := summarize(rep)
+
 	sess.mu.Lock()
-	sess.prof = p
 	sess.report = rep
 	sess.reportJSON = buf.Bytes()
 	if rec != nil {
 		sess.traceData = traceBuf.Bytes()
 	}
+	sess.graph = p.Graph()
+	sess.sum = sum
 	sess.runErr = err
 	sess.state = state
+	// Release the engine: the runtime holds the simulated device memory,
+	// the snapshotter the profiler, and a remote session's source the
+	// socket stream.
+	sess.rt, sess.src, sess.snap = nil, nil, nil
 	sess.mu.Unlock()
 	if sess.svc.store != nil {
 		sess.spill()
@@ -544,9 +568,10 @@ func (sess *Session) stream() {
 }
 
 // spill writes the finalized artifacts to the persistent store and
-// flushes the in-memory copies (GetAndFlush), so completed sessions
-// cost disk, not heap. On any store error the in-memory copies are kept
-// — a broken disk degrades to the old all-in-memory behavior.
+// flushes the in-memory copies (GetAndFlush), so a completed session
+// costs disk plus its manifest and summary, not heap. On any store
+// error the in-memory copies are kept — a broken disk degrades to the
+// all-in-memory behavior.
 func (sess *Session) spill() {
 	st := sess.svc.store
 	sess.mu.Lock()
@@ -583,13 +608,13 @@ func (sess *Session) spill() {
 
 	sess.mu.Lock()
 	sess.manifest = m
-	// Evict: the serialized bytes (and the report they render from) now
-	// live in the store; the profiler — and with it the value-flow graph
-	// — is dropped too, so finished sessions hold no engine state.
+	// Evict: the serialized bytes now live in the store and the report
+	// re-parses from them on demand; the value-flow graph has no stored
+	// form and goes too. The engine was already released at finalization.
 	sess.report = nil
 	sess.reportJSON = nil
 	sess.traceData = nil
-	sess.prof = nil
+	sess.graph = nil
 	sess.mu.Unlock()
 	sess.svc.tel.Counter("daemon.sessions_spilled").Inc()
 }
@@ -616,12 +641,16 @@ func (sess *Session) Done() <-chan struct{} { return sess.done }
 // stream force-started against the canceled runtime, so it finalizes
 // (canceled, with a report) without waiting for a slot. Non-blocking
 // and safe at any time (the cancel flag is the one piece of runtime
-// state another goroutine may touch). No-op on restored sessions.
+// state another goroutine may touch). No-op on finished and restored
+// sessions, which hold no runtime.
 func (sess *Session) Cancel() {
-	if sess.rt == nil {
+	sess.mu.Lock()
+	rt := sess.rt
+	sess.mu.Unlock()
+	if rt == nil {
 		return
 	}
-	sess.rt.Cancel()
+	rt.Cancel()
 	sess.svc.forceStart(sess)
 }
 
@@ -722,16 +751,36 @@ func (sess *Session) TraceData() ([]byte, bool) {
 	return nil, false
 }
 
-// Graph returns the session's value flow graph once finalized, nil while
-// running.
+// Graph returns the session's value flow graph once finalized; nil while
+// running and once spilled to the store.
 func (sess *Session) Graph() *vflow.Graph {
 	sess.mu.Lock()
-	p := sess.prof
+	defer sess.mu.Unlock()
+	return sess.graph
+}
+
+// summary returns the finalized report's summary, or (nil, false) while
+// the session runs or when its stored report cannot be read. A restored
+// session reduces its stored report on first use and keeps the result.
+func (sess *Session) summary() (*summary, bool) {
+	sess.mu.Lock()
+	sum := sess.sum
 	sess.mu.Unlock()
-	if p == nil {
-		return nil
+	if sum != nil || !sess.restored {
+		return sum, sum != nil
 	}
-	return p.Graph()
+	rep, ok := sess.Report()
+	if !ok {
+		return nil, false
+	}
+	sum = summarize(rep)
+	sess.mu.Lock()
+	if sess.sum == nil {
+		sess.sum = sum
+	}
+	sum = sess.sum
+	sess.mu.Unlock()
+	return sum, true
 }
 
 // Metrics exports the session's telemetry recorder. Restored sessions

@@ -100,6 +100,9 @@ func (sess *Session) PartialReport(cancel <-chan struct{}) (raw []byte, partial 
 	sess.partialMu.Lock()
 	sess.partialWaiters = append(sess.partialWaiters, ch)
 	sess.partialMu.Unlock()
+	// Whichever way the call returns, its waiter leaves with it: one that
+	// finalization or cancel outran would otherwise stay for good.
+	defer sess.dropWaiter(ch)
 
 	// A queued session has no snapshotter yet; its waiter simply rides
 	// until finalization (or cancel).
@@ -118,5 +121,18 @@ func (sess *Session) PartialReport(cancel <-chan struct{}) (raw []byte, partial 
 		return raw, false
 	case <-cancel:
 		return nil, false
+	}
+}
+
+// dropWaiter unregisters ch if a snapshot delivery has not already
+// taken it.
+func (sess *Session) dropWaiter(ch chan []byte) {
+	sess.partialMu.Lock()
+	defer sess.partialMu.Unlock()
+	for i, w := range sess.partialWaiters {
+		if w == ch {
+			sess.partialWaiters = append(sess.partialWaiters[:i], sess.partialWaiters[i+1:]...)
+			return
+		}
 	}
 }

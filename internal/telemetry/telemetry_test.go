@@ -330,3 +330,74 @@ func TestProcessSinkRewritesPID(t *testing.T) {
 		t.Fatalf("only %d events captured", len(events))
 	}
 }
+
+// TestBufferRingDropsOldest: past its capacity a ring keeps the newest
+// ringCap events in emission order and counts the rest as dropped, in
+// both Events and the serialized trace. Metadata events live apart: the
+// process name emitted first survives the wrap and is listed first.
+func TestBufferRingDropsOldest(t *testing.T) {
+	buf := NewRing()
+	meta := Event{Name: "process_name", Ph: "M", PID: 7, Args: map[string]any{"name": "s-1"}}
+	buf.Emit(meta)
+	const extra = 1000
+	for i := 0; i < ringCap+extra; i++ {
+		buf.Emit(Event{Name: "e", Ph: "i", TID: i})
+	}
+	if got := buf.Dropped(); got != extra {
+		t.Fatalf("Dropped() = %d, want %d", got, extra)
+	}
+	evs := buf.Events()
+	if len(evs) != 1+ringCap {
+		t.Fatalf("holds %d events, want the cap %d plus the metadata event", len(evs), ringCap)
+	}
+	if evs[0].Ph != "M" || evs[0].Args["name"] != "s-1" {
+		t.Fatalf("first event %+v, want the process_name metadata", evs[0])
+	}
+	for i, ev := range evs[1:] {
+		if ev.TID != extra+i {
+			t.Fatalf("event %d is #%d, want #%d (oldest dropped, order kept)", i, ev.TID, extra+i)
+		}
+	}
+	var out bytes.Buffer
+	if err := buf.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(doc.TraceEvents); n != 1+ringCap || doc.TraceEvents[0].Ph != "M" ||
+		doc.TraceEvents[1].TID != extra || doc.TraceEvents[n-1].TID != ringCap+extra-1 {
+		t.Fatalf("serialized %d events, first %q, then #%d", n, doc.TraceEvents[0].Ph, doc.TraceEvents[1].TID)
+	}
+
+	// Metadata has its own bound.
+	for i := 0; i < metaCap; i++ {
+		buf.Emit(Event{Name: "thread_name", Ph: "M", TID: i})
+	}
+	if got := buf.Dropped(); got != extra+1 {
+		t.Fatalf("after %d more metadata events Dropped() = %d, want %d", metaCap, got, extra+1)
+	}
+	if evs := buf.Events(); len(evs) != metaCap+ringCap || evs[0].TID != 0 || evs[0].Ph != "M" {
+		t.Fatalf("holds %d events, first %+v", len(evs), evs[0])
+	}
+}
+
+// TestBufferKeepsEverything: NewBuffer, for runs that end, never drops
+// an event and keeps metadata in emission order.
+func TestBufferKeepsEverything(t *testing.T) {
+	buf := NewBuffer()
+	for i := 0; i < ringCap+10; i++ {
+		ph := "i"
+		if i == ringCap {
+			ph = "M"
+		}
+		buf.Emit(Event{Name: "e", Ph: ph, TID: i})
+	}
+	evs := buf.Events()
+	if buf.Dropped() != 0 || len(evs) != ringCap+10 || evs[0].TID != 0 || evs[ringCap].Ph != "M" {
+		t.Fatalf("dropped %d, holds %d events", buf.Dropped(), len(evs))
+	}
+}

@@ -45,36 +45,101 @@ type TraceSink interface {
 	Emit(Event)
 }
 
+// Ring capacities of a Buffer made by NewRing: ringCap events, plus up to
+// metaCap "M" metadata events kept apart so the process and lane names
+// outlive the spans they label. A vxprofd session of a Rodinia app at
+// scale 16 emits 22 events, 3 of them metadata, so the ring shows the
+// last ~860 such sessions and their names.
+const (
+	ringCap = 1 << 14
+	metaCap = 1 << 12
+)
+
 // Buffer is an in-memory TraceSink that serializes to the Chrome
-// trace-event JSON object format ({"traceEvents": [...]}).
+// trace-event JSON object format ({"traceEvents": [...]}). NewBuffer
+// keeps every event, for a run that ends; NewRing bounds it for a
+// process that does not.
 type Buffer struct {
-	mu     sync.Mutex
-	events []Event
+	mu      sync.Mutex
+	bounded bool
+	meta    ring // metadata events, bounded buffers only
+	events  ring
+	dropped uint64
 }
 
-// NewBuffer creates an empty trace buffer.
+// ring holds events in emission order. Below its capacity it grows on
+// demand; at it each push overwrites the oldest event.
+type ring struct {
+	events []Event
+	head   int // index of the oldest event once the ring is full
+}
+
+// push appends ev, overwriting the oldest event once the ring holds
+// limit events (limit 0: unbounded). It reports whether one was dropped.
+func (r *ring) push(ev Event, limit int) bool {
+	if limit == 0 || len(r.events) < limit {
+		r.events = append(r.events, ev)
+		return false
+	}
+	r.events[r.head] = ev
+	r.head = (r.head + 1) % limit
+	return true
+}
+
+// appendTo appends the ring's events to out, oldest first.
+func (r *ring) appendTo(out []Event) []Event {
+	out = append(out, r.events[r.head:]...)
+	return append(out, r.events[:r.head]...)
+}
+
+// NewBuffer creates an empty trace buffer that keeps every event.
 func NewBuffer() *Buffer { return &Buffer{} }
+
+// NewRing creates an empty trace buffer of bounded size for a
+// long-lived process: it keeps the newest ringCap events and, apart from
+// them, the newest metaCap metadata events, and counts every event it
+// overwrites in Dropped.
+func NewRing() *Buffer { return &Buffer{bounded: true} }
 
 // Emit implements TraceSink.
 func (b *Buffer) Emit(ev Event) {
 	b.mu.Lock()
-	b.events = append(b.events, ev)
+	var drop bool
+	switch {
+	case !b.bounded:
+		b.events.push(ev, 0)
+	case ev.Ph == "M":
+		drop = b.meta.push(ev, metaCap)
+	default:
+		drop = b.events.push(ev, ringCap)
+	}
+	if drop {
+		b.dropped++
+	}
 	b.mu.Unlock()
 }
 
-// Events returns a copy of the buffered events in emission order.
+// Events returns a copy of the buffered events in emission order,
+// oldest first; a ring lists its metadata events first.
 func (b *Buffer) Events() []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]Event(nil), b.events...)
+	out := make([]Event, 0, len(b.meta.events)+len(b.events.events))
+	return b.events.appendTo(b.meta.appendTo(out))
+}
+
+// Dropped returns how many events a ring has overwritten (always 0 for
+// NewBuffer).
+func (b *Buffer) Dropped() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dropped
 }
 
 // WriteJSON serializes the buffer as a Chrome trace-event JSON object,
 // loadable in Perfetto or chrome://tracing.
 func (b *Buffer) WriteJSON(w io.Writer) error {
-	b.mu.Lock()
-	events := append([]Event(nil), b.events...)
-	b.mu.Unlock()
+	events := b.Events()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(struct {
