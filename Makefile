@@ -34,8 +34,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# race also repeats the async-vs-synchronous oracle and the barrier tests
+# 20 times (about a minute; the Darknet oracle runs once, in the first
+# line), so a race in the analysis goroutine's hand-off fails here and
+# not only in the 200-seed proptest.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestPipelineMatchesSynchronous$$|TestPipelineStress|TestAnalysisBarriers|TestDetachReleasesFlushBuffers' ./internal/core
 
 bench:
 	$(GO) test -bench . -benchmem

@@ -12,7 +12,7 @@
 //	vxcapture -trace run.trace -launch 3 -out gemm.capsule
 //	          [-device "RTX 2080 Ti"] [-program Darknet]
 //	vxcapture -capsule gemm.capsule [-json report.json]
-//	          [-fine] [-reuse] [-kernels ...] [-patterns ...] [-workers N]
+//	          [-fine] [-reuse] [-kernels ...] [-patterns ...]
 package main
 
 import (

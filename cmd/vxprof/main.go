@@ -8,7 +8,7 @@
 //
 //	vxprof -workload Darknet [-device "RTX 2080 Ti"] [-coarse] [-fine]
 //	       [-kernels fill_kernel,gemm_kernel] [-sample 20]
-//	       [-patterns "single zero,heavy type"] [-workers 4] [-depth 4]
+//	       [-patterns "single zero,heavy type"]
 //	       [-scale 8] [-json profile.json] [-dot flow.dot] [-optimized]
 //	       [-metrics m.json] [-selftrace t.json] [-overhead]
 //	       [-faults malloc@2] [-faults seed=7,prob=0.05]

@@ -258,18 +258,9 @@ func TestTelemetryArtifacts(t *testing.T) {
 	for _, ev := range tr.TraceEvents {
 		lanes[ev.TID] = true
 	}
-	// Kernel lane (0) plus at least one analysis-worker lane (>= 2).
-	if !lanes[0] {
-		t.Fatal("self-trace missing kernel lane")
-	}
-	workerLane := false
-	for tid := range lanes {
-		if tid >= 2 {
-			workerLane = true
-		}
-	}
-	if !workerLane {
-		t.Fatalf("self-trace missing worker lanes, got %v", lanes)
+	// The kernel lane (0) and the analysis lane (1), nothing else.
+	if len(lanes) != 2 || !lanes[0] || !lanes[1] {
+		t.Fatalf("self-trace lanes = %v, want kernel (0) and analysis (1)", lanes)
 	}
 }
 

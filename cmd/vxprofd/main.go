@@ -7,7 +7,7 @@
 // Usage:
 //
 //	vxprofd [-addr :7333] [-device "RTX 2080 Ti"] [-coarse] [-fine]
-//	        [-sample 20] [-patterns "single zero"] [-workers 4] [-depth 4]
+//	        [-sample 20] [-patterns "single zero"]
 //	        [-scale 8] [-faults malloc@2]
 //	        [-max-running 8] [-queue 16] [-store /var/lib/vxprofd]
 //	        [-attach /run/vxprofd.sock]

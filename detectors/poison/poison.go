@@ -44,8 +44,7 @@ type objCount struct {
 	nan, inf uint64
 }
 
-// detector counts NaN/Inf float accesses per data object. All state is
-// additive, so the pipeline's shard merge is a plain sum.
+// detector counts NaN/Inf float accesses per data object.
 type detector struct {
 	counts map[int]*objCount
 }
@@ -78,14 +77,6 @@ func (d *detector) count(objID int) *objCount {
 		d.counts[objID] = c
 	}
 	return c
-}
-
-func (d *detector) Merge(partial valueexpert.PatternDetector) {
-	for objID, pc := range partial.(*detector).counts {
-		c := d.count(objID)
-		c.nan += pc.nan
-		c.inf += pc.inf
-	}
 }
 
 func (d *detector) Finalize(objID int, sh *valueexpert.ObjectObservation) (valueexpert.PatternMatch, bool) {

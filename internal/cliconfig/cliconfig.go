@@ -37,10 +37,10 @@ type Options struct {
 	Kernels       string `json:"kernels"`  // comma-separated kernel filter ("" = all)
 	Patterns      string `json:"patterns"` // raw -patterns value ("" = registry defaults)
 	Sample        int    `json:"sample"`
-	Scale         int    `json:"scale"` // problem-size divisor for bundled workloads
-	Workers       int    `json:"workers"`
-	Depth         int    `json:"depth"`
-	Faults        string `json:"faults"` // raw -faults spec ("" = no injection)
+	Scale         int    `json:"scale"`   // problem-size divisor for bundled workloads
+	Workers       int    `json:"workers"` // accepted and validated; no effect
+	Depth         int    `json:"depth"`   // accepted and validated; no effect
+	Faults        string `json:"faults"`  // raw -faults spec ("" = no injection)
 }
 
 // OptionError is a rejected option value. Option is the canonical name —
@@ -90,8 +90,8 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.IntVar(&o.Sample, "sample", 1, "kernel/block sampling period for fine analysis")
 	fs.IntVar(&o.Scale, "scale", 8, "problem-size divisor (1 = full scale)")
 	fs.BoolVar(&o.ReuseDistance, "reuse", false, "additionally compute per-kernel reuse-distance histograms")
-	fs.IntVar(&o.Workers, "workers", 0, "analysis workers overlapping kernel execution (0 = synchronous)")
-	fs.IntVar(&o.Depth, "depth", 0, "flush-buffer pipeline depth (0 = workers+1 when pipelined, else 1)")
+	fs.IntVar(&o.Workers, "workers", 0, "accepted for compatibility; no effect (one analysis goroutine always overlaps kernel execution); must be >= 0")
+	fs.IntVar(&o.Depth, "depth", 0, "accepted for compatibility; no effect (two flush buffers); must be >= 0")
 	fs.StringVar(&o.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'seed=7,prob=0.05' or 'malloc@1,launch@2+16' (see DESIGN.md §8)")
 }
 

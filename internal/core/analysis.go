@@ -14,25 +14,18 @@ import (
 // captured synchronously at flush time: device memory keeps mutating while
 // the kernel runs, so values behind compacted load-range records are
 // snapshotted on the kernel-execution goroutine before the batch travels
-// to a worker.
+// to the analysis goroutine.
 type Batch struct {
 	// Recs is the flushed access-record buffer. Ownership passes with the
-	// batch; the engine recycles it to the sanitizer pool as soon as
-	// every stage has compacted the batch — a Partial must therefore be
-	// self-contained and never retain the batch or its record slice.
+	// batch; the engine recycles it to the sanitizer pool once every
+	// stage has absorbed the batch, so a stage must never retain the
+	// batch or its record slice.
 	Recs []gpu.Access
 
 	// IDs holds, per record, the ID of the data object containing the
 	// record's address, or -1 when no live allocation maps it. The engine
 	// resolves IDs once per batch so every stage shares one lookup pass.
 	IDs []int
-
-	// Yield marks batches compacted on background workers: stages should
-	// give up the processor periodically (yieldStride records) so that,
-	// when GOMAXPROCS is no larger than the worker count, the
-	// kernel-execution goroutine's timers and buffer hand-offs stay
-	// prompt — background analysis must never stall collection.
-	Yield bool
 
 	// rangeOff/rangeBytes hold flush-time captures of the bytes behind
 	// compacted load-range records (Count>1 loads), packed into one
@@ -41,8 +34,8 @@ type Batch struct {
 	// Bytes()), or -1 when record i has no capture; rangeOff stays empty
 	// while no record has one. Populated only when a participating stage
 	// reports NeedsValues; read through RangeVal.
-	// Batches recycle through a pool, so both keep their allocations
-	// across flushes.
+	// Batches are recycled, so both keep their allocations across
+	// flushes.
 	rangeOff   []int32
 	rangeBytes []byte
 }
@@ -58,19 +51,13 @@ func (b *Batch) RangeVal(i int) []byte {
 	return b.rangeBytes[off : off+int(b.Recs[i].Bytes())]
 }
 
-// yieldStride is how often Yield-marked work gives up the processor: a
-// runtime.Gosched every record measurably throttles the analysis on
-// small GOMAXPROCS, while every 1024 records still bounds scheduling
-// latency to microseconds.
-const yieldStride = 1024
-
-// Partial is one stage's compacted, order-independent result for one
-// batch, ready for in-order absorption into the stage's launch state.
+// Partial is one stage's compacted result for one batch, ready for
+// absorption into the stage's launch state.
 type Partial interface{}
 
 // Analysis is one pluggable stage of the analysis engine. The engine owns
-// collection (API interception, sanitizer buffers, the batch pipeline)
-// and drives each registered stage through a fixed lifecycle:
+// collection (API interception, sanitizer buffers, the analysis
+// goroutine) and drives each registered stage through a fixed lifecycle:
 //
 //	APIBegin/APIEnd      every non-launch API event, in stream order
 //	LaunchBegin          once per instrumented launch → a LaunchAnalysis
@@ -100,9 +87,9 @@ type Analysis interface {
 	LaunchBegin(kernel string) LaunchAnalysis
 
 	// LaunchEnd finalizes a completed launch. la is the accumulator
-	// returned by LaunchBegin — fully absorbed, exclusively owned by the
-	// calling goroutine — or nil when the launch was filtered or sampled
-	// out (a stage may still record the launch's presence).
+	// returned by LaunchBegin — fully absorbed — or nil when the launch
+	// was filtered or sampled out (a stage may still record the launch's
+	// presence).
 	LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis)
 
 	// APIBegin observes a non-launch API event before its device effect
@@ -118,41 +105,25 @@ type Analysis interface {
 
 // LaunchAnalysis accumulates one instrumented launch for one stage.
 //
-// Compact turns one batch into an independent Partial. Calls may run
-// concurrently with each other on pipeline workers, so Compact must not
-// mutate the accumulator — it may only read immutable configuration, the
-// batch, and allocation metadata (stable while a kernel executes).
-//
-// Absorb folds one Partial into the accumulator. The engine serializes
-// Absorb calls in flush order, which is what lets order-sensitive
-// analyses (value first-occurrence, reuse distance) stay byte-identical
-// to fully synchronous analysis.
+// For every batch the engine calls Compact and then Absorb with its
+// result, in flush order, on the kernel-execution goroutine, while the
+// kernel is stopped at the flush: Compact may read the batch, allocation
+// metadata and device memory. (The built-in batch-only stages run on the
+// analysis goroutine instead; see batchOnly.) A stage sees each launch's
+// accesses once, in order, so order-sensitive analyses need no merging.
 type LaunchAnalysis interface {
 	Compact(b *Batch) Partial
 	Absorb(pt Partial)
 }
 
-// inlineAnalysis is the optional LaunchAnalysis extension the zero-worker
-// pipeline uses: analyzeInline folds b straight into the launch state,
-// leaving it exactly as Absorb(Compact(b)) would, without building a
-// partial. It runs on the kernel-execution goroutine, which owns the
-// launch state while no workers exist.
-type inlineAnalysis interface {
-	analyzeInline(b *Batch)
-}
-
-// PartialCombiner is the optional LaunchAnalysis extension for stages
-// whose partials can be pre-folded off the collector's critical path.
-// Combine folds second — the partial of the batch flushed immediately
-// after first's — into first and returns the combined partial;
-// Absorb(Combine(first, second)) must leave the accumulator bit-identical
-// to Absorb(first); Absorb(second). The engine only combines adjacent
-// partials in flush order, never reorders them, and runs Combine on a
-// single goroutine, so implementations need no locking. A stage whose
-// fold is not exactly associative simply doesn't implement the interface
-// and keeps the strictly serial absorb path.
-type PartialCombiner interface {
-	Combine(first, second Partial) Partial
+// batchOnly marks the built-in stages whose per-launch work reads only the
+// batch (fine, reuse distance). Their Compact/Absorb and LaunchEnd run on
+// the profiler's analysis goroutine, in the same order as on the kernel
+// goroutine, overlapping the program's next APIs; APIBegin, APIEnd and
+// Finish stay on the calling goroutine, and the engine never calls
+// LaunchEnd for a launch they did not observe.
+type batchOnly interface {
+	batchOnly()
 }
 
 // Env is the engine state handed to an AnalysisFactory: the pieces a

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"runtime"
 	"time"
 
 	"valueexpert/callpath"
@@ -270,12 +269,6 @@ func (s *coarseStage) LaunchBegin(string) LaunchAnalysis {
 	}
 }
 
-// coarsePartial is one batch's compacted intervals and counters.
-type coarsePartial struct {
-	readIvs, writeIvs map[int][]interval.Interval
-	readB, writeB     map[int]uint64
-}
-
 // activeRun is an open coalescing run for one (object, op) pair.
 type activeRun struct {
 	id    int
@@ -289,14 +282,9 @@ type activeRun struct {
 // same data object at adjacent addresses (coalesced warps), so compaction
 // is a linear pass that extends open runs — the cheap, GPU-friendly
 // processing §6.1 implements with warp shuffle primitives — with the
-// final parallel merge cleaning up whatever disorder remains.
-func (*coarseLaunch) Compact(b *Batch) Partial {
-	cp := &coarsePartial{
-		readIvs:  make(map[int][]interval.Interval),
-		writeIvs: make(map[int][]interval.Interval),
-		readB:    make(map[int]uint64),
-		writeB:   make(map[int]uint64),
-	}
+// final parallel merge cleaning up whatever disorder remains. Runs and
+// counters go straight into the launch accumulator.
+func (la *coarseLaunch) Compact(b *Batch) Partial {
 	// A handful of open runs covers the access interleavings real kernels
 	// produce (a few operands per loop body).
 	var runs [6]activeRun
@@ -305,26 +293,23 @@ func (*coarseLaunch) Compact(b *Batch) Partial {
 			return
 		}
 		if r.store {
-			cp.writeIvs[r.id] = append(cp.writeIvs[r.id], r.iv)
+			la.writeIvs[r.id] = append(la.writeIvs[r.id], r.iv)
 		} else {
-			cp.readIvs[r.id] = append(cp.readIvs[r.id], r.iv)
+			la.readIvs[r.id] = append(la.readIvs[r.id], r.iv)
 		}
 		r.valid = false
 	}
 
 	for i, a := range b.Recs {
-		if b.Yield && i%yieldStride == 0 {
-			runtime.Gosched()
-		}
 		id := b.IDs[i]
 		if id < 0 {
 			continue // defensive: racing frees
 		}
 		iv := interval.FromAccess(a)
 		if a.Store {
-			cp.writeB[id] += a.Bytes()
+			la.writeB[id] += a.Bytes()
 		} else {
-			cp.readB[id] += a.Bytes()
+			la.readB[id] += a.Bytes()
 		}
 
 		// Extend an open run if the access touches or overlaps it.
@@ -361,48 +346,13 @@ func (*coarseLaunch) Compact(b *Batch) Partial {
 	for s := range runs {
 		flush(&runs[s])
 	}
-	return cp
+	return nil
 }
 
-// Absorb appends a batch's interval partials and folds its byte counters.
-// Interval order across batches is canonicalized later by the parallel
-// merge; the counters are additive — both combine deterministically.
-func (la *coarseLaunch) Absorb(pt Partial) {
-	cp := pt.(*coarsePartial)
-	for id, ivs := range cp.readIvs {
-		la.readIvs[id] = append(la.readIvs[id], ivs...)
-	}
-	for id, ivs := range cp.writeIvs {
-		la.writeIvs[id] = append(la.writeIvs[id], ivs...)
-	}
-	for id, n := range cp.readB {
-		la.readB[id] += n
-	}
-	for id, n := range cp.writeB {
-		la.writeB[id] += n
-	}
-}
-
-// Combine folds the next batch's partial into this one off the
-// collector's critical path: per-object interval appends and additive
-// counters, so absorbing the combined partial is bit-identical to the
-// two sequential absorbs.
-func (*coarseLaunch) Combine(first, second Partial) Partial {
-	a, b := first.(*coarsePartial), second.(*coarsePartial)
-	for id, ivs := range b.readIvs {
-		a.readIvs[id] = append(a.readIvs[id], ivs...)
-	}
-	for id, ivs := range b.writeIvs {
-		a.writeIvs[id] = append(a.writeIvs[id], ivs...)
-	}
-	for id, n := range b.readB {
-		a.readB[id] += n
-	}
-	for id, n := range b.writeB {
-		a.writeB[id] += n
-	}
-	return a
-}
+// Absorb has nothing left to fold: Compact extended the launch's
+// intervals and counters. Interval order across batches is canonicalized
+// by the parallel merge at launch end.
+func (*coarseLaunch) Absorb(Partial) {}
 
 // LaunchEnd finalizes a launch: the "data processing kernel" runs the
 // parallel interval merge over each written object's accumulated

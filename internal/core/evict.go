@@ -15,7 +15,8 @@ package core
 // ObjectEvicter is the optional Analysis extension for stages that hold
 // per-object state: EvictObjects drops everything keyed to the given dead
 // object IDs. Called only between API events, never during a launch, so
-// implementations need no locking. A stage without per-object state
+// implementations need no locking: the engine first waits for the
+// analysis goroutine. A stage without per-object state
 // simply doesn't implement the interface.
 type ObjectEvicter interface {
 	EvictObjects(dead map[int]bool)
@@ -53,6 +54,8 @@ func (p *Profiler) EvictDeadObjects(keep int) int {
 	if n <= 0 {
 		return 0
 	}
+	// The analysis goroutine may still be appending fine records.
+	p.barrier()
 	dead := make(map[int]bool, n)
 	for _, id := range p.deadIDs[:n] {
 		dead[id] = true

@@ -279,9 +279,9 @@ func TestDoubleDrainIdempotent(t *testing.T) {
 }
 
 // TestDrainRacesInFlightFaultedLaunch: a mid-kernel fault triggers the
-// runtime's Drain while pipeline workers are still compacting in-flight
-// batches (tiny buffers, several workers). Run under -race this is the
-// satellite's drain/worker race check; afterwards the engine must accept
+// runtime's Drain while the analysis goroutine is still working through
+// in-flight batches (tiny buffers). Run under -race this is the
+// drain/analysis-goroutine race check; afterwards the engine must accept
 // new work.
 func TestDrainRacesInFlightFaultedLaunch(t *testing.T) {
 	base := runtime.NumGoroutine()

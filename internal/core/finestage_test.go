@@ -4,12 +4,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
-	"valueexpert/internal/parallel"
+	"valueexpert/internal/vpattern"
 )
 
 // testFineBatch synthesizes a resolved batch of n records over a handful
@@ -30,9 +29,9 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 		b.Recs[i] = a
 		b.IDs[i] = rng.Intn(4)
 	}
-	// Load ranges spread over the batch, so chunked compaction decodes
-	// them in several sub-shards. All but the last decode from the
-	// batch's capture buffer.
+	// Load ranges spread over the batch, so a launch split into several
+	// batches decodes them in different ones. All but the last decode
+	// from the batch's capture buffer.
 	loads := []gpu.Access{
 		{Addr: 0x100, Size: 4, Kind: gpu.KindUint, Count: 3},
 		{Addr: 0x200, Size: 1, Kind: gpu.KindUint, Count: 40},
@@ -65,28 +64,29 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 	return b
 }
 
-func newTestFineStage() *fineStage {
-	return newFineStage(Env{Cfg: &Config{}})
+// withSweep appends to b a store sweep of linear values over object 4,
+// so the structured-values detector fires and its float sums show in the
+// report.
+func withSweep(b *Batch, n int) *Batch {
+	for k := 0; k < n; k++ {
+		b.Recs = append(b.Recs, gpu.Access{
+			Addr: 0x10000 + uint64(4*k), Size: 4, Kind: gpu.KindFloat, Store: true,
+			Raw: gpu.RawFromFloat32(0.1*float32(k) + 3),
+		})
+		b.IDs = append(b.IDs, 4)
+		b.rangeOff = append(b.rangeOff, -1)
+	}
+	return b
 }
 
-// TestFineCompactAllocsFree: with the shard pool warmed, one
-// compact-absorb round trip over a batch must not allocate — the
-// engine-side half of the zero-alloc access path — and neither must the
-// zero-worker pipeline's submit, which adds a pooled batch with captured
-// load ranges straight into the launch state.
+// TestFineCompactAllocsFree: once warm, the hand-off of a flushed batch
+// allocates nothing: the kernel goroutine's object resolution, value
+// capture and submit, and the analysis goroutine's fine analysis and
+// release of the batch.
 func TestFineCompactAllocsFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates around sync.Pool")
+		t.Skip("race instrumentation allocates around goroutine hand-offs")
 	}
-	st := newTestFineStage()
-	la := st.LaunchBegin("k").(*fineLaunch)
-	b := testFineBatch(rand.New(rand.NewSource(31)), 2048)
-	round := func() { la.Absorb(la.Compact(b)) }
-	round() // warm the pooled shard and the master accumulator
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Fatalf("fine compact+absorb allocated %.1f times per warmed batch, want 0", allocs)
-	}
-
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	p := Attach(rt, Config{Fine: true})
 	defer p.Detach()
@@ -94,63 +94,57 @@ func TestFineCompactAllocsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := testFineBatch(rand.New(rand.NewSource(31)), 2048)
 	recs := append([]gpu.Access(nil), b.Recs...)
 	for i := range recs {
 		recs[i].Addr += uint64(base)
 	}
-	ls := &launchState{stages: []LaunchAnalysis{p.stages[0].LaunchBegin("k")}}
-	if _, ok := ls.stages[0].(inlineAnalysis); !ok {
-		t.Fatal("fine launch does not take the inline path")
+	ls := &launchState{stages: []LaunchAnalysis{p.stages[0].LaunchBegin("k")}, needVals: true, async: true}
+	handOff := func() {
+		p.flush(ls, recs)
+		p.an.wait()
 	}
-	pl := p.newPipeline(ls, 0, 1)
-	submit := func() {
-		sb := p.newBatch(recs)
-		sb.captureRangeLoads(rt.Device().Mem)
-		pl.submit(sb)
-	}
-	submit() // warm the batch pool, the launch accumulator and its shard
-	if allocs := testing.AllocsPerRun(20, submit); allocs != 0 {
-		t.Fatalf("inline submit allocated %.1f times per warmed batch, want 0", allocs)
+	handOff() // warm the batch shell and the launch accumulator
+	if allocs := testing.AllocsPerRun(20, handOff); allocs != 0 {
+		t.Fatalf("hand-off allocated %.1f times per warmed batch, want 0", allocs)
 	}
 }
 
-// TestChunkedCompactMatchesSequential: a large Yield batch compacted
-// through concurrent record-range sub-shards must finalize identically to
-// the sequential walk of the same records. Run under -race this also
-// exercises the sub-shard helpers and the shard pool concurrently —
-// including two launches chunk-compacting at once.
+// TestChunkedCompactMatchesSequential: a launch whose records arrive in
+// many small batches must finalize exactly as one batch of the same
+// records, histogram cap or not: the fine stage sees a launch's accesses
+// once, in order, whatever the flush boundaries, so even the
+// structured-values float sums, which depend on addition order, match.
 func TestChunkedCompactMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	n := 3*fineChunkRecords + 123
-	b := testFineBatch(rng, n)
-
-	seqStage := newTestFineStage()
-	seqLa := seqStage.LaunchBegin("k").(*fineLaunch)
-	seqLa.Absorb(seqLa.Compact(b))
-	want := seqLa.acc.Finalize()
-
-	chunked := newTestFineStage()
-	// A private wide scheduler so chunk helpers exist even on one CPU.
-	chunked.chunks = parallel.NewPoolOn(parallel.NewScheduler(4), 4)
-	b.Yield = true
-	defer func() { b.Yield = false }()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			la := chunked.LaunchBegin("k").(*fineLaunch)
-			for round := 0; round < 3; round++ { // reuse pooled shards across rounds
-				la.acc.Reset()
-				la.Absorb(la.Compact(b))
-				got := la.acc.Finalize()
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("round %d: chunked compact diverged from sequential", round)
-					return
-				}
+	b := withSweep(testFineBatch(rand.New(rand.NewSource(37)), 3*4096+123), 500)
+	n := len(b.Recs)
+	for _, fc := range []vpattern.FineConfig{{}, {MaxTrackedValues: 8}} {
+		st := newFineStage(Env{Cfg: &Config{FineConfig: fc}})
+		whole := st.LaunchBegin("k").(*fineLaunch)
+		whole.Compact(b)
+		want := whole.acc.Finalize()
+		if !hasPattern(want, vpattern.StructuredValues) {
+			t.Fatalf("cap %d: the sweep shows no structured values", fc.MaxTrackedValues)
+		}
+		for _, chunk := range []int{1, 7, 128, 4096} {
+			la := st.LaunchBegin("k").(*fineLaunch)
+			for lo := 0; lo < n; lo += chunk {
+				hi := min(lo+chunk, n)
+				la.Compact(&Batch{Recs: b.Recs[lo:hi], IDs: b.IDs[lo:hi],
+					rangeOff: b.rangeOff[lo:hi], rangeBytes: b.rangeBytes})
 			}
-		}()
+			if got := la.acc.Finalize(); !reflect.DeepEqual(want, got) {
+				t.Errorf("cap %d, %d-record batches: launch diverged from one batch", fc.MaxTrackedValues, chunk)
+			}
+		}
 	}
-	wg.Wait()
+}
+
+func hasPattern(reps []vpattern.FineReport, k vpattern.Kind) bool {
+	for i := range reps {
+		if reps[i].HasPattern(k) {
+			return true
+		}
+	}
+	return false
 }

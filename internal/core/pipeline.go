@@ -1,249 +1,242 @@
-// Asynchronous analysis pipeline: the reproduction of paper §6.1's
-// double-buffered overlap of data collection and online analysis. The
-// sanitizer cycles PipelineDepth flush buffers through a bounded hand-off
-// queue; AnalysisWorkers workers compact each flushed batch into
-// independent per-stage partials (recycling the record buffer the moment
-// compaction ends, so buffers never wait on absorption); a pre-combiner
-// pairs adjacent partials in flush order and folds the exactly-mergeable
-// stages off the critical path; and a single ordered collector absorbs
-// what remains in flush order, so the merged state — and therefore the
-// emitted report — is byte-identical for every worker/depth setting.
-// Synchronous analysis is the degenerate pipeline: with zero workers the
-// same submit path analyzes inline on the kernel-execution goroutine,
-// adding straight into the launch state where a stage supports it.
+// The analysis pipeline: the reproduction of paper §6.1's overlap of data
+// collection and online analysis. Each profiler has one analysis
+// goroutine. The kernel-execution goroutine keeps what reads device or
+// allocation state: at each flush it resolves the batch's data objects,
+// captures the values behind load ranges and runs the stages that may
+// read the device (coarse, custom Config.Analyses) into their launch
+// accumulators. It then hands the batch to the analysis goroutine, which
+// runs the batch-only built-in stages (fine, reuse distance) and, after a
+// launch's last batch, finalizes them, in FIFO order, while the kernel
+// goroutine runs the next API. Every stage sees each launch's accesses
+// once, in flush order, so the report is the one fully synchronous
+// analysis emits, by construction. The sanitizer cycles at most
+// pipelineDepth flush buffers; a flush that finds them all in flight
+// waits, which bounds how far analysis falls behind collection.
 package core
 
 import (
-	"runtime"
 	"sync"
+	"time"
 
+	"valueexpert/cuda"
 	"valueexpert/gpu"
+	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
 )
 
-// pendingBatch pairs a submitted batch with the slot its per-stage
-// partials arrive in. The pending queue holds these in submission order,
-// which is what makes out-of-order workers safe: the pre-combiner waits
-// on each slot in turn.
-type pendingBatch struct {
-	b    *Batch
-	done chan []Partial
-}
+// pipelineDepth is the number of flush buffers the sanitizer cycles:
+// one filling while the analysis goroutine drains the other (§6.1's
+// double buffering). The second is allocated only when a flush finds the
+// first still in flight.
+const pipelineDepth = 2
 
-// combinedUnit is the pre-combiner's output: one or two batches' partials
-// ready for in-order absorption. For a fully combinable stage set rest is
-// nil and the collector absorbs one folded partial per pair; stages
-// without a combiner keep their second partial in rest, absorbed right
-// after first — still in flush order.
-type combinedUnit struct {
-	first, rest []Partial
-}
-
-// pipeline runs every registered stage's analysis for one instrumented
-// launch. With workers it owns a compaction worker pool, the pre-combiner
-// and an ordered collector; without, it executes inline.
-type pipeline struct {
-	p  *Profiler
+// task is one entry of the analysis goroutine's FIFO queue: a flushed
+// batch of launch ls or, when b is nil, the marker that ls has ended.
+type task struct {
 	ls *launchState
-
-	// work and pending are nil in inline mode.
-	work    chan *pendingBatch
-	pending chan *pendingBatch
-	ready   chan combinedUnit
-	workers sync.WaitGroup
-	// collected closes when the collector has absorbed every pending batch.
-	collected chan struct{}
-	drained   bool
+	b  *Batch
 }
 
-// newPipeline builds the execution path for launch state ls: an inline
-// executor when workers <= 0, else workers compaction workers — each
-// leasing a slot from the shared scheduler around every batch — plus the
-// pre-combiner and the ordered collector.
-func (p *Profiler) newPipeline(ls *launchState, workers, depth int) *pipeline {
-	pl := &pipeline{p: p, ls: ls}
-	if workers <= 0 {
-		return pl
-	}
-	pl.work = make(chan *pendingBatch, depth)
-	pl.pending = make(chan *pendingBatch, depth)
-	pl.ready = make(chan combinedUnit, depth)
-	pl.collected = make(chan struct{})
-	for i := 0; i < workers; i++ {
-		pl.workers.Add(1)
-		lane := telemetry.LaneWorker0 + i
-		go func() {
-			defer pl.workers.Done()
-			for pb := range pl.work {
-				// Blocking acquire is deadlock-free here: compaction is
-				// finite leaf work that holds no other slot or lock, so
-				// every held slot is eventually released.
-				p.sched.Acquire()
-				sp := p.tel.Span(lane, "analysis", "compact")
-				parts := p.compact(pl.ls, pb.b)
-				sp.End()
-				p.sched.Release()
-				// Partials are self-contained: the record buffer can
-				// return to the sanitizer before absorption, so holding
-				// partials downstream never starves collection.
-				p.releaseBatch(pb.b)
-				pb.b = nil
-				pb.done <- parts
-			}
-		}()
-	}
-	// Pre-combiner: receives partials in flush order and folds adjacent
-	// pairs for every stage implementing PartialCombiner, shrinking the
-	// collector's serial absorb to half the merges. Pairing is strictly
-	// consecutive (batch 2k with 2k+1), so the fold order — and with it
-	// the merged state — never depends on scheduling.
-	combine := make([]PartialCombiner, len(ls.stages))
-	for i, la := range ls.stages {
-		if c, ok := la.(PartialCombiner); ok {
-			combine[i] = c
-		}
-	}
-	combinerLane := telemetry.LaneWorker0 + workers
-	go func() {
-		defer close(pl.ready)
-		for pb := range pl.pending {
-			first := <-pb.done
-			pb2, ok := <-pl.pending
-			if !ok {
-				pl.ready <- combinedUnit{first: first}
-				return
-			}
-			second := <-pb2.done
-			sp := p.tel.Span(combinerLane, "analysis", "combine")
-			unit := p.combinePartials(combine, first, second)
-			sp.End()
-			pl.ready <- unit
-		}
-	}()
-	go func() {
-		defer close(pl.collected)
-		for unit := range pl.ready {
-			sp := p.tel.Span(telemetry.LaneCollector, "analysis", "absorb")
-			p.absorbAll(pl.ls, unit.first)
-			if unit.rest != nil {
-				p.absorbAll(pl.ls, unit.rest)
-			}
-			sp.End()
-		}
-	}()
-	return pl
+// analyzer runs the stages on a profiler's batches and launch ends, on
+// the kernel goroutine or on the analysis goroutine it owns with its
+// FIFO queue. The goroutine starts when a task arrives at an empty queue
+// and exits once the queue is empty again, so no goroutine outlives the
+// work it was given. The analyzer holds no pointer to its Profiler: a
+// cycle through the profiler would keep a runtime finalizer on it from
+// ever running.
+type analyzer struct {
+	// stages, probes and tel are the profiler's; async[i] marks the
+	// batch-only stages, run on the analysis goroutine; san recycles the
+	// record buffers.
+	stages []Analysis
+	async  []bool
+	probes engineProbes
+	tel    *telemetry.Recorder
+	san    *sanitizer.Engine
+
+	mu      sync.Mutex
+	idle    sync.Cond // broadcast when the goroutine exits
+	queue   []task
+	head    int
+	running bool
+	// spare holds recycled Batch shells (ID slices, capture buffers).
+	spare []*Batch
+	// run drains the queue; prebuilt so starting the goroutine allocates
+	// nothing.
+	run func()
+	// inline makes submit drain the queue on the calling goroutine. Only
+	// the synchronous reference driver of the tests sets it.
+	inline bool
 }
 
-// combinePartials folds second's partials into first's for every
-// combinable stage; whatever can't combine stays in rest, absorbed right
-// after first.
-func (p *Profiler) combinePartials(combine []PartialCombiner, first, second []Partial) combinedUnit {
-	rest := false
-	for i := range first {
-		if second[i] == nil {
-			continue
-		}
-		if combine[i] != nil && first[i] != nil {
-			sw := p.probes.combine[i].Start()
-			first[i] = combine[i].Combine(first[i], second[i])
-			sw.Stop()
-			second[i] = nil
-		} else {
-			rest = true
-		}
+func newAnalyzer(p *Profiler) *analyzer {
+	a := &analyzer{stages: p.stages, probes: p.probes, tel: p.tel, san: p.san}
+	for _, st := range p.stages {
+		_, ok := st.(batchOnly)
+		a.async = append(a.async, ok)
 	}
-	if !rest {
-		return combinedUnit{first: first}
+	a.idle.L = &a.mu
+	a.run = func() {
+		a.mu.Lock()
+		for a.head < len(a.queue) {
+			t := a.queue[a.head]
+			a.queue[a.head] = task{}
+			a.head++
+			a.mu.Unlock()
+			a.runTask(t)
+			a.mu.Lock()
+		}
+		a.queue, a.head = a.queue[:0], 0
+		a.running = false
+		a.idle.Broadcast()
+		a.mu.Unlock()
 	}
-	return combinedUnit{first: first, rest: second}
+	return a
 }
 
-// submit hands one flushed batch to the pipeline. Called on the
-// kernel-execution goroutine. Inline mode analyzes the batch before
-// returning; pipelined mode enqueues it, with backpressure from the
-// sanitizer's buffer pool bounding in-flight batches to the pipeline
-// depth, so neither channel send can block indefinitely.
-func (pl *pipeline) submit(b *Batch) {
-	if pl.work == nil {
-		// Inline (zero-worker) analysis runs on the kernel goroutine but
-		// traces on the collector lane, where absorbs always appear.
-		sp := pl.p.tel.Span(telemetry.LaneCollector, "analysis", "analyze")
-		pl.p.analyzeInline(pl.ls, b)
+// submit queues t, starting the analysis goroutine if it is not running.
+func (a *analyzer) submit(t task) {
+	a.mu.Lock()
+	a.queue = append(a.queue, t)
+	start := !a.running
+	a.running = true
+	a.mu.Unlock()
+	switch {
+	case !start:
+	case a.inline:
+		a.run()
+	default:
+		go a.run()
+	}
+}
+
+// wait blocks until the analysis goroutine has emptied its queue.
+func (a *analyzer) wait() {
+	a.mu.Lock()
+	for a.running {
+		a.idle.Wait()
+	}
+	a.mu.Unlock()
+}
+
+// runTask executes one queued task on the analysis goroutine.
+func (a *analyzer) runTask(t task) {
+	if t.b == nil {
+		sp := a.tel.Span(telemetry.LaneAnalysis, "analysis", "finalize")
+		a.finalize(&t.ls.ev, t.ls, true)
 		sp.End()
 		return
 	}
-	b.Yield = true
-	pb := &pendingBatch{b: b, done: make(chan []Partial, 1)}
-	pl.pending <- pb
-	pl.work <- pb
-	// Queue length after enqueue samples how full the pipeline runs —
-	// its occupancy, bounded by the sanitizer's buffer pool.
-	pl.p.probes.occupancy.Observe(int64(len(pl.pending)))
+	sp := a.tel.Span(telemetry.LaneAnalysis, "analysis", "analyze")
+	a.analyze(t.ls, t.b, true)
+	sp.End()
+	a.release(t.b)
 }
 
-// drain stops the workers and waits for the collector to absorb every
-// submitted batch. After drain returns, the launch state is complete and
-// owned by the caller's goroutine. Idempotent: a launch drained on kernel
-// failure may be drained again by interceptor replacement.
-func (pl *pipeline) drain() {
-	if pl.drained {
-		return
-	}
-	pl.drained = true
-	if pl.work == nil {
-		return
-	}
-	close(pl.work)
-	pl.workers.Wait()
-	close(pl.pending)
-	<-pl.collected
-}
-
-// compact turns one flushed buffer into the per-stage partials: the
-// engine resolves each record's data object once (stages share the lookup
-// pass), then every participating stage compacts the batch independently.
-// compact only reads allocation metadata (stable while a kernel executes)
-// and the batch itself, so any number of calls may run concurrently.
-func (p *Profiler) compact(ls *launchState, b *Batch) []Partial {
-	p.resolveObjects(b)
-	parts := make([]Partial, len(ls.stages))
+// analyze runs one batch through the launch's stages that run on the
+// analysis goroutine (async) or on the kernel goroutine (!async), in
+// registration order.
+func (a *analyzer) analyze(ls *launchState, b *Batch, async bool) {
 	for i, la := range ls.stages {
-		if la != nil {
-			sw := p.probes.compact[i].Start()
-			parts[i] = la.Compact(b)
-			sw.Stop()
-			p.probes.batches[i].Inc()
-		}
-	}
-	return parts
-}
-
-// analyzeInline is the zero-worker analysis of one batch: stages
-// implementing inlineAnalysis add it straight into their launch state
-// (timed as compaction), the rest compact and absorb it in turn.
-func (p *Profiler) analyzeInline(ls *launchState, b *Batch) {
-	p.resolveObjects(b)
-	for i, la := range ls.stages {
-		if la == nil {
+		if la == nil || a.async[i] != async {
 			continue
 		}
-		sw := p.probes.compact[i].Start()
-		in, direct := la.(inlineAnalysis)
-		var pt Partial
-		if direct {
-			in.analyzeInline(b)
-		} else {
-			pt = la.Compact(b)
-		}
+		sw := a.probes.compact[i].Start()
+		pt := la.Compact(b)
 		sw.Stop()
-		p.probes.batches[i].Inc()
-		if !direct {
-			sw = p.probes.absorb[i].Start()
-			la.Absorb(pt)
-			sw.Stop()
-		}
+		a.probes.batches[i].Inc()
+		sw = a.probes.absorb[i].Start()
+		la.Absorb(pt)
+		sw.Stop()
 	}
-	p.releaseBatch(b)
+}
+
+// finalize calls LaunchEnd on the stages that run on the analysis
+// goroutine (async) or on the kernel goroutine (!async), in registration
+// order. ls is nil for a launch no stage observed; only the kernel
+// goroutine's stages finalize those.
+func (a *analyzer) finalize(ev *cuda.APIEvent, ls *launchState, async bool) {
+	for i, st := range a.stages {
+		if a.async[i] != async {
+			continue
+		}
+		var la LaunchAnalysis
+		if ls != nil {
+			la = ls.stages[i]
+		}
+		sw := a.probes.finalize[i].Start()
+		st.LaunchEnd(ev, la)
+		sw.Stop()
+	}
+}
+
+// newBatch wraps a flushed record buffer in a recycled Batch whose ID and
+// range-capture allocations carry over from earlier flushes.
+func (a *analyzer) newBatch(recs []gpu.Access) *Batch {
+	var b *Batch
+	a.mu.Lock()
+	if n := len(a.spare); n > 0 {
+		b = a.spare[n-1]
+		a.spare[n-1] = nil
+		a.spare = a.spare[:n-1]
+	}
+	a.mu.Unlock()
+	if b == nil {
+		b = &Batch{}
+	}
+	b.Recs = recs
+	return b
+}
+
+// release returns the batch shell to the spares and then the record
+// buffer to the sanitizer, so a flush that was waiting for the buffer
+// finds the shell already back. Called once every stage has absorbed the
+// batch.
+func (a *analyzer) release(b *Batch) {
+	recs := b.Recs
+	b.Recs = nil
+	b.IDs = b.IDs[:0]
+	b.rangeOff = b.rangeOff[:0]
+	b.rangeBytes = b.rangeBytes[:0]
+	a.mu.Lock()
+	a.spare = append(a.spare, b)
+	a.mu.Unlock()
+	a.san.Recycle(recs)
+}
+
+// dropSpares releases the recycled batch shells.
+func (a *analyzer) dropSpares() {
+	a.mu.Lock()
+	a.spare = nil
+	a.mu.Unlock()
+}
+
+// barrier waits for the analysis goroutine to empty its queue; every
+// launch it finalized is then owned by the caller. The wait is analysis
+// the pipeline failed to hide, so it counts as analysis time.
+func (p *Profiler) barrier() {
+	start := time.Now()
+	sw := p.probes.drainWait.Start()
+	p.an.wait()
+	sw.Stop()
+	p.analysisTime += time.Since(start)
+}
+
+// flush is the kernel goroutine's share of one flushed buffer of launch
+// ls: object resolution, value capture and the stages that may read the
+// device, then the hand-off of the batch-only stages' work.
+func (p *Profiler) flush(ls *launchState, recs []gpu.Access) {
+	b := p.an.newBatch(recs)
+	p.resolveObjects(b)
+	if ls.needVals {
+		b.captureRangeLoads(p.rt.Device().Mem)
+	}
+	p.an.analyze(ls, b, false)
+	if ls.async {
+		p.an.submit(task{ls: ls, b: b})
+	} else {
+		p.an.release(b)
+	}
 }
 
 // resolveObjects fills b.IDs with each record's containing data object,
@@ -259,9 +252,6 @@ func (p *Profiler) resolveObjects(b *Batch) {
 	}
 	var cached *gpu.Allocation
 	for i, a := range b.Recs {
-		if b.Yield && i%yieldStride == 0 {
-			runtime.Gosched()
-		}
 		alloc := cached
 		if alloc == nil || !alloc.Contains(a.Addr) {
 			alloc = mem.Lookup(a.Addr)
@@ -275,54 +265,13 @@ func (p *Profiler) resolveObjects(b *Batch) {
 	}
 }
 
-// absorbAll folds one batch's partials into each stage's launch state, in
-// stage order. Partials must be absorbed in flush order: the
-// fine-accumulator merge replays value first-occurrences, and
-// reuse-distance analysis is order-sensitive by definition. In pipelined
-// mode only the collector goroutine calls absorbAll; in inline mode, the
-// kernel goroutine.
-func (p *Profiler) absorbAll(ls *launchState, parts []Partial) {
-	for i, la := range ls.stages {
-		if la != nil && parts[i] != nil {
-			sw := p.probes.absorb[i].Start()
-			la.Absorb(parts[i])
-			sw.Stop()
-		}
-	}
-}
-
-// newBatch wraps a flushed record buffer in a pooled Batch whose ID and
-// range-capture allocations carry over from earlier flushes.
-func (p *Profiler) newBatch(recs []gpu.Access) *Batch {
-	b, _ := p.batchPool.Get().(*Batch)
-	if b == nil {
-		b = &Batch{}
-	}
-	b.Recs = recs
-	return b
-}
-
-// releaseBatch returns the record buffer to the sanitizer pool and the
-// batch shell — IDs slice, range-capture buffer — to the batch pool.
-// Called the moment every stage has compacted the batch; partials are
-// self-contained, so nothing downstream reads the batch again.
-func (p *Profiler) releaseBatch(b *Batch) {
-	p.san.Recycle(b.Recs)
-	b.Recs = nil
-	b.IDs = b.IDs[:0]
-	b.rangeOff = b.rangeOff[:0]
-	b.rangeBytes = b.rangeBytes[:0]
-	b.Yield = false
-	p.batchPool.Put(b)
-}
-
 // captureRangeLoads bulk-reads the device bytes behind every compacted
 // load-range record — one Memory.Read per record instead of one LoadRaw
-// per element — so workers can decode element values from a stable host
+// per element — so the stages decode element values from a stable host
 // copy while the kernel keeps mutating device memory. Captures pack into
 // the batch's reusable buffer; a read that fails (a malformed range
 // straddling allocations) leaves offset -1 and the record contributes no
-// fine-grained values, in either analysis mode.
+// fine-grained values.
 func (b *Batch) captureRangeLoads(mem *gpu.Memory) {
 	for i, a := range b.Recs {
 		if a.Count <= 1 || a.Store {

@@ -95,45 +95,69 @@ func runQuickstart(t testing.TB, rt *cuda.Runtime) {
 	}
 }
 
-// TestPipelineMatchesSynchronous is the tentpole's determinism guarantee:
-// every AnalysisWorkers/PipelineDepth combination must emit a report
-// byte-identical to fully synchronous analysis. The small buffer forces
-// many mid-kernel flushes through the ring.
-func TestPipelineMatchesSynchronous(t *testing.T) {
-	run := func(workers, depth int) []byte {
-		rt := cuda.NewRuntime(gpu.RTX2080Ti)
-		p := Attach(rt, Config{
-			Coarse: true, Fine: true, ReuseDistance: true,
-			BufferRecords:   256,
-			AnalysisWorkers: workers,
-			PipelineDepth:   depth,
-			Program:         "quickstart",
-		})
-		runQuickstart(t, rt)
-		p.Detach()
-		return reportJSON(t, p)
-	}
-	// All settings run from this one loop so the allocation call paths the
-	// report captures (test file:line frames) are identical across runs.
-	settings := []struct{ workers, depth int }{
-		{0, 1}, // baseline: today's synchronous behaviour
-		{1, 2}, {2, 2}, {4, 4}, {8, 3}, {4, 1}, {0, 4},
-	}
-	var base []byte
-	for _, s := range settings {
-		got := run(s.workers, s.depth)
-		if base == nil {
-			base = got
+// engineModes are the settings every oracle test runs: the synchronous
+// reference driver, which makes the same stage calls inline on the
+// kernel-execution goroutine, then the asynchronous engine under the
+// default and two no-op AnalysisWorkers/PipelineDepth settings.
+var engineModes = []struct {
+	name           string
+	inline         bool
+	workers, depth int
+}{
+	{"synchronous", true, 0, 0},
+	{"async", false, 0, 0},
+	{"async workers=1 depth=2", false, 1, 2},
+	{"async workers=4 depth=4", false, 4, 4},
+}
+
+// attachMode attaches a profiler under one engine mode.
+func attachMode(rt *cuda.Runtime, cfg Config, inline bool, workers, depth int) *Profiler {
+	cfg.AnalysisWorkers, cfg.PipelineDepth = workers, depth
+	p := Attach(rt, cfg)
+	p.an.inline = inline
+	return p
+}
+
+// matchesSynchronous runs every engine mode through run and fails the
+// test on any report that differs from the synchronous reference. run
+// must profile from one call site, so the allocation call paths the
+// report captures are identical across modes.
+func matchesSynchronous(t *testing.T, run func(inline bool, workers, depth int) []byte) {
+	t.Helper()
+	var ref []byte
+	for _, m := range engineModes {
+		got := run(m.inline, m.workers, m.depth)
+		if ref == nil {
+			ref = got
 			continue
 		}
-		if !bytes.Equal(base, got) {
-			t.Errorf("workers=%d depth=%d: report differs from synchronous mode", s.workers, s.depth)
+		if !bytes.Equal(ref, got) {
+			t.Errorf("%s: report differs from the synchronous reference", m.name)
 		}
 	}
 }
 
-// TestPipelineMatchesSynchronousDarknet repeats the determinism check on
-// the bundled Darknet reproduction, whose layers mix memsets, uniform
+// TestPipelineMatchesSynchronous is the async-vs-synchronous oracle: the
+// analysis goroutine must emit a report byte-identical to the same stage
+// calls made inline. 128-record buffers make every launch span many
+// batches, so the analysis goroutine works inside a launch while the
+// kernel goroutine keeps collecting.
+func TestPipelineMatchesSynchronous(t *testing.T) {
+	matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
+		rt := cuda.NewRuntime(gpu.RTX2080Ti)
+		p := attachMode(rt, Config{
+			Coarse: true, Fine: true, ReuseDistance: true,
+			BufferRecords: 128,
+			Program:       "quickstart",
+		}, inline, workers, depth)
+		runQuickstart(t, rt)
+		p.Detach()
+		return reportJSON(t, p)
+	})
+}
+
+// TestPipelineMatchesSynchronousDarknet repeats the oracle on the
+// bundled Darknet reproduction, whose layers mix memsets, uniform
 // copies, gemm-style kernels and activation sweeps.
 func TestPipelineMatchesSynchronousDarknet(t *testing.T) {
 	w, err := workloads.ByName("Darknet")
@@ -144,48 +168,33 @@ func TestPipelineMatchesSynchronousDarknet(t *testing.T) {
 	workloads.Scale = 16
 	defer func() { workloads.Scale = oldScale }()
 
-	run := func(workers, depth int) []byte {
+	matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
-		p := Attach(rt, Config{
+		p := attachMode(rt, Config{
 			Coarse: true, Fine: true,
-			BufferRecords:   2048,
-			AnalysisWorkers: workers,
-			PipelineDepth:   depth,
-			Program:         "Darknet",
-		})
+			BufferRecords: 128,
+			Program:       "Darknet",
+		}, inline, workers, depth)
 		if err := w.Run(rt, workloads.Original); err != nil {
 			t.Fatal(err)
 		}
 		p.Detach()
 		return reportJSON(t, p)
-	}
-	// Single call site keeps captured allocation call paths identical.
-	var base []byte
-	for _, s := range []struct{ workers, depth int }{{0, 1}, {2, 2}, {4, 4}} {
-		got := run(s.workers, s.depth)
-		if base == nil {
-			base = got
-			continue
-		}
-		if !bytes.Equal(base, got) {
-			t.Errorf("workers=%d depth=%d: Darknet report differs from synchronous mode", s.workers, s.depth)
-		}
-	}
+	})
 }
 
-// TestPipelineStress hammers the buffer ring: a buffer so small every few
-// accesses flush it, more workers than buffers, and several launches
-// back-to-back, all under the same byte-identity requirement.
+// TestPipelineStress hammers the hand-off: a buffer so small every few
+// accesses flush it and several launches back-to-back, so the kernel
+// goroutine keeps both buffers in flight and waits on the analysis
+// goroutine, all under the same byte-identity requirement.
 func TestPipelineStress(t *testing.T) {
-	run := func(workers, depth int) []byte {
+	matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
-		p := Attach(rt, Config{
+		p := attachMode(rt, Config{
 			Coarse: true, Fine: true, ReuseDistance: true,
-			BufferRecords:   8,
-			AnalysisWorkers: workers,
-			PipelineDepth:   depth,
-			Program:         "stress",
-		})
+			BufferRecords: 8,
+			Program:       "stress",
+		}, inline, workers, depth)
 		const n = 2048
 		x, err := rt.MallocF32(n, "x")
 		if err != nil {
@@ -209,19 +218,7 @@ func TestPipelineStress(t *testing.T) {
 		}
 		p.Detach()
 		return reportJSON(t, p)
-	}
-	// Single call site keeps captured allocation call paths identical.
-	var base []byte
-	for _, s := range []struct{ workers, depth int }{{0, 1}, {8, 2}, {3, 8}, {8, 8}} {
-		got := run(s.workers, s.depth)
-		if base == nil {
-			base = got
-			continue
-		}
-		if !bytes.Equal(base, got) {
-			t.Errorf("workers=%d depth=%d: stress report differs from synchronous mode", s.workers, s.depth)
-		}
-	}
+	})
 }
 
 // TestFailedLaunchDrainsPipeline checks the interceptor lifecycle: a

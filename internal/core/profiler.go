@@ -1,6 +1,6 @@
 // Package core implements ValueExpert itself as a staged
 // collection→analysis engine. The engine owns data collection — GPU API
-// interception, sanitizer buffers, the batch pipeline — and drives
+// interception, sanitizer buffers, the analysis goroutine — and drives
 // pluggable Analysis stages (paper §4, Figure 1): the coarse analyzer
 // maintains value snapshots and the value flow graph, the fine analyzer
 // recognizes per-access value patterns, and the reuse-distance analyzer
@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"valueexpert/callpath"
@@ -59,19 +58,12 @@ type Config struct {
 	// processing kernel" (<=0: default).
 	MergeWorkers int
 
-	// AnalysisWorkers is the number of concurrent workers draining flushed
-	// sanitizer buffers — the analog of §6.1's data-processing kernels
-	// running alongside collection. 0 analyzes each buffer synchronously on
-	// the kernel-execution goroutine (the degenerate inline pipeline). Any
-	// setting emits a byte-identical report: workers compact batches into
-	// independent partials that a single collector folds in flush order.
+	// AnalysisWorkers and PipelineDepth are accepted and validated
+	// (negative values are a ConfigError) but have no effect: every
+	// profiler runs one analysis goroutine over at most two flush buffers
+	// (pipeline.go).
 	AnalysisWorkers int
-
-	// PipelineDepth is the number of flush buffers cycled between the
-	// collector and the analysis stage (§6.1's double buffering is depth
-	// 2). <=0 selects AnalysisWorkers+1 when pipelined, else 1 — the
-	// synchronous single-buffer behaviour.
-	PipelineDepth int
+	PipelineDepth   int
 
 	// ReuseDistance additionally computes per-kernel reuse-distance
 	// histograms from the instrumented access stream — the follow-on
@@ -143,11 +135,13 @@ type Profiler struct {
 	deadIDs        []int
 	evictedObjects int
 
+	// analysisTime is the kernel goroutine's analysis time (see
+	// AnalysisTime).
 	analysisTime time.Duration
 
-	// batchPool recycles Batch shells (ID slices, range-capture buffers)
-	// across flushes so the per-batch hot path stops allocating.
-	batchPool sync.Pool
+	// an runs the stages, here and on the analysis goroutine
+	// (pipeline.go).
+	an *analyzer
 
 	// tel and probes are the self-observability layer; tel is nil (and
 	// every probe a no-op) unless Config.Telemetry carries a recorder.
@@ -158,16 +152,19 @@ type Profiler struct {
 	schedProbes bool
 }
 
-// launchState tracks one instrumented kernel launch in flight: the
-// sanitizer's finish hook, the pipeline executing the analysis, each
-// stage's per-launch accumulator (indexed like Profiler.stages; nil for
-// stages sitting this launch out), and the launch's self-trace span on
-// the kernel-execution lane.
+// launchState tracks one instrumented kernel launch: the sanitizer's
+// finish hook, each stage's per-launch accumulator (indexed like
+// Profiler.stages; nil for stages sitting this launch out), whether any
+// stage needs flush-time value capture or runs on the analysis goroutine,
+// the completed launch event the analysis goroutine finalizes with, and
+// the launch's self-trace span on the kernel-execution lane.
 type launchState struct {
-	finish func()
-	pipe   *pipeline
-	stages []LaunchAnalysis
-	span   telemetry.Span
+	finish   func()
+	stages   []LaunchAnalysis
+	needVals bool
+	async    bool
+	ev       cuda.APIEvent
+	span     telemetry.Span
 }
 
 // Attach creates a profiler and installs it as rt's interceptor. The
@@ -177,15 +174,6 @@ type launchState struct {
 func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 	if err := cfg.Validate(); err != nil {
 		panic("core: " + err.Error())
-	}
-	if cfg.PipelineDepth <= 0 {
-		if cfg.AnalysisWorkers > 0 {
-			// One buffer filling plus one per worker draining keeps every
-			// stage busy without unbounded buffering.
-			cfg.PipelineDepth = cfg.AnalysisWorkers + 1
-		} else {
-			cfg.PipelineDepth = 1
-		}
 	}
 	patterns, err := vpattern.ParseSet(cfg.Patterns)
 	if err != nil {
@@ -222,7 +210,7 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 	p.initTelemetry()
 	p.san = sanitizer.New(sanitizer.Config{
 		BufferRecords:        cfg.BufferRecords,
-		PipelineDepth:        cfg.PipelineDepth,
+		PipelineDepth:        pipelineDepth,
 		KernelFilter:         cfg.KernelFilter,
 		KernelSamplingPeriod: cfg.KernelSamplingPeriod,
 		BlockSamplingPeriod:  cfg.BlockSamplingPeriod,
@@ -231,6 +219,7 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 		// sanitizer's buffer-delivery fault points — arm before Attach.
 		Faults: rt.Faults(),
 	})
+	p.an = newAnalyzer(p)
 	rt.SetInterceptor(p)
 	return p
 }
@@ -248,10 +237,15 @@ func Profile(src cuda.EventSource, cfg Config) (*Profiler, error) {
 	return cuda.Drive(src, func(rt *cuda.Runtime) *Profiler { return Attach(rt, cfg) })
 }
 
-// Detach removes the profiler from its runtime and releases any probes
-// it attached to shared infrastructure.
+// Detach removes the profiler from its runtime, waits for the analysis
+// goroutine, then drops the idle flush buffers and batch shells and
+// releases any probes it attached to shared infrastructure. Reports stay
+// readable; a profiler installed again allocates its buffers afresh.
 func (p *Profiler) Detach() {
 	p.rt.SetInterceptor(nil)
+	p.barrier()
+	p.san.Release()
+	p.an.dropSpares()
 	if p.schedProbes {
 		p.sched.SetProbes(nil)
 		p.schedProbes = false
@@ -264,8 +258,11 @@ func (p *Profiler) Graph() *vflow.Graph { return p.graph }
 // Tree returns the calling-context tree.
 func (p *Profiler) Tree() *callpath.Tree { return p.tree }
 
-// AnalysisTime reports wall time spent inside the analyzer (overhead
-// accounting for Figure 6).
+// AnalysisTime reports the analysis time the kernel-execution goroutine
+// spent (overhead accounting for Figure 6): flush-time capture, the
+// stages run there, the hand-off, launch finalization and waits for the
+// analysis goroutine. Work the analysis goroutine overlaps with the
+// program adds nothing to wall time and is not counted.
 func (p *Profiler) AnalysisTime() time.Duration { return p.analysisTime }
 
 // instrumenting reports whether any registered stage consumes per-access
@@ -305,9 +302,8 @@ func (p *Profiler) APIBegin(ev *cuda.APIEvent) {
 }
 
 // Instrumentation implements cuda.Interceptor: it consults the sanitizer
-// engine for the upcoming launch, opens each stage's per-launch
-// accumulator, and builds the analysis pipeline the flushed buffers flow
-// through.
+// engine for the upcoming launch and opens each stage's per-launch
+// accumulator; the flushed buffers then flow through Profiler.flush.
 func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int32) bool) {
 	if !p.instrumenting() {
 		return nil, nil
@@ -318,29 +314,20 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 		p.Drain()
 	}
 	ls := &launchState{stages: make([]LaunchAnalysis, len(p.stages))}
-	needVals := false
 	for i, st := range p.stages {
 		if !st.NeedsAccesses() {
 			continue
 		}
-		ls.stages[i] = st.LaunchBegin(kernelName)
-		if ls.stages[i] != nil && st.NeedsValues() {
-			needVals = true
+		if ls.stages[i] = st.LaunchBegin(kernelName); ls.stages[i] != nil {
+			ls.needVals = ls.needVals || st.NeedsValues()
+			ls.async = ls.async || p.an.async[i]
 		}
 	}
-	mem := p.rt.Device().Mem
 	hook, filter, finish := p.san.Instrument(kernelName, func(recs []gpu.Access) {
-		// On the kernel-execution goroutine. Only flush-time capture and
-		// the hand-off run here; with workers, compaction and absorption
-		// overlap the kernel's continued execution.
 		start := time.Now()
 		sw := p.probes.flushCapture.Start()
 		p.tel.Instant(telemetry.LaneKernel, "sanitizer", "flush")
-		b := p.newBatch(recs)
-		if needVals {
-			b.captureRangeLoads(mem)
-		}
-		ls.pipe.submit(b)
+		p.flush(ls, recs)
 		sw.Stop()
 		p.analysisTime += time.Since(start)
 	})
@@ -348,8 +335,6 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 		p.launch = nil
 		return nil, nil
 	}
-	// The flush closure reads ls.pipe on first use, after this point.
-	ls.pipe = p.newPipeline(ls, p.cfg.AnalysisWorkers, p.cfg.PipelineDepth)
 	ls.finish = finish
 	ls.span = p.tel.Span(telemetry.LaneKernel, "kernel", kernelName)
 	p.launch = ls
@@ -358,9 +343,10 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 
 // Drain implements cuda.Drainer: it quiesces and discards any in-flight
 // launch state. The runtime calls it when the interceptor is replaced or
-// a kernel fails mid-execution; the partial launch's buffers return to
-// the sanitizer pool and its analysis is dropped. Safe with no launch in
-// flight, and idempotent.
+// a kernel fails mid-execution: the analysis goroutine finishes with the
+// partial launch's batches, whose analysis is dropped, and the
+// sanitizer's buffers return to its pool. Safe with no launch in flight,
+// and idempotent.
 func (p *Profiler) Drain() {
 	ls := p.launch
 	p.launch = nil
@@ -373,7 +359,7 @@ func (p *Profiler) Drain() {
 	p.skippedLaunches++
 	p.probes.skippedLaunches.Inc()
 	ls.span.End() // the aborted kernel still shows on its trace lane
-	ls.pipe.drain()
+	p.barrier()
 	// Release the sanitizer's in-flight buffers (the partial current
 	// buffer and any delayed delivery) so the next launch starts clean.
 	p.san.Abort()
@@ -418,38 +404,29 @@ func (p *Profiler) onMalloc(ev *cuda.APIEvent) {
 	})
 }
 
-// onLaunch completes a kernel launch: the pipeline drains so every
-// stage's accumulator is fully absorbed and exclusively owned, then each
-// stage finalizes in registration order.
+// onLaunch completes a kernel launch: the final buffer flushes, the
+// stages run on this goroutine finalize in registration order, and the
+// launch's end marker follows its batches to the analysis goroutine,
+// which finalizes the batch-only stages.
 func (p *Profiler) onLaunch(ev *cuda.APIEvent) {
 	ls := p.launch
 	p.launch = nil
 	if ls != nil {
 		ls.span.End() // close the kernel-execution trace lane
 		ls.finish()   // flush the final partial buffer
-		// Wait for in-flight batches; only analysis the pipeline failed to
-		// hide behind kernel execution is spent here.
-		sw := p.probes.drainWait.Start()
-		dsp := p.tel.Span(telemetry.LaneKernel, "pipeline", "drain")
-		ls.pipe.drain()
-		dsp.End()
-		sw.Stop()
 	}
-	for i, st := range p.stages {
-		var la LaunchAnalysis
-		if ls != nil {
-			la = ls.stages[i]
-		}
-		sw := p.probes.finalize[i].Start()
-		st.LaunchEnd(ev, la)
-		sw.Stop()
+	p.an.finalize(ev, ls, false)
+	if ls != nil && ls.async {
+		ls.ev = *ev
+		p.an.submit(task{ls: ls})
 	}
 }
 
-// Report assembles the annotated profile: the engine contributes the run
-// header, object table, and collection statistics; each stage contributes
-// its findings.
+// Report assembles the annotated profile once the analysis goroutine has
+// finalized every launch: the engine contributes the run header, object
+// table, and collection statistics; each stage contributes its findings.
 func (p *Profiler) Report() *profile.Report {
+	p.barrier()
 	dev := p.rt.Device()
 	st := dev.Stats()
 	sanSt := p.san.Stats()

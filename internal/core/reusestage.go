@@ -18,6 +18,7 @@ func newReuseStage(Env) *reuseStage { return &reuseStage{} }
 func (s *reuseStage) Name() string        { return "reuse-distance" }
 func (s *reuseStage) NeedsAccesses() bool { return true }
 func (s *reuseStage) NeedsValues() bool   { return false }
+func (s *reuseStage) batchOnly()          {}
 
 func (s *reuseStage) APIBegin(*cuda.APIEvent) {}
 func (s *reuseStage) APIEnd(*cuda.APIEvent)   {}
@@ -31,15 +32,11 @@ func (s *reuseStage) LaunchBegin(string) LaunchAnalysis {
 	return &reuseLaunch{an: reuse.NewAnalyzer()}
 }
 
-// Compact precomputes the batch's cache-line touch sequence: every line a
-// record covers exactly once, with the start aligned down to a line
-// boundary so records straddling lines neither miss their trailing line
-// nor double-count. The sequence is a pure function of the record order,
-// so replaying it during in-order absorption is byte-identical to
-// touching synchronously.
-func (*reuseLaunch) Compact(b *Batch) Partial {
+// Compact touches every cache line each record covers exactly once, in
+// record order, with the start aligned down to a line boundary so records
+// straddling lines neither miss their trailing line nor double-count.
+func (la *reuseLaunch) Compact(b *Batch) Partial {
 	const mask = ^uint64(reuse.LineSize - 1)
-	lines := make([]uint64, 0, len(b.Recs))
 	for _, a := range b.Recs {
 		if a.Bytes() == 0 {
 			continue
@@ -47,26 +44,14 @@ func (*reuseLaunch) Compact(b *Batch) Partial {
 		first := a.Addr & mask
 		last := (a.Addr + a.Bytes() - 1) & mask
 		for line := first; line <= last; line += reuse.LineSize {
-			lines = append(lines, line)
+			la.an.Touch(line)
 		}
 	}
-	return lines
+	return nil
 }
 
-// Absorb replays the touch sequence in flush order; reuse distance is
-// order-sensitive by definition.
-func (la *reuseLaunch) Absorb(pt Partial) {
-	for _, line := range pt.([]uint64) {
-		la.an.Touch(line)
-	}
-}
-
-// Combine concatenates adjacent batches' touch sequences — trivially
-// order-preserving, so absorbing the combined sequence replays exactly
-// the two sequential absorbs.
-func (*reuseLaunch) Combine(first, second Partial) Partial {
-	return append(first.([]uint64), second.([]uint64)...)
-}
+// Absorb has nothing left to fold: Compact touched the batch's lines.
+func (*reuseLaunch) Absorb(Partial) {}
 
 // LaunchEnd emits the launch's histogram.
 func (s *reuseStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {

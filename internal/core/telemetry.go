@@ -1,16 +1,14 @@
 // Engine self-observability: when Config.Telemetry carries a recorder,
 // Attach threads probes through every layer — sanitizer flush volume and
-// buffer-wait stalls, per-stage compact/absorb timers, pipeline occupancy
-// and drain waits, scheduler utilization, interval-merge volumes, and the
-// coarse stage's snapshot diff/apply timers with per-strategy copy
-// traffic — and declares the self-trace lanes (kernel execution, the
-// collector, one lane per analysis worker). With a nil recorder every
-// probe is nil and the engine's hot paths pay only pointer tests.
+// buffer-wait stalls, per-stage compact/absorb timers, waits for the
+// analysis goroutine, scheduler utilization, interval-merge volumes, and
+// the coarse stage's snapshot diff/apply timers with per-strategy copy
+// traffic — and declares the two self-trace lanes (kernel execution and
+// the analysis goroutine). With a nil recorder every probe is nil and the
+// engine's hot paths pay only pointer tests.
 package core
 
 import (
-	"fmt"
-
 	"valueexpert/internal/faultinject"
 	"valueexpert/internal/parallel"
 	"valueexpert/internal/profile"
@@ -24,19 +22,16 @@ import (
 // off.
 type engineProbes struct {
 	// flushCapture times the kernel-goroutine share of each flush:
-	// value capture plus pipeline hand-off.
+	// object resolution, value capture, the stages run there and the
+	// hand-off.
 	flushCapture *telemetry.Timer
-	// drainWait times the launch-end wait for in-flight batches — the
-	// analysis the pipeline failed to hide behind kernel execution.
+	// drainWait times waits for the analysis goroutine to empty its
+	// queue — the analysis the pipeline failed to hide.
 	drainWait *telemetry.Timer
-	// occupancy samples the pending-batch queue length at each submit.
-	occupancy *telemetry.Gauge
 
-	// compact/combine/absorb/finalize/batches instrument each stage's
-	// pipeline work: worker-side compaction, the pre-combiner's pairwise
-	// folds, the collector's serial absorbs, and launch-end finalization.
+	// compact/absorb/finalize/batches instrument each stage's work:
+	// per-batch compaction and absorption, and launch-end finalization.
 	compact  []*telemetry.Timer
-	combine  []*telemetry.Timer
 	absorb   []*telemetry.Timer
 	finalize []*telemetry.Timer
 	batches  []*telemetry.Counter
@@ -61,7 +56,6 @@ func (p *Profiler) initTelemetry() {
 	n := len(p.stages)
 	p.probes = engineProbes{
 		compact:  make([]*telemetry.Timer, n),
-		combine:  make([]*telemetry.Timer, n),
 		absorb:   make([]*telemetry.Timer, n),
 		finalize: make([]*telemetry.Timer, n),
 		batches:  make([]*telemetry.Counter, n),
@@ -72,7 +66,6 @@ func (p *Profiler) initTelemetry() {
 	tel.SetProgram(p.cfg.Program)
 	p.probes.flushCapture = tel.Timer("collector.flush_capture")
 	p.probes.drainWait = tel.Timer("pipeline.drain_wait")
-	p.probes.occupancy = tel.Gauge("pipeline.occupancy")
 	p.probes.failedAPIs = tel.Counter("engine.failed_apis")
 	p.probes.skippedLaunches = tel.Counter("engine.skipped_launches")
 	p.probes.evictedObjects = tel.Counter("engine.evicted_objects")
@@ -84,7 +77,6 @@ func (p *Profiler) initTelemetry() {
 	}
 	for i, st := range p.stages {
 		p.probes.compact[i] = tel.Timer("stage." + st.Name() + ".compact")
-		p.probes.combine[i] = tel.Timer("stage." + st.Name() + ".combine")
 		p.probes.absorb[i] = tel.Timer("stage." + st.Name() + ".absorb")
 		p.probes.finalize[i] = tel.Timer("stage." + st.Name() + ".finalize")
 		p.probes.batches[i] = tel.Counter("stage." + st.Name() + ".batches")
@@ -95,18 +87,11 @@ func (p *Profiler) initTelemetry() {
 	p.sched.SetProbes(&parallel.SchedProbes{
 		Acquires: tel.Counter("scheduler.acquires"),
 		InUse:    tel.Gauge("scheduler.in_use"),
-		Wait:     tel.Timer("scheduler.wait"),
 	})
 	p.schedProbes = true
 
 	tel.DeclareLane(telemetry.LaneKernel, "kernel execution")
-	tel.DeclareLane(telemetry.LaneCollector, "collector")
-	for i := 0; i < p.cfg.AnalysisWorkers; i++ {
-		tel.DeclareLane(telemetry.LaneWorker0+i, fmt.Sprintf("analysis worker %d", i))
-	}
-	if p.cfg.AnalysisWorkers > 0 {
-		tel.DeclareLane(telemetry.LaneWorker0+p.cfg.AnalysisWorkers, "pre-combiner")
-	}
+	tel.DeclareLane(telemetry.LaneAnalysis, "analysis")
 }
 
 // sanitizerProbes builds the sanitizer's probe set from the recorder

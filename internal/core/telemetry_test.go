@@ -61,8 +61,8 @@ func TestTelemetryPreservesReportBytes(t *testing.T) {
 }
 
 // TestTelemetryPerStageMetrics checks the metric vocabulary the export
-// promises: per-stage timers, per-strategy snapshot counters, scheduler
-// and pipeline gauges.
+// promises: per-stage timers, per-strategy snapshot counters and the
+// scheduler gauge, and no metric of an engine part that does not exist.
 func TestTelemetryPerStageMetrics(t *testing.T) {
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	tel := telemetry.New()
@@ -84,7 +84,7 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 		"collector.flush_capture", "pipeline.drain_wait",
 		"stage.coarse.compact", "stage.coarse.absorb",
 		"stage.fine.compact", "stage.fine.absorb",
-		"scheduler.wait", "snapshot.refresh", "merge.time",
+		"snapshot.refresh", "merge.time",
 	} {
 		if _, ok := m.Timers[timer]; !ok {
 			t.Errorf("timer %q missing from export (have %v)", timer, keys(m.Timers))
@@ -100,9 +100,14 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 			t.Errorf("counter %q missing from export (have %v)", counter, keys(m.Counters))
 		}
 	}
-	for _, gauge := range []string{"pipeline.occupancy", "scheduler.in_use"} {
-		if _, ok := m.Gauges[gauge]; !ok {
-			t.Errorf("gauge %q missing from export (have %v)", gauge, keys(m.Gauges))
+	if _, ok := m.Gauges["scheduler.in_use"]; !ok {
+		t.Errorf("gauge scheduler.in_use missing from export (have %v)", keys(m.Gauges))
+	}
+	for _, gone := range []string{"pipeline.occupancy", "stage.fine.combine", "stage.coarse.combine", "scheduler.wait"} {
+		_, g := m.Gauges[gone]
+		_, tm := m.Timers[gone]
+		if g || tm {
+			t.Errorf("removed metric %q still exported", gone)
 		}
 	}
 	if m.Counters["sanitizer.records"] == 0 {
@@ -129,8 +134,8 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 }
 
 // TestSelfTraceLanes checks the Chrome-trace side: kernel spans on the
-// kernel lane, analysis spans on worker lanes, flush instants, and lane
-// metadata naming every thread.
+// kernel lane, analysis spans on the analysis lane, flush instants, and
+// lane metadata naming both threads.
 func TestSelfTraceLanes(t *testing.T) {
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	tel := telemetry.New()
@@ -162,6 +167,9 @@ func TestSelfTraceLanes(t *testing.T) {
 			}
 		case ev.Ph == "X" && ev.Cat == "analysis":
 			analysisSpans++
+			if ev.TID != telemetry.LaneAnalysis {
+				t.Errorf("analysis span on lane %d", ev.TID)
+			}
 		}
 	}
 	if kernelSpans < 3 {
@@ -173,11 +181,11 @@ func TestSelfTraceLanes(t *testing.T) {
 	if instants == 0 {
 		t.Error("no flush instants")
 	}
-	if meta < 3 {
-		t.Errorf("lane metadata events = %d, want kernel+collector+workers", meta)
+	if meta != 2 {
+		t.Errorf("lane metadata events = %d, want kernel+analysis", meta)
 	}
-	if !lanes[telemetry.LaneKernel] || !lanes[telemetry.LaneWorker0] {
-		t.Errorf("expected kernel and worker lanes, got %v", lanes)
+	if len(lanes) != 2 || !lanes[telemetry.LaneKernel] || !lanes[telemetry.LaneAnalysis] {
+		t.Errorf("expected the kernel and analysis lanes, got %v", lanes)
 	}
 }
 

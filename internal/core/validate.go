@@ -26,11 +26,11 @@ func (e *ConfigError) Error() string { return "config: " + e.Field + " " + e.Rea
 func (cfg *Config) Validate() error {
 	if cfg.AnalysisWorkers < 0 {
 		return &ConfigError{Field: "AnalysisWorkers",
-			Reason: fmt.Sprintf("must be >= 0, got %d (0 = synchronous analysis)", cfg.AnalysisWorkers)}
+			Reason: fmt.Sprintf("must be >= 0, got %d (the setting has no effect)", cfg.AnalysisWorkers)}
 	}
 	if cfg.PipelineDepth < 0 {
 		return &ConfigError{Field: "PipelineDepth",
-			Reason: fmt.Sprintf("must be >= 0, got %d (0 = default pipeline depth)", cfg.PipelineDepth)}
+			Reason: fmt.Sprintf("must be >= 0, got %d (the setting has no effect)", cfg.PipelineDepth)}
 	}
 	if cfg.MergeWorkers < 0 {
 		return &ConfigError{Field: "MergeWorkers",

@@ -18,9 +18,10 @@ import (
 	"valueexpert/internal/workloads"
 )
 
-// engineCfg is the configuration every session test runs: both analyses,
-// small buffers to force several flushes per kernel, and a pipelined
-// engine so the race detector sees the daemon's real concurrency.
+// engineCfg is the configuration every session test runs: both analyses
+// and small buffers to force several flushes per kernel, so the race
+// detector sees the analysis goroutine work inside launches. The worker
+// settings are accepted but inert.
 func engineCfg() core.Config {
 	return core.Config{
 		Coarse: true, Fine: true,

@@ -46,10 +46,10 @@ func TestCorpusCapsulesByteIdentity(t *testing.T) {
 	}
 }
 
-// TestCorpusReplaySettingIdentity: replaying a corpus capsule at a
-// pipelined setting yields the same report bytes as the synchronous
-// replay — the engine's any-setting byte-identity holds for replayed
-// capsules too.
+// TestCorpusReplaySettingIdentity: replaying a corpus capsule at
+// workers=4/depth=3, a setting the engine accepts but ignores, yields the
+// same report bytes as the default replay: the analysis goroutine's
+// scheduling never shows, for replayed capsules too.
 func TestCorpusReplaySettingIdentity(t *testing.T) {
 	files, err := CorpusFiles(corpusDir)
 	if err != nil || len(files) == 0 {

@@ -109,14 +109,6 @@ func (p *Pool) chunking(n int) (chunk, nChunks int) {
 	return chunk, nChunks
 }
 
-// Run executes fn(c) for every chunk index in [0, nChunks) under the
-// pool's helper discipline — caller participates, helpers lease from the
-// scheduler without blocking — for callers that fix their own chunk
-// layout (e.g. constant-size record ranges) instead of the width-derived
-// one. Like every pool operation, results must depend only on the chunk
-// index, never on which goroutine ran it.
-func (p *Pool) Run(nChunks int, fn func(c int)) { p.run(nChunks, fn) }
-
 // For runs fn(i) for every i in [0, n), partitioning the index space into
 // contiguous chunks, one per worker. fn must be safe to call concurrently
 // for distinct indices.

@@ -9,25 +9,17 @@ import (
 
 // Scheduler is a process-wide budget of analysis worker slots. Every
 // source of host-side analysis parallelism — interval-merge pool chunks,
-// pipeline batch-compaction workers, snapshot-diff chunks — leases slots
-// from one shared scheduler, so N concurrent profilers (or a multi-GPU
-// Session) divide one CPU budget between them instead of each spawning
-// GOMAXPROCS workers and oversubscribing the machine.
+// snapshot-diff chunks — leases slots from one shared scheduler, so N
+// concurrent profilers (or a multi-GPU Session) divide one CPU budget
+// between them instead of each spawning GOMAXPROCS workers and
+// oversubscribing the machine.
 //
-// Two leasing disciplines keep the scheduler deadlock-free by
-// construction:
-//
-//   - Pool operations use TryAcquire for their helper goroutines: the
-//     calling goroutine always participates in the work, so when no slots
-//     are free the operation degrades to sequential execution on the
-//     caller. A pool helper never blocks on the scheduler.
-//   - Pipeline workers use the blocking Acquire, but only around one
-//     batch's compaction — a finite, leaf computation that performs no
-//     scheduler calls of its own — and release the slot before waiting
-//     for more work.
-//
-// Every slot holder therefore runs straight-line work to completion, so
-// slots always recirculate and no lease can wait on another lease.
+// Leases never block: pool operations use TryAcquire for their helper
+// goroutines, and the calling goroutine always participates in the work,
+// so when no slots are free the operation degrades to sequential
+// execution on the caller. Every slot holder runs straight-line work to
+// completion, so slots always recirculate and no lease can wait on
+// another lease.
 type Scheduler struct {
 	slots chan struct{}
 
@@ -38,16 +30,14 @@ type Scheduler struct {
 }
 
 // SchedProbes are the scheduler's telemetry hooks: how often slots are
-// leased, how many are in use at each lease, and how long blocking
-// acquires wait. Individual fields may be nil (nil probes no-op).
+// leased and how many are in use at each lease. Individual fields may be
+// nil (nil probes no-op).
 type SchedProbes struct {
-	// Acquires counts successful leases (blocking and try).
+	// Acquires counts successful leases.
 	Acquires *telemetry.Counter
 	// InUse samples the number of leased slots after each lease — the
 	// scheduler's utilization gauge.
 	InUse *telemetry.Gauge
-	// Wait times blocking Acquire calls (contention for the CPU budget).
-	Wait *telemetry.Timer
 }
 
 // SetProbes attaches telemetry probes to the scheduler; nil detaches.
@@ -69,7 +59,7 @@ func NewScheduler(capacity int) *Scheduler {
 	return s
 }
 
-// shared is the process-wide scheduler all pools and pipelines default to.
+// shared is the process-wide scheduler all pools default to.
 var shared = NewScheduler(0)
 
 // Shared returns the process-wide scheduler.
@@ -90,21 +80,6 @@ func (s *Scheduler) TryAcquire() bool {
 	default:
 		return false
 	}
-}
-
-// Acquire leases a slot, blocking until one frees. Callers must hold the
-// slot only across finite leaf work that itself makes no Acquire calls.
-func (s *Scheduler) Acquire() {
-	p := s.probes.Load()
-	if p == nil {
-		<-s.slots
-		return
-	}
-	sw := p.Wait.Start()
-	<-s.slots
-	sw.Stop()
-	p.Acquires.Inc()
-	p.InUse.Observe(int64(cap(s.slots) - len(s.slots)))
 }
 
 // observeAcquire records a successful lease on the attached probes.

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,7 +47,9 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				s.Acquire()
+				for !s.TryAcquire() {
+					runtime.Gosched()
+				}
 				n := atomic.AddInt64(&active, 1)
 				for {
 					p := atomic.LoadInt64(&peak)

@@ -25,10 +25,12 @@ type Config struct {
 	// swapped for an empty one. Zero selects DefaultBufferRecords.
 	BufferRecords int
 
-	// PipelineDepth is the number of flush buffers cycled between the
+	// PipelineDepth is the most flush buffers cycled between the
 	// collector and the analyzer (paper §6.1's double buffering is depth
-	// 2). With depth 1 the collector blocks until the analyzer recycles
-	// the single buffer — synchronous analysis. Zero selects 1.
+	// 2). Buffers are allocated on demand: a new one only when a flush
+	// finds none free. With depth 1 the collector blocks until the
+	// analyzer recycles the single buffer — synchronous analysis. Zero
+	// selects 1.
 	PipelineDepth int
 
 	// KernelFilter, when non-nil, selects which kernels are instrumented
@@ -96,9 +98,11 @@ type Engine struct {
 
 	// free holds the idle flush buffers. The hook takes a buffer, fills
 	// it, hands it to the analyzer via flush, and takes the next one —
-	// blocking only when all PipelineDepth buffers are in flight, which is
-	// the pipeline's backpressure.
+	// allocating it while fewer than PipelineDepth exist (made), and
+	// otherwise blocking until one is recycled, which is the pipeline's
+	// backpressure.
 	free chan []gpu.Access
+	made int
 	cur  []gpu.Access
 
 	// held is a delivery an injected flush-delay fault is holding back; it
@@ -117,15 +121,48 @@ func New(cfg Config) *Engine {
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = 1
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:      cfg,
 		free:     make(chan []gpu.Access, cfg.PipelineDepth),
 		launches: make(map[string]int),
 	}
-	for i := 0; i < cfg.PipelineDepth; i++ {
-		e.free <- make([]gpu.Access, 0, cfg.BufferRecords)
+}
+
+// take returns an empty flush buffer: an idle one, a new one while fewer
+// than PipelineDepth exist, or else the next one recycled.
+func (e *Engine) take() []gpu.Access {
+	select {
+	case buf := <-e.free:
+		return buf
+	default:
 	}
-	return e
+	if e.made < e.cfg.PipelineDepth {
+		e.made++
+		return make([]gpu.Access, 0, e.cfg.BufferRecords)
+	}
+	sw := e.cfg.Probes.BufferWait.Start()
+	buf := <-e.free
+	sw.Stop()
+	return buf
+}
+
+// Buffers reports how many flush buffers the engine holds, idle or in
+// flight.
+func (e *Engine) Buffers() int { return e.made }
+
+// Release drops the idle flush buffers; the next launch allocates afresh.
+// The caller must hold no delivered buffer: every flush has been
+// recycled, as after a launch's analysis completes.
+func (e *Engine) Release() {
+	e.cur, e.held = nil, nil
+	for {
+		select {
+		case <-e.free:
+		default:
+			e.made = 0
+			return
+		}
+	}
 }
 
 // Stats returns accumulated instrumentation statistics.
@@ -154,9 +191,7 @@ func (e *Engine) Instrument(kernelName string, flush func([]gpu.Access)) (hook g
 	e.stats.LaunchesProfiled++
 
 	if e.cur == nil {
-		sw := e.cfg.Probes.BufferWait.Start()
-		e.cur = <-e.free
-		sw.Stop()
+		e.cur = e.take()
 	}
 	e.cur = e.cur[:0]
 	hook = func(a gpu.Access) {
@@ -166,9 +201,7 @@ func (e *Engine) Instrument(kernelName string, flush func([]gpu.Access)) (hook g
 			buf := e.cur
 			e.cur = nil
 			e.deliver(buf, flush)
-			sw := e.cfg.Probes.BufferWait.Start()
-			e.cur = <-e.free
-			sw.Stop()
+			e.cur = e.take()
 		}
 	}
 	if p := e.cfg.BlockSamplingPeriod; p > 1 {
@@ -215,10 +248,10 @@ func (e *Engine) deliver(buf []gpu.Access, flush func([]gpu.Access)) {
 		e.cfg.Probes.DroppedRecords.Add(uint64(lost))
 		buf = buf[:len(buf)/2]
 	}
-	if _, ok := e.cfg.Faults.Fire(faultinject.FlushDelay); ok && len(e.free) > 0 {
-		// Hold the delivery back — but only while a spare buffer exists;
-		// at pipeline depth 1 holding the sole buffer would deadlock the
-		// collector's next buffer wait.
+	if _, ok := e.cfg.Faults.Fire(faultinject.FlushDelay); ok && (len(e.free) > 0 || e.made < e.cfg.PipelineDepth) {
+		// Hold the delivery back — but only while a spare buffer exists
+		// or may be allocated; at pipeline depth 1 holding the sole buffer
+		// would deadlock the collector's next buffer wait.
 		e.held = buf
 		return
 	}

@@ -119,12 +119,12 @@ func TestBlockSampling(t *testing.T) {
 
 func TestDefaultBufferSize(t *testing.T) {
 	e := New(Config{})
-	buf := <-e.free
+	buf := e.take()
 	if cap(buf) != DefaultBufferRecords {
 		t.Fatalf("default buffer = %d, want %d", cap(buf), DefaultBufferRecords)
 	}
-	if len(e.free) != 0 {
-		t.Fatalf("default pool depth = %d buffers, want 1", len(e.free)+1)
+	if e.made != 1 || e.cfg.PipelineDepth != 1 {
+		t.Fatalf("default pool depth = %d buffers (%d made), want 1", e.cfg.PipelineDepth, e.made)
 	}
 	e.Recycle(buf)
 }
@@ -176,5 +176,41 @@ func TestBufferReuseAcrossLaunches(t *testing.T) {
 	// All buffers eventually return to the pool (one may be parked as cur).
 	if got := len(e.free); got < 1 || got > 2 {
 		t.Fatalf("free pool = %d buffers, want 1 or 2", got)
+	}
+}
+
+// TestBuffersAllocatedOnDemand: a consumer that recycles each buffer at
+// once never needs a second one; one that holds a buffer across a flush
+// makes the engine allocate the second, never more than PipelineDepth;
+// Release drops them all and the next launch allocates afresh.
+func TestBuffersAllocatedOnDemand(t *testing.T) {
+	e := New(Config{BufferRecords: 8, PipelineDepth: 2})
+	if _, ok := feed(t, e, "k", 40); !ok || e.Buffers() != 1 {
+		t.Fatalf("recycling consumer: %d buffers, want 1", e.Buffers())
+	}
+	var held [][]gpu.Access
+	hook, _, finish := e.Instrument("k", func(recs []gpu.Access) {
+		held = append(held, recs)
+		if len(held) == 2 {
+			e.Recycle(held[0])
+			held = held[1:]
+		}
+	})
+	for i := 0; i < 40; i++ {
+		hook(gpu.Access{Addr: uint64(i)})
+	}
+	finish()
+	for _, b := range held {
+		e.Recycle(b)
+	}
+	if e.Buffers() != 2 {
+		t.Fatalf("holding consumer: %d buffers, want 2", e.Buffers())
+	}
+	e.Release()
+	if e.Buffers() != 0 || len(e.free) != 0 {
+		t.Fatalf("after Release: %d buffers, %d idle", e.Buffers(), len(e.free))
+	}
+	if flushed, ok := feed(t, e, "k", 20); !ok || len(flushed) != 3 || e.Buffers() != 1 {
+		t.Fatalf("after Release: %d flushes with %d buffers", len(flushed), e.Buffers())
 	}
 }

@@ -151,14 +151,14 @@ func TestEnabledProbesAllocationFree(t *testing.T) {
 func TestTraceEventOrderingAndFormat(t *testing.T) {
 	r := New()
 	r.DeclareLane(LaneKernel, "kernel execution")
-	r.DeclareLane(LaneCollector, "collector")
+	r.DeclareLane(LaneAnalysis, "analysis")
 	buf := NewBuffer()
 	r.AttachTrace(buf)
 
 	sp := r.Span(LaneKernel, "kernel", "saxpy")
 	time.Sleep(time.Millisecond)
 	r.Instant(LaneKernel, "sanitizer", "flush")
-	inner := r.Span(LaneCollector, "analysis", "absorb")
+	inner := r.Span(LaneAnalysis, "analysis", "absorb")
 	inner.End()
 	sp.End()
 
@@ -170,14 +170,14 @@ func TestTraceEventOrderingAndFormat(t *testing.T) {
 	if evs[0].Ph != "M" || evs[0].TID != LaneKernel || evs[0].Args["name"] != "kernel execution" {
 		t.Fatalf("meta[0] = %+v", evs[0])
 	}
-	if evs[1].Ph != "M" || evs[1].TID != LaneCollector {
+	if evs[1].Ph != "M" || evs[1].TID != LaneAnalysis {
 		t.Fatalf("meta[1] = %+v", evs[1])
 	}
 	flush, absorb, kernel := evs[2], evs[3], evs[4]
 	if flush.Ph != "i" || flush.S != "t" || flush.Name != "flush" {
 		t.Fatalf("instant = %+v", flush)
 	}
-	if absorb.Ph != "X" || absorb.TID != LaneCollector {
+	if absorb.Ph != "X" || absorb.TID != LaneAnalysis {
 		t.Fatalf("absorb = %+v", absorb)
 	}
 	if kernel.Ph != "X" || kernel.TID != LaneKernel || kernel.Name != "saxpy" {

@@ -1,26 +1,25 @@
 // Self-tracing: the Recorder can emit a Chrome trace-event JSON stream
 // (the format chrome://tracing and Perfetto load) showing the engine's
 // own concurrency — kernel execution on one lane overlapped with the
-// collector and each analysis worker on theirs. Lanes are thread IDs in
-// the trace; DeclareLane names them with "M" metadata events so the
-// viewer shows "kernel execution", "collector", "worker 0", … instead of
-// bare numbers.
+// analysis goroutine on the other. Lanes are thread IDs in the trace;
+// DeclareLane names them with "M" metadata events so the viewer shows
+// "kernel execution" and "analysis" instead of bare numbers.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 )
 
-// Well-known trace lanes. Worker lanes start at LaneWorker0 and extend
-// upward (worker i is LaneWorker0+i).
+// The engine's trace lanes: the kernel-execution goroutine and the
+// profiler's analysis goroutine.
 const (
-	LaneKernel    = 0
-	LaneCollector = 1
-	LaneWorker0   = 2
+	LaneKernel   = 0
+	LaneAnalysis = 1
 )
 
 // Event is one Chrome trace event. Ph "X" is a complete event (TS+Dur),
@@ -40,7 +39,7 @@ type Event struct {
 }
 
 // TraceSink consumes trace events. Emit must be safe for concurrent use:
-// spans stop on the kernel goroutine, the collector, and every worker.
+// spans stop on the kernel goroutine and on every analysis goroutine.
 type TraceSink interface {
 	Emit(Event)
 }
@@ -225,11 +224,14 @@ func (r *Recorder) emitLaneMeta(sink TraceSink) {
 		lanes[tid] = name
 	}
 	r.mu.Unlock()
-	// Deterministic order: lane IDs are small and dense.
-	for tid := 0; tid < LaneWorker0+64; tid++ {
-		if name, ok := lanes[tid]; ok {
-			sink.Emit(metaEvent(tid, name))
-		}
+	// Deterministic order: by lane ID.
+	tids := make([]int, 0, len(lanes))
+	for tid := range lanes {
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	for _, tid := range tids {
+		sink.Emit(metaEvent(tid, lanes[tid]))
 	}
 }
 

@@ -27,10 +27,10 @@ func reportBytes(t *testing.T, p *core.Profiler) []byte {
 // TestSourcesByteIdentical drives the identical configuration through
 // both event sources — live execution and trace replay — and requires
 // byte-identical reports: the unified stream contract. Each workload runs
-// under the synchronous engine (workers=0) and the pipelined one
-// (workers=4, depth=4); beyond live==replay per setting, the reports must
-// also agree across settings, proving the concurrent Compact/Absorb path
-// is observationally identical to the serial one.
+// at the default engine setting and at workers=4, depth=4, which the
+// engine accepts but ignores; beyond live==replay per setting, the
+// reports must also agree across settings, so the analysis goroutine's
+// scheduling never shows in a report.
 func TestSourcesByteIdentical(t *testing.T) {
 	old := workloads.Scale
 	workloads.Scale = 64
@@ -102,7 +102,7 @@ func TestSourcesByteIdentical(t *testing.T) {
 				perSetting = append(perSetting, liveJSON)
 			}
 			if !bytes.Equal(perSetting[0], perSetting[1]) {
-				t.Fatalf("synchronous and pipelined reports differ (%d vs %d bytes)",
+				t.Fatalf("reports differ between the two settings (%d vs %d bytes)",
 					len(perSetting[0]), len(perSetting[1]))
 			}
 		})

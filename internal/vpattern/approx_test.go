@@ -14,8 +14,7 @@ const refApproxKind Kind = 0xF0
 
 // refApproxDetector is the per-access approximate-values detector the
 // derived one replaced, kept as the oracle: it inserts the truncation of
-// every float access into its own capped per-object histogram and merges
-// partials by insertion-ordered replay.
+// every float access into its own capped per-object histogram.
 type refApproxDetector struct {
 	cfg  FineConfig
 	objs table[valueHist]
@@ -32,17 +31,6 @@ func (d *refApproxDetector) Observe(objID int, a gpu.Access) {
 	h, _ := d.objs.at(objID)
 	v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
 	h.add(v.Truncate(d.cfg.ApproxMantissaBits), 1, d.cfg.MaxTrackedValues)
-}
-
-func (d *refApproxDetector) Merge(partial Detector) {
-	o := partial.(*refApproxDetector)
-	for _, id := range o.objs.ids {
-		oh := o.objs.get(id)
-		h, _ := d.objs.at(id)
-		for _, e := range oh.entries {
-			h.add(e.Value, e.Count, d.cfg.MaxTrackedValues)
-		}
-	}
 }
 
 func (d *refApproxDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
@@ -85,7 +73,7 @@ func (d *refApproxDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) 
 func approxOracleLineup() []Registration {
 	return append(FineDetectors(nil), Registration{
 		Kind: refApproxKind, Name: "reference approximate values", Grain: GrainFine,
-		New: newRefApproxDetector, ExactMerge: true,
+		New: newRefApproxDetector,
 	})
 }
 
@@ -143,10 +131,8 @@ func approxMatches(reps []FineReport) []approxPair {
 // TestDerivedApproxMatchesPerAccessOracle: approximate values derived at
 // Finalize from the shared histogram (plus its relaxed-overflow
 // histogram past saturation) must match what the per-access reference
-// detector finds — same firing, fraction and detail — on every object,
-// whether the stream arrives by sequential Add, through capped merges of
-// uncapped batch shards, or through chunked AddAssoc/FoldAssoc
-// sub-shards. Caps of 1–40 put saturation into play on most objects.
+// detector finds — same firing, fraction and detail — on every object.
+// Caps of 1–40 put saturation into play on most objects.
 func TestDerivedApproxMatchesPerAccessOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	regs := approxOracleLineup()
@@ -163,25 +149,6 @@ func TestDerivedApproxMatchesPerAccessOracle(t *testing.T) {
 			seq.Add(objOf(i), a)
 		}
 		feeds := map[string][]FineReport{"sequential": seq.Finalize()}
-		for _, batch := range []int{1, 5, 32} {
-			feeds[fmt.Sprintf("merge batch=%d", batch)] = mergeStreamWith(cfg, regs, accs, objOf, batch)
-		}
-		chunked := NewFineAccumulatorWith(cfg, regs)
-		shard := chunked.NewShard()
-		chunk := 1 + rng.Intn(50)
-		for lo := 0; lo < len(accs); lo += chunk {
-			sub := shard.NewShard()
-			for i := lo; i < min(lo+chunk, len(accs)); i++ {
-				sub.AddAssoc(objOf(i), accs[i])
-			}
-			shard.FoldAssoc(sub)
-		}
-		for i, a := range accs {
-			shard.ObserveOrderSensitive(objOf(i), a)
-		}
-		chunked.Merge(shard)
-		feeds[fmt.Sprintf("chunked chunk=%d", chunk)] = chunked.Finalize()
-
 		for feed, reps := range feeds {
 			for _, p := range approxMatches(reps) {
 				if p.dOK != p.rOK || p.derived.Fraction != p.ref.Fraction || p.derived.Detail != p.ref.Detail {

@@ -111,124 +111,13 @@ func finalizeSequential(cfg FineConfig, accs []gpu.Access, objOf func(i int) int
 	return fa.Finalize()
 }
 
-// TestChunkedAddMatchesSequential: building a shard from record-range
-// sub-shards (AddAssoc + FoldAssoc in range order, then one sequential
-// ObserveOrderSensitive pass) must finalize identically to plain
-// sequential Adds — the invariant intra-batch chunked compaction rests on.
-func TestChunkedAddMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cfg := FineConfig{MaxTrackedValues: 24} // force saturation into play
-	for trial := 0; trial < 20; trial++ {
-		n := 200 + rng.Intn(400)
-		accs, objOf := randStream(rng, n)
-		want := finalizeSequential(cfg, accs, objOf)
-
-		master := NewFineAccumulator(cfg)
-		shard := master.NewShard()
-		chunk := 1 + rng.Intn(100)
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			sub := shard.NewShard()
-			for i := lo; i < hi; i++ {
-				sub.AddAssoc(objOf(i), accs[i])
-			}
-			shard.FoldAssoc(sub)
-		}
-		for i, a := range accs {
-			shard.ObserveOrderSensitive(objOf(i), a)
-		}
-		master.Merge(shard)
-		if got := master.Finalize(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d chunk %d: chunked shard diverged\nwant %+v\ngot  %+v", trial, chunk, want, got)
-		}
-	}
-}
-
-// TestCombineMatchesSeparateMerges: pre-folding adjacent shards with
-// Combine and merging the combined partial must equal merging every shard
-// separately in flush order — including the deferred replay of the
-// order-sensitive detectors riding in pending.
-func TestCombineMatchesSeparateMerges(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	cfg := FineConfig{MaxTrackedValues: 24}
-	for trial := 0; trial < 20; trial++ {
-		nShards := 2 + rng.Intn(4)
-		perShard := 100 + rng.Intn(200)
-		proto := NewFineAccumulator(cfg)
-		shards := make([]*FineAccumulator, nShards)
-		var all []gpu.Access
-		var allObj []int
-		for s := range shards {
-			shards[s] = proto.NewShard()
-			accs, objOf := randStream(rng, perShard)
-			for i, a := range accs {
-				shards[s].Add(objOf(i), a)
-				all = append(all, a)
-				allObj = append(allObj, objOf(i))
-			}
-		}
-		want := finalizeSequential(cfg, all, func(i int) int { return allObj[i] })
-
-		// Pairwise combine in flush order (odd trailing shard stays solo),
-		// as the pipeline's pre-combiner does, then merge the units in order.
-		master := NewFineAccumulator(cfg)
-		for s := 0; s < nShards; s += 2 {
-			unit := shards[s]
-			if s+1 < nShards {
-				unit.Combine(shards[s+1])
-			}
-			master.Merge(unit)
-			if s+1 < nShards && len(unit.TakePending()) != 1 {
-				t.Fatalf("trial %d: combined shard did not carry its partner in pending", trial)
-			}
-		}
-		if got := master.Finalize(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: combined merge diverged\nwant %+v\ngot  %+v", trial, want, got)
-		}
-	}
-}
-
-// TestCombineChainsPending: combining into an already-combined shard must
-// keep every deferred shard, in flush order.
-func TestCombineChainsPending(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cfg := FineConfig{}
-	proto := NewFineAccumulator(cfg)
-	shards := make([]*FineAccumulator, 4)
-	var all []gpu.Access
-	var allObj []int
-	for s := range shards {
-		shards[s] = proto.NewShard()
-		accs, objOf := randStream(rng, 150)
-		for i, a := range accs {
-			shards[s].Add(objOf(i), a)
-			all = append(all, a)
-			allObj = append(allObj, objOf(i))
-		}
-	}
-	want := finalizeSequential(cfg, all, func(i int) int { return allObj[i] })
-
-	shards[0].Combine(shards[1])
-	shards[2].Combine(shards[3])
-	shards[0].Combine(shards[2]) // chained: 2's pending (3) must transfer
-	master := NewFineAccumulator(cfg)
-	master.Merge(shards[0])
-	if got := master.Finalize(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("chained combine diverged\nwant %+v\ngot  %+v", want, got)
-	}
-	if n := len(shards[0].TakePending()); n != 3 {
-		t.Fatalf("pending after chained combine = %d shards, want 3", n)
-	}
-}
-
-// TestShardReuseMatchesFresh: a shard Reset in place and refilled must be
-// indistinguishable from a freshly allocated one — the property the
-// engine's shard pool depends on.
+// TestShardReuseMatchesFresh: an accumulator Reset in place and refilled
+// must be indistinguishable from a freshly allocated one, for every
+// round of reuse.
 func TestShardReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cfg := FineConfig{MaxTrackedValues: 32}
-	proto := NewFineAccumulator(cfg)
-	reused := proto.NewShard()
+	reused := NewFineAccumulator(cfg)
 	for round := 0; round < 5; round++ {
 		accs, objOf := randStream(rng, 300)
 		want := finalizeSequential(cfg, accs, objOf)
@@ -237,10 +126,8 @@ func TestShardReuseMatchesFresh(t *testing.T) {
 		for i, a := range accs {
 			reused.Add(objOf(i), a)
 		}
-		master := NewFineAccumulator(cfg)
-		master.Merge(reused)
-		if got := master.Finalize(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("round %d: reused shard diverged\nwant %+v\ngot  %+v", round, want, got)
+		if got := reused.Finalize(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("round %d: reused accumulator diverged\nwant %+v\ngot  %+v", round, want, got)
 		}
 	}
 }

@@ -44,13 +44,12 @@ func init() {
 		Advise:  adviseScaled("add conditional computation for the hot value(s) to skip redundant work", 1),
 	})
 	Register(Registration{
-		Kind:       HeavyType,
-		Name:       "heavy type",
-		Grain:      GrainFine,
-		Default:    true,
-		New:        newHeavyTypeDetector,
-		ExactMerge: true,
-		Advise:     adviseScaled("demote the element type to shrink memory traffic", 1),
+		Kind:    HeavyType,
+		Name:    "heavy type",
+		Grain:   GrainFine,
+		Default: true,
+		New:     newHeavyTypeDetector,
+		Advise:  adviseScaled("demote the element type to shrink memory traffic", 1),
 	})
 	Register(Registration{
 		Kind:    StructuredValues,

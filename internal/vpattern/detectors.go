@@ -13,7 +13,7 @@ import (
 // from the shared observation context at Finalize and cost nothing per
 // access; the two Observers (heavy type, structured values) keep only the
 // per-object state their own definition requires, in dense ID-indexed
-// tables that reset in place for shard reuse.
+// tables that reset in place for reuse.
 
 // singleZeroDetector recognizes Def 3.5: every accessed value is zero.
 type singleZeroDetector struct{}
@@ -95,8 +95,7 @@ type heavyState struct {
 }
 
 // heavyTypeDetector recognizes Def 3.6: values declared wide but
-// narrow-representable. Min/max and flag folds are exactly associative,
-// so its partials pre-combine (ExactMerge).
+// narrow-representable, from per-object min/max and flag folds.
 type heavyTypeDetector struct {
 	objs table[heavyState]
 }
@@ -184,41 +183,6 @@ func (d *heavyTypeDetector) ObserveRange(objID int, a gpu.Access, raws []uint64)
 	}
 }
 
-func (d *heavyTypeDetector) Merge(partial Detector) {
-	o := partial.(*heavyTypeDetector)
-	for _, id := range o.objs.ids {
-		ob := o.objs.get(id)
-		st, created := d.objs.at(id)
-		if created {
-			*st = *ob
-			continue
-		}
-		// Declared access type: consistent only if both halves are
-		// internally consistent and agree; st.at stays first-seen.
-		if !ob.atConsist || st.at != ob.at {
-			st.atConsist = false
-		}
-		// The sentinels used at init make unconditional min/max folds
-		// correct even when one side never saw that kind.
-		if ob.minI < st.minI {
-			st.minI = ob.minI
-		}
-		if ob.maxI > st.maxI {
-			st.maxI = ob.maxI
-		}
-		if ob.minU < st.minU {
-			st.minU = ob.minU
-		}
-		if ob.maxU > st.maxU {
-			st.maxU = ob.maxU
-		}
-		st.allF64AsF32 = st.allF64AsF32 && ob.allF64AsF32
-		st.sawInt = st.sawInt || ob.sawInt
-		st.sawU = st.sawU || ob.sawU
-		st.sawFloat = st.sawFloat || ob.sawFloat
-	}
-}
-
 func (d *heavyTypeDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
 	st := d.objs.get(objID)
 	if st == nil || !st.atConsist {
@@ -292,17 +256,11 @@ type structState struct {
 	sumXX, sumXY float64
 	sumYY        float64
 	elemSize     uint64
-	// fitSkew marks that merged partials derived element indices from
-	// different element sizes, so the combined least-squares sums are not
-	// over a common index axis and the structured fit must be skipped.
-	fitSkew bool
 }
 
 // structuredDetector recognizes Def 3.7: linear value↔address correlation.
-// Its Merge rebases float sums (shift terms), which is NOT bitwise
-// associative — the registration leaves ExactMerge unset, so the engine
-// always feeds it whole batches sequentially and merges partials strictly
-// in flush order.
+// Its float sums depend on the order they are added in; the engine feeds
+// it each launch's accesses once, in order.
 type structuredDetector struct {
 	cfg  FineConfig
 	objs table[structState]
@@ -349,19 +307,24 @@ func (d *structuredDetector) ObserveRange(objID int, a gpu.Access, raws []uint64
 		st.x0set = true
 	}
 	// Element e's index is (a.Addr + e·step)/es, monotone in address;
-	// when the range strides by es it is simply the first index + e.
+	// when the range strides by es it is simply the first index + e, and
+	// while indices stay below 2^53 the float x = index - x0 is exact, so
+	// stepping it by 1 gives the same value as converting each index.
 	first := a.Addr / es
+	exact := es == step && first+uint64(len(raws)) < 1<<53 && st.x0 < 1<<53
+	x := float64(first) - st.x0
 	n, sumX, sumY, sumXX, sumXY, sumYY := st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY
 	v := Value{Size: a.Size, Kind: a.Kind}
 	for e, raw := range raws {
-		idx := first + uint64(e)
-		if es != step {
-			idx = (a.Addr + uint64(e)*step) / es
+		if !exact {
+			idx := first + uint64(e)
+			if es != step {
+				idx = (a.Addr + uint64(e)*step) / es
+			}
+			x = float64(idx) - st.x0
 		}
-		x := float64(idx) - st.x0
 		v.Raw = raw
-		y := v.Numeric()
-		if !math.IsNaN(y) && !math.IsInf(y, 0) {
+		if y := v.Numeric(); y-y == 0 { // finite: NaN and ±Inf give NaN
 			n++
 			sumX += x
 			sumY += y
@@ -369,56 +332,14 @@ func (d *structuredDetector) ObserveRange(objID int, a gpu.Access, raws []uint64
 			sumXY += x * y
 			sumYY += y * y
 		}
+		x++
 	}
 	st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY = n, sumX, sumY, sumXX, sumXY, sumYY
 }
 
-func (d *structuredDetector) Merge(partial Detector) {
-	o := partial.(*structuredDetector)
-	for _, id := range o.objs.ids {
-		ob := o.objs.get(id)
-		st, created := d.objs.at(id)
-		if created {
-			*st = *ob
-			continue
-		}
-		st.fitSkew = st.fitSkew || ob.fitSkew
-		if ob.elemSize != 0 && st.elemSize != 0 && ob.elemSize != st.elemSize {
-			// The two partials indexed elements on different strides; their
-			// least-squares sums cannot be placed on a common axis.
-			st.fitSkew = true
-		}
-		if st.elemSize == 0 {
-			st.elemSize = ob.elemSize
-		}
-		// Shift the partial's element indices from its local origin ob.x0
-		// onto st's axis (d = ob.x0 - st.x0, so each of ob's indices x
-		// becomes x + d), which rebases the sums in closed form.
-		if ob.x0set {
-			if !st.x0set {
-				st.x0, st.x0set = ob.x0, true
-				st.n += ob.n
-				st.sumX += ob.sumX
-				st.sumY += ob.sumY
-				st.sumXX += ob.sumXX
-				st.sumXY += ob.sumXY
-				st.sumYY += ob.sumYY
-			} else {
-				shift := ob.x0 - st.x0
-				st.n += ob.n
-				st.sumX += ob.sumX + ob.n*shift
-				st.sumY += ob.sumY
-				st.sumXX += ob.sumXX + 2*shift*ob.sumX + ob.n*shift*shift
-				st.sumXY += ob.sumXY + shift*ob.sumY
-				st.sumYY += ob.sumYY
-			}
-		}
-	}
-}
-
 func (d *structuredDetector) Finalize(objID int, _ *ObjectShared) (Match, bool) {
 	st := d.objs.get(objID)
-	if st == nil || st.n < float64(d.cfg.StructuredMinCount) || st.fitSkew {
+	if st == nil || st.n < float64(d.cfg.StructuredMinCount) {
 		return Match{}, false
 	}
 	n := st.n

@@ -2,7 +2,6 @@ package vpattern
 
 import (
 	"encoding/binary"
-	"math"
 	"sort"
 
 	"valueexpert/gpu"
@@ -73,10 +72,7 @@ const histMinSlots = 16 // power of two
 
 // valueHist is an insertion-ordered value histogram. Ordering by first
 // occurrence makes saturation behaviour and dominant-value selection
-// deterministic, and lets two partial histograms merge into exactly the
-// state one sequential pass over the concatenated streams would produce:
-// replaying a partial's entries in insertion order against the saturation
-// cap visits distinct values in global first-occurrence order.
+// deterministic.
 //
 // Layout: entries is a flat arena in first-occurrence order; slots is an
 // open-addressing index over it (entry index + 1, 0 = empty, linear
@@ -394,10 +390,10 @@ func (r *FineReport) Pattern(k Kind) (Match, bool) {
 }
 
 // Resetter is the optional Observer extension that clears state in place,
-// letting the engine pool and reuse per-batch shard accumulators without
-// reallocating observer state. An observer without it is rebuilt from its
-// registration factory on every shard reset; a detector that is not an
-// Observer accumulates nothing and is never reset.
+// letting a reused accumulator keep its observer state's allocations. An
+// observer without it is rebuilt from its registration factory on every
+// Reset; a detector that is not an Observer accumulates nothing and is
+// never reset.
 type Resetter interface {
 	Reset()
 }
@@ -430,35 +426,25 @@ func (o elementwise) ObserveRange(objID int, a gpu.Access, raws []uint64) {
 // produces per-object fine-grained pattern reports for the current GPU
 // API. It maintains the shared observation context (counters + exact
 // histogram) and fans each access out to the Observers in its detector
-// lineup; matches are emitted in detector registration order. Reset
-// between APIs (the online analyzer finalizes at each kernel exit).
+// lineup; matches are emitted in detector registration order. One
+// accumulator sees one launch's accesses once, in order, so every
+// observer's state is a single sequential pass. Reset between APIs (the
+// online analyzer finalizes at each kernel exit).
 type FineAccumulator struct {
 	cfg  FineConfig
 	regs []Registration
 	dets []Detector
-	// assocObs and naObs are the Observers among dets, split by
-	// Registration.ExactMerge, so the per-access fan-out and the combine
-	// machinery never test flags: the exactly-mergeable observers can
-	// fold in any association, the order-sensitive rest only ever observe
-	// whole batches sequentially and merge strictly in flush order.
-	// assocRange and naRange are the same observers, index for index, as
-	// range ingesters (elementwise where ObserveRange is missing).
-	assocObs   []Observer
-	naObs      []Observer
-	assocRange []rangeObserver
-	naRange    []rangeObserver
-	objs       table[ObjectShared]
+	// obs are the Observers among dets; ranges are the same observers,
+	// index for index, as range ingesters (elementwise where
+	// ObserveRange is missing).
+	obs    []Observer
+	ranges []rangeObserver
+	objs   table[ObjectShared]
 
 	// raws is DecodeRange's scratch. It grows to the longest range
 	// decoded, which is bounded by that range's flush-time capture (loads)
 	// or by the device memory the fill wrote (stores).
 	raws []uint64
-
-	// pending holds shards combined into this one (Combine) whose
-	// order-sensitive detector state could not be pre-folded; Merge
-	// replays them in flush order and TakePending hands them back to the
-	// engine's shard pool.
-	pending []*FineAccumulator
 }
 
 // NewFineAccumulator creates an accumulator running every fine-grained
@@ -475,17 +461,15 @@ func NewFineAccumulatorWith(cfg FineConfig, regs []Registration) *FineAccumulato
 	for i, r := range regs {
 		fa.dets[i] = r.New(fa.cfg)
 	}
-	fa.splitObservers()
+	fa.collectObservers()
 	return fa
 }
 
-// splitObservers rebuilds the assoc/order-sensitive observer views over
-// dets.
-func (fa *FineAccumulator) splitObservers() {
-	fa.assocObs, fa.naObs = fa.assocObs[:0], fa.naObs[:0]
-	fa.assocRange, fa.naRange = fa.assocRange[:0], fa.naRange[:0]
-	for i, r := range fa.regs {
-		o, ok := fa.dets[i].(Observer)
+// collectObservers rebuilds the observer views over dets.
+func (fa *FineAccumulator) collectObservers() {
+	fa.obs, fa.ranges = fa.obs[:0], fa.ranges[:0]
+	for _, d := range fa.dets {
+		o, ok := d.(Observer)
 		if !ok {
 			continue
 		}
@@ -493,24 +477,9 @@ func (fa *FineAccumulator) splitObservers() {
 		if !ok {
 			ro = elementwise{o}
 		}
-		if r.ExactMerge {
-			fa.assocObs = append(fa.assocObs, o)
-			fa.assocRange = append(fa.assocRange, ro)
-		} else {
-			fa.naObs = append(fa.naObs, o)
-			fa.naRange = append(fa.naRange, ro)
-		}
+		fa.obs = append(fa.obs, o)
+		fa.ranges = append(fa.ranges, ro)
 	}
-}
-
-// NewShard creates an empty accumulator with the same detector lineup and
-// an effectively unlimited histogram cap — the partial a pipeline worker
-// fills over one flushed batch and hands back to Merge (which re-applies
-// fa's cap, preserving global first-occurrence eviction order).
-func (fa *FineAccumulator) NewShard() *FineAccumulator {
-	cfg := fa.cfg
-	cfg.MaxTrackedValues = math.MaxInt
-	return NewFineAccumulatorWith(cfg, fa.regs)
 }
 
 // addShared folds one access into the object's shared observation context.
@@ -600,32 +569,7 @@ func (fa *FineAccumulator) DecodeRange(a gpu.Access, vals []byte) []uint64 {
 // Add records one access belonging to the data object objID.
 func (fa *FineAccumulator) Add(objID int, a gpu.Access) {
 	fa.addShared(objID, a)
-	for _, o := range fa.assocObs {
-		o.Observe(objID, a)
-	}
-	for _, o := range fa.naObs {
-		o.Observe(objID, a)
-	}
-}
-
-// AddAssoc records one access into the shared context and the
-// exactly-mergeable observers only — the per-record work of an
-// intra-batch sub-shard, or of the zero-worker engine adding straight
-// into the launch accumulator. The order-sensitive observers must then
-// observe the whole batch sequentially (ObserveOrderSensitive) on a
-// shard, so their state is built by exactly the per-batch sequential
-// pass their Merge contract assumes.
-func (fa *FineAccumulator) AddAssoc(objID int, a gpu.Access) {
-	fa.addShared(objID, a)
-	for _, o := range fa.assocObs {
-		o.Observe(objID, a)
-	}
-}
-
-// ObserveOrderSensitive feeds one access to the order-sensitive observers
-// only — the sequential whole-batch pass paired with AddAssoc.
-func (fa *FineAccumulator) ObserveOrderSensitive(objID int, a gpu.Access) {
-	for _, o := range fa.naObs {
+	for _, o := range fa.obs {
 		o.Observe(objID, a)
 	}
 }
@@ -634,117 +578,9 @@ func (fa *FineAccumulator) ObserveOrderSensitive(objID int, a gpu.Access) {
 // values raws holds in element order (DecodeRange): the shared context
 // and each observer take the whole range after one object lookup.
 func (fa *FineAccumulator) AddRange(objID int, a gpu.Access, raws []uint64) {
-	fa.AddAssocRange(objID, a, raws)
-	fa.ObserveOrderSensitiveRange(objID, a, raws)
-}
-
-// AddAssocRange is AddAssoc for every element of range a (see AddRange).
-func (fa *FineAccumulator) AddAssocRange(objID int, a gpu.Access, raws []uint64) {
 	fa.addSharedRange(objID, a, raws)
-	for _, o := range fa.assocRange {
+	for _, o := range fa.ranges {
 		o.ObserveRange(objID, a, raws)
-	}
-}
-
-// ObserveOrderSensitiveRange is ObserveOrderSensitive for every element
-// of range a (see AddRange).
-func (fa *FineAccumulator) ObserveOrderSensitiveRange(objID int, a gpu.Access, raws []uint64) {
-	for _, o := range fa.naRange {
-		o.ObserveRange(objID, a, raws)
-	}
-}
-
-// OrderSensitive reports whether the lineup contains observers that
-// require the sequential whole-batch pass.
-func (fa *FineAccumulator) OrderSensitive() bool { return len(fa.naObs) > 0 }
-
-// foldShared replays other's shared per-object state into fa in insertion
-// order — identical saturation decisions to a sequential pass over fa's
-// stream followed by other's. other must be uncapped (a shard): its
-// entries are then exactly the distinct values of its stream, which is
-// what the replay relies on.
-func (fa *FineAccumulator) foldShared(other *FineAccumulator) {
-	for _, id := range other.objs.ids {
-		ob := other.objs.get(id)
-		sh, _ := fa.objs.at(id)
-		sh.Loads += ob.Loads
-		sh.Stores += ob.Stores
-		sh.Bytes += ob.Bytes
-		for _, e := range ob.exact.entries {
-			if !sh.exact.add(e.Value, e.Count, fa.cfg.MaxTrackedValues) {
-				sh.overflow(e.Value, e.Count, &fa.cfg)
-			}
-		}
-		sh.Overflow += ob.Overflow
-	}
-}
-
-// FoldAssoc folds an intra-batch sub-shard built with AddAssoc into fa:
-// the shared context and the exactly-mergeable detectors. Sub-shards fold
-// in record-range order, reproducing the batch's sequential insertion
-// order; the order-sensitive detectors are untouched (they never observed
-// the sub-shard's records).
-func (fa *FineAccumulator) FoldAssoc(sub *FineAccumulator) {
-	fa.foldShared(sub)
-	for i, o := range fa.assocObs {
-		o.Merge(sub.assocObs[i])
-	}
-}
-
-// MergeOrderSensitive folds the order-sensitive observers of a shard fed
-// by ObserveOrderSensitive into fa — the second half of adding a batch
-// straight into fa with AddAssoc. fa then holds exactly the state
-// Merge of a full shard of the same batch would leave.
-func (fa *FineAccumulator) MergeOrderSensitive(shard *FineAccumulator) {
-	for i, o := range fa.naObs {
-		o.Merge(shard.naObs[i])
-	}
-}
-
-// Combine pre-folds shard other — the batch flushed immediately after
-// fa's — into fa, off the collector's critical path. Everything exactly
-// mergeable (shared context, ExactMerge observers) folds now; the
-// order-sensitive observers' merges are deferred: other rides along in
-// fa.pending and Merge replays it in flush order, so the master's state
-// stays bit-identical to absorbing the two shards separately.
-func (fa *FineAccumulator) Combine(other *FineAccumulator) {
-	fa.foldShared(other)
-	for i, o := range fa.assocObs {
-		o.Merge(other.assocObs[i])
-	}
-	fa.pending = append(fa.pending, other)
-	fa.pending = append(fa.pending, other.pending...)
-	other.pending = other.pending[:0]
-}
-
-// TakePending returns and clears the shards combined into fa whose
-// order-sensitive detector state was deferred; after Merge(fa) the engine
-// recycles them alongside fa itself.
-func (fa *FineAccumulator) TakePending() []*FineAccumulator {
-	p := fa.pending
-	fa.pending = fa.pending[:0]
-	return p
-}
-
-// Merge folds a partial accumulator into fa, producing exactly the state a
-// single accumulator would hold after ingesting fa's access stream followed
-// by other's (and, in order, any shards Combined into other). Pipelined
-// analysis builds one uncapped partial per flushed batch on worker
-// goroutines (shard pool) and merges them here in batch order, so the
-// merged state — and hence the finalized report — is independent of worker
-// count and scheduling. Merge requires other to run the same detector
-// lineup; it reads other's state without consuming it, leaving the shard
-// to the engine's pool (Reset) or the collector's discard.
-func (fa *FineAccumulator) Merge(other *FineAccumulator) {
-	fa.foldShared(other)
-	for i, o := range fa.assocObs {
-		o.Merge(other.assocObs[i])
-	}
-	for i, o := range fa.naObs {
-		o.Merge(other.naObs[i])
-		for _, s := range other.pending {
-			o.Merge(s.naObs[i])
-		}
 	}
 }
 
@@ -755,13 +591,12 @@ func (fa *FineAccumulator) Objects() []int {
 	return ids
 }
 
-// Reset clears all accumulated state for the next GPU API (or the next
-// batch, for pooled shards) — in place: the object table, histograms, and
-// observers that implement Resetter keep their allocations, so a reused
-// accumulator's Add path is allocation-free in the steady state.
+// Reset clears all accumulated state for the next GPU API in place: the
+// object table, histograms, and observers that implement Resetter keep
+// their allocations, so a reused accumulator's Add path is
+// allocation-free in the steady state.
 func (fa *FineAccumulator) Reset() {
 	fa.objs.reset((*ObjectShared).clear)
-	fa.pending = fa.pending[:0]
 	rebuilt := false
 	for i, d := range fa.dets {
 		if _, ok := d.(Observer); !ok {
@@ -775,7 +610,7 @@ func (fa *FineAccumulator) Reset() {
 		}
 	}
 	if rebuilt {
-		fa.splitObservers()
+		fa.collectObservers()
 	}
 }
 

@@ -2,7 +2,6 @@ package vpattern
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"valueexpert/gpu"
@@ -365,101 +364,5 @@ func TestKindString(t *testing.T) {
 	m.Detail = "x"
 	if m.String() == "" {
 		t.Fatal("match render with detail")
-	}
-}
-
-// mergeStream replays accs through batches of the given size, compacting
-// each batch into an uncapped shard (as pipeline workers do) and merging
-// the shards in order into a master with the configured cap.
-func mergeStream(cfg FineConfig, accs []gpu.Access, objOf func(i int) int, batch int) []FineReport {
-	return mergeStreamWith(cfg, FineDetectors(nil), accs, objOf, batch)
-}
-
-// mergeStreamWith is mergeStream over an explicit detector lineup.
-func mergeStreamWith(cfg FineConfig, regs []Registration, accs []gpu.Access, objOf func(i int) int, batch int) []FineReport {
-	master := NewFineAccumulatorWith(cfg, regs)
-	shardCfg := cfg
-	shardCfg.MaxTrackedValues = math.MaxInt
-	for lo := 0; lo < len(accs); lo += batch {
-		hi := lo + batch
-		if hi > len(accs) {
-			hi = len(accs)
-		}
-		shard := NewFineAccumulatorWith(shardCfg, regs)
-		for i := lo; i < hi; i++ {
-			shard.Add(objOf(i), accs[i])
-		}
-		master.Merge(shard)
-	}
-	return master.Finalize()
-}
-
-// TestMergeMatchesSequential: batching a stream through uncapped shards
-// and in-order merges must finalize identically to sequential Adds —
-// the property the analysis pipeline's determinism rests on.
-func TestMergeMatchesSequential(t *testing.T) {
-	mk := func(i int) gpu.Access {
-		switch i % 4 {
-		case 0:
-			return f32Access(uint64(4*(i%64)), 0, true)
-		case 1:
-			return f32Access(uint64(4*(i%64)), float32(i%9)+0.5, false)
-		case 2:
-			return gpu.Access{Addr: uint64(8 * (i % 32)), Size: 8, Kind: gpu.KindInt,
-				Store: true, Raw: uint64(i % 6)}
-		default:
-			return f32Access(uint64(4*(i%64)), float32(i)*0.001, false)
-		}
-	}
-	objOf := func(i int) int { return 1 + i%3 }
-	const n = 600
-	accs := make([]gpu.Access, n)
-	for i := range accs {
-		accs[i] = mk(i)
-	}
-
-	seq := NewFineAccumulator(FineConfig{})
-	for i, a := range accs {
-		seq.Add(objOf(i), a)
-	}
-	want := seq.Finalize()
-
-	for _, batch := range []int{1, 7, 64, n} {
-		got := mergeStream(FineConfig{}, accs, objOf, batch)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("batch=%d: merged reports differ from sequential\nwant %+v\ngot  %+v", batch, want, got)
-		}
-	}
-}
-
-// TestMergeSaturationOrdering: with a tiny MaxTrackedValues the master must
-// reproduce global first-occurrence eviction — values that saturated the
-// sequential histogram stay evicted even if a later shard saw them first.
-func TestMergeSaturationOrdering(t *testing.T) {
-	cfg := FineConfig{MaxTrackedValues: 2}
-	// Values: A A B C C A — cap 2 tracks {A, B}; C overflows; the final A
-	// accesses must still count toward A, not overflow.
-	vals := []float32{1, 1, 2, 3, 3, 1}
-	accs := make([]gpu.Access, len(vals))
-	for i, v := range vals {
-		accs[i] = f32Access(uint64(4*i), v, true)
-	}
-	objOf := func(int) int { return 1 }
-
-	seq := NewFineAccumulator(cfg)
-	for i, a := range accs {
-		seq.Add(objOf(i), a)
-	}
-	want := seq.Finalize()
-	if want[0].DistinctValues != 2 {
-		t.Fatalf("sequential distinct = %d, want 2 (saturated)", want[0].DistinctValues)
-	}
-
-	// Batch boundary after "A A B": the second shard sees C before A.
-	for _, batch := range []int{1, 2, 3, 4} {
-		got := mergeStream(cfg, accs, objOf, batch)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("batch=%d: saturation diverged\nwant %+v\ngot  %+v", batch, want, got)
-		}
 	}
 }

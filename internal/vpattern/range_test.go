@@ -70,29 +70,6 @@ func ingestBulk(fa *FineAccumulator, recs []rec) {
 	}
 }
 
-// ingestSplit feeds recs the way a chunked batch is compacted: one pass
-// into the shared context and the exactly-mergeable observers, then a
-// second pass of the order-sensitive observers into a shard that merges
-// in.
-func ingestSplit(fa *FineAccumulator, recs []rec) {
-	for _, r := range recs {
-		if r.a.Count <= 1 {
-			fa.AddAssoc(r.obj, r.a)
-		} else if raws := fa.DecodeRange(r.a, r.vals); raws != nil {
-			fa.AddAssocRange(r.obj, r.a, raws)
-		}
-	}
-	shard := fa.NewShard()
-	for _, r := range recs {
-		if r.a.Count <= 1 {
-			shard.ObserveOrderSensitive(r.obj, r.a)
-		} else if raws := shard.DecodeRange(r.a, r.vals); raws != nil {
-			shard.ObserveOrderSensitiveRange(r.obj, r.a, raws)
-		}
-	}
-	fa.MergeOrderSensitive(shard)
-}
-
 // builtinFine is the six builtin fine detectors, whatever else tests
 // register.
 func builtinFine() []Registration {
@@ -100,22 +77,18 @@ func builtinFine() []Registration {
 		HeavyType: true, StructuredValues: true, ApproximateValues: true})
 }
 
-// checkRangeIngestion asserts that the bulk and split paths finalize
-// exactly like the per-element oracle over recs.
+// checkRangeIngestion asserts that the bulk path finalizes exactly like
+// the per-element oracle over recs.
 func checkRangeIngestion(t *testing.T, cfg FineConfig, recs []rec) {
 	t.Helper()
 	regs := builtinFine()
 	oracle := NewFineAccumulatorWith(cfg, regs)
 	ingestOracle(oracle, recs)
 	want := oracle.Finalize()
-	for name, ingest := range map[string]func(*FineAccumulator, []rec){
-		"bulk": ingestBulk, "assoc+order": ingestSplit,
-	} {
-		fa := NewFineAccumulatorWith(cfg, regs)
-		ingest(fa, recs)
-		if got := fa.Finalize(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s ingestion diverged from per-element expansion:\n got %+v\nwant %+v", name, got, want)
-		}
+	fa := NewFineAccumulatorWith(cfg, regs)
+	ingestBulk(fa, recs)
+	if got := fa.Finalize(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("bulk ingestion diverged from per-element expansion:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -194,6 +167,9 @@ func TestRangeIngestionMatchesPerElement(t *testing.T) {
 			loadRange(1, 0x80, 4, gpu.KindFloat, f32Raws(7, 7.0001, 1, 8, 8.0001, 9)),
 			loadRange(2, 0, 8, gpu.KindUint, seqRaws(12, 100, 1)),
 		}},
+		{"structured sweep with an infinity", FineConfig{StructuredMinCount: 4}, []rec{
+			loadRange(1, 0x100, 4, gpu.KindFloat, f32Raws(1, 3, 5, 7, float32(math.Inf(1)), 11, 13, 15, 17, 19)),
+		}},
 		{"structured element size differs from the range's", FineConfig{StructuredMinCount: 4}, []rec{
 			{obj: 1, a: gpu.Access{Addr: 0x1000, Size: 8, Kind: gpu.KindFloat, Raw: gpu.RawFromFloat64(0)}},
 			loadRange(1, 0x1008, 4, gpu.KindFloat, f32Raws(1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6)),
@@ -213,7 +189,6 @@ type recordingObserver struct{ seen *[]rec }
 func (d recordingObserver) Observe(objID int, a gpu.Access) {
 	*d.seen = append(*d.seen, rec{obj: objID, a: a})
 }
-func (d recordingObserver) Merge(Detector) {}
 func (d recordingObserver) Finalize(int, *ObjectShared) (Match, bool) {
 	return Match{}, false
 }
@@ -287,9 +262,8 @@ func rangeRecs(data []byte) []rec {
 }
 
 // FuzzAddRange: any stream of scalars, fills and captured or uncaptured
-// load ranges finalizes identically through the bulk path, the split
-// assoc+order path and the per-element oracle, under a histogram cap the
-// input chooses.
+// load ranges finalizes identically through the bulk path and the
+// per-element oracle, under a histogram cap the input chooses.
 func FuzzAddRange(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{18, 8, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32})

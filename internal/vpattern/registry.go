@@ -45,30 +45,18 @@ type Detector interface {
 
 // Observer is the optional Detector extension for patterns that keep
 // per-access state of their own. Only observers are called on the
-// per-access path. A compacted range record (Count > 1) is decoded once
-// and ingested whole: the builtin observers take all its element values
-// after one state lookup, and an observer without that internal range
-// method gets one Observe call per element, in element order, each a
-// scalar access (Count 1) at the element's address with its value.
-//
-// An observer participates in the analysis pipeline's compact/absorb
-// path: workers build an independent partial observer per flushed batch
-// (via the same factory) and the collector folds the partials into the
-// launch observer with Merge, in flush order — so an observer's merged
-// state must equal the state one sequential pass over the concatenated
-// batches would produce.
+// per-access path, and each sees one launch's accesses once, in order. A
+// compacted range record (Count > 1) is decoded once and ingested whole:
+// the builtin observers take all its element values after one state
+// lookup, and an observer without that internal range method gets one
+// Observe call per element, in element order, each a scalar access
+// (Count 1) at the element's address with its value.
 type Observer interface {
 	Detector
 
 	// Observe ingests one access of data object objID. The accumulator
 	// has already folded the access into the object's shared observation.
 	Observe(objID int, a gpu.Access)
-
-	// Merge folds a partial observer of the same concrete type — built
-	// over one flushed batch on a pipeline worker — into this one, in
-	// batch order. Merge reads the partial's state without consuming it;
-	// the engine resets (Resetter) or discards the partial afterwards.
-	Merge(partial Detector)
 }
 
 // FineAdvice maps one fine-grained match on a data object to the
@@ -99,18 +87,6 @@ type Registration struct {
 	// New builds the launch detector (fine kinds). nil for coarse kinds,
 	// whose snapshot machinery lives in the engine's coarse stage.
 	New func(cfg FineConfig) Detector
-	// ExactMerge declares an Observer's Merge exactly associative and
-	// equal to sequential observation: folding partials A then B into an
-	// empty observer and merging the result must equal merging A then B
-	// directly, bit for bit, and both must equal observing A's and B's
-	// accesses in turn. Only such observers participate in shard
-	// pre-combining, intra-batch chunked compaction and the zero-worker
-	// engine's direct adds; the rest (e.g. structured values, whose merge
-	// rebases floating-point sums) always observe whole batches
-	// sequentially and merge strictly in flush order. Leave unset when
-	// in doubt — it only costs those shortcuts. Ignored for detectors
-	// that are not Observers.
-	ExactMerge bool
 	// Advise derives the advisor suggestion for one match (fine kinds);
 	// nil emits no per-match suggestions.
 	Advise FineAdvice

@@ -117,9 +117,6 @@ type countingDetector struct {
 }
 
 func (d countingDetector) Observe(objID int, a gpu.Access) { *d.observes++ }
-func (d countingDetector) Merge(partial Detector) {
-	*d.observes += *partial.(countingDetector).observes
-}
 func (d countingDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
 	return Match{}, false
 }
@@ -171,7 +168,6 @@ func TestRegisterAutoKindAndDisabledByDefault(t *testing.T) {
 type noopDetector struct{}
 
 func (noopDetector) Observe(objID int, a gpu.Access)                    {}
-func (noopDetector) Merge(partial Detector)                             {}
 func (noopDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) { return Match{}, false }
 
 func TestFineDetectorsSelection(t *testing.T) {

@@ -102,7 +102,7 @@ var ReadReport = profile.ReadJSON
 // recorder threaded through Config.Telemetry collects per-stage metrics
 // (Metrics/WriteMetrics); attach a TraceSink (NewTraceBuffer) to it with
 // AttachTrace for a Chrome trace-event self-trace showing kernel
-// execution overlapped with the analysis workers. Enabling telemetry
+// execution overlapped with the analysis goroutine. Enabling telemetry
 // never changes the emitted report.
 type (
 	// Telemetry is a per-run metrics registry and trace-span source.
@@ -244,7 +244,7 @@ type (
 	// from the shared per-object observation.
 	PatternDetector = vpattern.Detector
 	// PatternObserver is a PatternDetector that also keeps per-access
-	// state of its own (Observe/Merge); only observers are called on the
+	// state of its own (Observe); only observers are called on the
 	// per-access path.
 	PatternObserver = vpattern.Observer
 	// PatternMatch is one detected pattern instance on a data object.
