@@ -56,9 +56,9 @@ func main() {
 		}
 		return
 	}
-	// The shared validator covers the engine flags (-workers, -depth,
-	// -sample, -scale, -reuse, -patterns, -faults) with errors that speak
-	// flag names — the same surface vxprofd validates per session.
+	// The shared validator covers the engine flags (-sample, -scale,
+	// -reuse, -patterns, -faults) with errors that speak flag names — the
+	// same surface vxprofd validates per session.
 	if err := o.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "vxprof:", err)
 		os.Exit(2)

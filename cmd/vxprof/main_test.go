@@ -66,7 +66,7 @@ func TestRunProducesAllArtifacts(t *testing.T) {
 
 	o := opts("RTX 2080 Ti", cliconfig.Options{
 		Coarse: true, Fine: true, ReuseDistance: true,
-		Kernels: "fill_kernel,gemm_kernel", Workers: 2, Depth: 2,
+		Kernels: "fill_kernel,gemm_kernel",
 	})
 	o.jsonOut, o.dotOut, o.htmlOut = jsonOut, dotOut, htmlOut
 	if err := run("Darknet", o, 64, false); err != nil {
@@ -104,7 +104,7 @@ func TestRecordAndReplay(t *testing.T) {
 		t.Fatalf("trace artifact: %v", err)
 	}
 	jsonOut := filepath.Join(dir, "replayed.json")
-	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true, Workers: 4, Depth: 2})
+	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true})
 	o.jsonOut = jsonOut
 	if err := replayRun(traceOut, o); err != nil {
 		t.Fatal(err)
@@ -143,8 +143,6 @@ func TestConfigErrorsExitNonZero(t *testing.T) {
 		args  []string
 		flag  string
 	}{
-		{"AnalysisWorkers", []string{"-workers=-1"}, "-workers"},
-		{"PipelineDepth", []string{"-depth=-2"}, "-depth"},
 		// Sampling-period errors are caught by the CLI-local -sample >= 1
 		// check, which fronts the same engine fields.
 		{"KernelSamplingPeriod", []string{"-sample=-1"}, "-sample"},
@@ -167,7 +165,6 @@ func TestConfigErrorsExitNonZero(t *testing.T) {
 		field string
 		cfg   valueexpert.Config
 	}{
-		{"MergeWorkers", valueexpert.Config{MergeWorkers: -1}},
 		{"BufferRecords", valueexpert.Config{BufferRecords: -64}},
 		{"CopyStrategy", valueexpert.Config{CopyStrategy: valueexpert.AdaptiveCopy + 1}},
 	}
@@ -219,7 +216,7 @@ func TestTelemetryArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	metricsOut := filepath.Join(dir, "m.json")
 	selftraceOut := filepath.Join(dir, "t.json")
-	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true, Workers: 4, Depth: 4})
+	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true})
 	o.metricsOut, o.selftraceOut, o.overhead = metricsOut, selftraceOut, true
 	if err := run("Darknet", o, 64, false); err != nil {
 		t.Fatal(err)
@@ -300,7 +297,7 @@ func TestRunWithPatternSubset(t *testing.T) {
 // byte-identity of the resulting report is pinned by the proptest
 // harness (property g); this covers the CLI plumbing.
 func TestRemoteRun(t *testing.T) {
-	eng := cliconfig.Options{Coarse: true, Fine: true, Sample: 1, Scale: 64, Workers: 2, Depth: 2}
+	eng := cliconfig.Options{Coarse: true, Fine: true, Sample: 1, Scale: 64}
 	svc := valueexpert.NewService()
 	defer svc.Shutdown()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

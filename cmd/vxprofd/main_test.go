@@ -219,6 +219,8 @@ func TestBadRequests(t *testing.T) {
 		{"capitalized option key", `{"workload": "Darknet", "options": {"Sample": 0}}`, "-sample must be >= 1", "invalid_option", "sample"},
 		// Keys outside the canonical schema are rejected, not dropped.
 		{"unknown option key", `{"workload": "Darknet", "options": {"max-running": 2}}`, `unknown option "max-running"`, "invalid_option", "max-running"},
+		{"retired workers key", `{"workload": "Darknet", "options": {"workers": 2}}`, `unknown option "workers"`, "invalid_option", "workers"},
+		{"retired depth key", `{"workload": "Darknet", "options": {"depth": 2}}`, `unknown option "depth"`, "invalid_option", "depth"},
 		{"malformed options", `{"workload": "Darknet", "options": {"sample": "x"}}`, "invalid options", "invalid_request", "options"},
 	} {
 		code, e := post(tc.body)

@@ -120,44 +120,41 @@ func TestPoisonOffByDefault(t *testing.T) {
 }
 
 // TestPoisonInLoadRange: a NaN inside a compacted load range reaches the
-// detector, which observes ranges element by element, on the inline and
-// the pipelined engine alike.
+// detector, which observes ranges element by element.
 func TestPoisonInLoadRange(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		rt := cuda.NewRuntime(gpu.RTX2080Ti)
-		p := valueexpert.Attach(rt, valueexpert.Config{
-			Coarse: true, Fine: true, Patterns: []string{Name}, AnalysisWorkers: workers,
-		})
-		host := make([]float32, 64)
-		for i := range host {
-			host[i] = float32(i)
-		}
-		host[37] = float32(math.NaN())
-		data, err := rt.MallocF32(len(host), "data")
-		if err == nil {
-			err = rt.CopyF32ToDevice(data, host)
-		}
-		if err == nil {
-			err = rt.Launch(&gpu.GoKernel{
-				Name: "bulk_kernel",
-				Func: func(th *gpu.Thread) { th.BulkLoad(0, uint64(data), len(host), 4, gpu.KindFloat) },
-			}, gpu.Dim1(1), gpu.Dim1(1))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := p.Report()
-		p.Detach()
-		var detail string
-		for _, f := range rep.Fine {
-			for _, pt := range f.Patterns {
-				if pt.Kind == Name {
-					detail = pt.Detail
-				}
+	rt := cuda.NewRuntime(gpu.RTX2080Ti)
+	p := valueexpert.Attach(rt, valueexpert.Config{
+		Coarse: true, Fine: true, Patterns: []string{Name},
+	})
+	host := make([]float32, 64)
+	for i := range host {
+		host[i] = float32(i)
+	}
+	host[37] = float32(math.NaN())
+	data, err := rt.MallocF32(len(host), "data")
+	if err == nil {
+		err = rt.CopyF32ToDevice(data, host)
+	}
+	if err == nil {
+		err = rt.Launch(&gpu.GoKernel{
+			Name: "bulk_kernel",
+			Func: func(th *gpu.Thread) { th.BulkLoad(0, uint64(data), len(host), 4, gpu.KindFloat) },
+		}, gpu.Dim1(1), gpu.Dim1(1))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := p.Report()
+	p.Detach()
+	var detail string
+	for _, f := range rep.Fine {
+		for _, pt := range f.Patterns {
+			if pt.Kind == Name {
+				detail = pt.Detail
 			}
 		}
-		if !strings.Contains(detail, "1 poisoned access(es): 1 NaN, 0 Inf") {
-			t.Fatalf("workers=%d: poison detail = %q, want the range's one NaN", workers, detail)
-		}
+	}
+	if !strings.Contains(detail, "1 poisoned access(es): 1 NaN, 0 Inf") {
+		t.Fatalf("poison detail = %q, want the range's one NaN", detail)
 	}
 }

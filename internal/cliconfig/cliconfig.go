@@ -1,12 +1,14 @@
 // Package cliconfig is the engine-facing flag surface shared by the
 // ValueExpert CLIs: vxprof (one-shot profiling) and vxprofd (the
 // multi-tenant service) accept the same analysis flags — -coarse, -fine,
-// -kernels, -patterns, -sample, -workers, -depth, -reuse, -faults,
-// -scale — and must reject invalid values with identical messages that
-// speak flag names, not Config field names. This package owns that
-// flag→Config translation once: registration with shared defaults,
-// validation through core's Config.Validate with the typed ConfigError
-// field mapped back to its flag, and the -patterns/-faults spec parsing.
+// -kernels, -patterns, -sample, -reuse, -faults, -scale — and must
+// reject invalid values with identical messages that speak flag names,
+// not Config field names. This package owns that flag→Config
+// translation once: registration with shared defaults, validation
+// through core's Config.Validate with the typed ConfigError field mapped
+// back to its flag, and the -patterns/-faults spec parsing. The engine
+// itself has no tuning flags: one analysis goroutine and two flush
+// buffers per profiler, always.
 package cliconfig
 
 import (
@@ -37,10 +39,8 @@ type Options struct {
 	Kernels       string `json:"kernels"`  // comma-separated kernel filter ("" = all)
 	Patterns      string `json:"patterns"` // raw -patterns value ("" = registry defaults)
 	Sample        int    `json:"sample"`
-	Scale         int    `json:"scale"`   // problem-size divisor for bundled workloads
-	Workers       int    `json:"workers"` // accepted and validated; no effect
-	Depth         int    `json:"depth"`   // accepted and validated; no effect
-	Faults        string `json:"faults"`  // raw -faults spec ("" = no injection)
+	Scale         int    `json:"scale"`  // problem-size divisor for bundled workloads
+	Faults        string `json:"faults"` // raw -faults spec ("" = no injection)
 }
 
 // OptionError is a rejected option value. Option is the canonical name —
@@ -90,16 +90,12 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.IntVar(&o.Sample, "sample", 1, "kernel/block sampling period for fine analysis")
 	fs.IntVar(&o.Scale, "scale", 8, "problem-size divisor (1 = full scale)")
 	fs.BoolVar(&o.ReuseDistance, "reuse", false, "additionally compute per-kernel reuse-distance histograms")
-	fs.IntVar(&o.Workers, "workers", 0, "accepted for compatibility; no effect (one analysis goroutine always overlaps kernel execution); must be >= 0")
-	fs.IntVar(&o.Depth, "depth", 0, "accepted for compatibility; no effect (two flush buffers); must be >= 0")
 	fs.StringVar(&o.Faults, "faults", "", "deterministic fault-injection spec, e.g. 'seed=7,prob=0.05' or 'malloc@1,launch@2+16' (see DESIGN.md §8)")
 }
 
 // FlagForField maps Config.Validate's typed field names back to the
 // flags that set them, so validation errors speak the CLI's vocabulary.
 var FlagForField = map[string]string{
-	"AnalysisWorkers":      "-workers",
-	"PipelineDepth":        "-depth",
 	"KernelSamplingPeriod": "-sample",
 	"BlockSamplingPeriod":  "-sample",
 	"ReuseDistance":        "-reuse",
@@ -140,8 +136,6 @@ func (o *Options) Validate() error {
 		Coarse:               o.Coarse,
 		Fine:                 o.Fine,
 		ReuseDistance:        o.ReuseDistance,
-		AnalysisWorkers:      o.Workers,
-		PipelineDepth:        o.Depth,
 		KernelSamplingPeriod: o.Sample,
 		BlockSamplingPeriod:  o.Sample,
 	}
@@ -218,8 +212,6 @@ func (o *Options) EngineConfig(program string) (core.Config, error) {
 		KernelFilter:         o.KernelFilter(),
 		KernelSamplingPeriod: o.Sample,
 		BlockSamplingPeriod:  o.Sample,
-		AnalysisWorkers:      o.Workers,
-		PipelineDepth:        o.Depth,
 		Program:              program,
 	}, nil
 }

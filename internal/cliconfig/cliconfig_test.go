@@ -27,7 +27,7 @@ func TestRegisterDefaults(t *testing.T) {
 	if !o.Coarse || !o.Fine || o.ReuseDistance {
 		t.Fatalf("analysis defaults: %+v", o)
 	}
-	if o.Sample != 1 || o.Scale != 8 || o.Workers != 0 || o.Depth != 0 {
+	if o.Sample != 1 || o.Scale != 8 {
 		t.Fatalf("numeric defaults: %+v", o)
 	}
 	if err := o.Validate(); err != nil {
@@ -37,7 +37,7 @@ func TestRegisterDefaults(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	valid := defaults(t)
-	valid.Workers, valid.Depth, valid.Sample, valid.Scale = 4, 4, 20, 1
+	valid.Sample, valid.Scale = 20, 1
 	valid.ReuseDistance = true
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid settings rejected: %v", err)
@@ -48,8 +48,6 @@ func TestValidate(t *testing.T) {
 		mut  func(*Options)
 		flag string
 	}{
-		{"negative workers", func(o *Options) { o.Workers = -1 }, "-workers"},
-		{"negative depth", func(o *Options) { o.Depth = -3 }, "-depth"},
 		{"zero sample", func(o *Options) { o.Sample = 0 }, "-sample"},
 		{"negative sample", func(o *Options) { o.Sample = -5 }, "-sample"},
 		{"zero scale", func(o *Options) { o.Scale = 0 }, "-scale"},
@@ -112,7 +110,7 @@ func TestFlagJSONEquivalence(t *testing.T) {
 	if err := fs.Parse([]string{
 		"-coarse=false", "-reuse", "-kernels", "gemm_kernel",
 		"-patterns", "single zero", "-sample", "20", "-scale", "2",
-		"-workers", "4", "-depth", "3", "-faults", "seed=7,prob=0.5",
+		"-faults", "seed=7,prob=0.5",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +118,7 @@ func TestFlagJSONEquivalence(t *testing.T) {
 	byJSON := defaults(t)
 	body := `{"coarse": false, "reuse": true, "kernels": "gemm_kernel",
 		"patterns": "single zero", "sample": 20, "scale": 2,
-		"workers": 4, "depth": 3, "faults": "seed=7,prob=0.5"}`
+		"faults": "seed=7,prob=0.5"}`
 	if err := json.Unmarshal([]byte(body), byJSON); err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +137,6 @@ func TestOptionErrorTyped(t *testing.T) {
 	}{
 		{func(o *Options) { o.Sample = 0 }, "sample"},
 		{func(o *Options) { o.Scale = 0 }, "scale"},
-		{func(o *Options) { o.Workers = -1 }, "workers"},
-		{func(o *Options) { o.Depth = -1 }, "depth"},
 		{func(o *Options) { o.Patterns = "bogus" }, "patterns"},
 		{func(o *Options) { o.Faults = "bogus@x" }, "faults"},
 	}
@@ -220,7 +216,7 @@ func TestEngineConfig(t *testing.T) {
 	o := defaults(t)
 	o.Patterns = "single zero"
 	o.Kernels = "gemm_kernel"
-	o.Workers, o.Depth, o.Sample = 2, 3, 4
+	o.Sample = 4
 	cfg, err := o.EngineConfig("demo")
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +224,8 @@ func TestEngineConfig(t *testing.T) {
 	if cfg.Program != "demo" || !cfg.Coarse || !cfg.Fine {
 		t.Fatalf("config basics: %+v", cfg)
 	}
-	if cfg.AnalysisWorkers != 2 || cfg.PipelineDepth != 3 ||
-		cfg.KernelSamplingPeriod != 4 || cfg.BlockSamplingPeriod != 4 {
-		t.Fatalf("config pipeline settings: %+v", cfg)
+	if cfg.KernelSamplingPeriod != 4 || cfg.BlockSamplingPeriod != 4 {
+		t.Fatalf("config sampling settings: %+v", cfg)
 	}
 	if len(cfg.Patterns) != 1 || cfg.Patterns[0] != "single zero" {
 		t.Fatalf("config patterns: %v", cfg.Patterns)

@@ -18,7 +18,7 @@ import (
 type Batch struct {
 	// Recs is the flushed access-record buffer. Ownership passes with the
 	// batch; the engine recycles it to the sanitizer pool once every
-	// stage has absorbed the batch, so a stage must never retain the
+	// stage has analyzed the batch, so a stage must never retain the
 	// batch or its record slice.
 	Recs []gpu.Access
 
@@ -50,10 +50,6 @@ func (b *Batch) RangeVal(i int) []byte {
 	off := int(b.rangeOff[i])
 	return b.rangeBytes[off : off+int(b.Recs[i].Bytes())]
 }
-
-// Partial is one stage's compacted result for one batch, ready for
-// absorption into the stage's launch state.
-type Partial interface{}
 
 // Analysis is one pluggable stage of the analysis engine. The engine owns
 // collection (API interception, sanitizer buffers, the analysis
@@ -87,9 +83,9 @@ type Analysis interface {
 	LaunchBegin(kernel string) LaunchAnalysis
 
 	// LaunchEnd finalizes a completed launch. la is the accumulator
-	// returned by LaunchBegin — fully absorbed — or nil when the launch
-	// was filtered or sampled out (a stage may still record the launch's
-	// presence).
+	// returned by LaunchBegin, with every batch analyzed, or nil when the
+	// launch was filtered or sampled out (a stage may still record the
+	// launch's presence).
 	LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis)
 
 	// APIBegin observes a non-launch API event before its device effect
@@ -105,19 +101,18 @@ type Analysis interface {
 
 // LaunchAnalysis accumulates one instrumented launch for one stage.
 //
-// For every batch the engine calls Compact and then Absorb with its
-// result, in flush order, on the kernel-execution goroutine, while the
-// kernel is stopped at the flush: Compact may read the batch, allocation
-// metadata and device memory. (The built-in batch-only stages run on the
-// analysis goroutine instead; see batchOnly.) A stage sees each launch's
-// accesses once, in order, so order-sensitive analyses need no merging.
+// For every batch the engine calls Analyze, in flush order, on the
+// kernel-execution goroutine, while the kernel is stopped at the flush:
+// Analyze may read the batch, allocation metadata and device memory. (The
+// built-in batch-only stages run on the analysis goroutine instead; see
+// batchOnly.) A stage sees each launch's accesses once, in order, so
+// order-sensitive analyses need no merging.
 type LaunchAnalysis interface {
-	Compact(b *Batch) Partial
-	Absorb(pt Partial)
+	Analyze(b *Batch)
 }
 
 // batchOnly marks the built-in stages whose per-launch work reads only the
-// batch (fine, reuse distance). Their Compact/Absorb and LaunchEnd run on
+// batch (fine, reuse distance). Their Analyze and LaunchEnd run on
 // the profiler's analysis goroutine, in the same order as on the kernel
 // goroutine, overlapping the program's next APIs; APIBegin, APIEnd and
 // Finish stay on the calling goroutine, and the engine never calls

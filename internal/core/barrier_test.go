@@ -41,9 +41,9 @@ func TestAnalysisBarriers(t *testing.T) {
 		cfg := oracleCfg
 		cfg.RetainDeadObjects = 2
 		evicted := 0
-		matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
+		matchesSynchronous(t, func(inline bool) []byte {
 			rt := cuda.NewRuntime(gpu.RTX2080Ti)
-			p := attachMode(rt, cfg, inline, workers, depth)
+			p := attachMode(rt, cfg, inline)
 			churn(t, rt, 12, 1024)
 			evicted = p.EvictedObjects()
 			p.Detach()
@@ -56,7 +56,7 @@ func TestAnalysisBarriers(t *testing.T) {
 
 	t.Run("kernel fault mid-launch", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
+		matchesSynchronous(t, func(inline bool) []byte {
 			var out []byte
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -64,7 +64,7 @@ func TestAnalysisBarriers(t *testing.T) {
 				defer wg.Done()
 				rt := cuda.NewRuntime(gpu.RTX2080Ti)
 				rt.ArmFaults(faultinject.New().FailLaunchNth(1, 700))
-				p := attachMode(rt, oracleCfg, inline, workers, depth)
+				p := attachMode(rt, oracleCfg, inline)
 				faultyQuickstart(rt)
 				if p.Report().Degraded.SkippedLaunches != 1 {
 					t.Error("the faulted launch was not skipped")
@@ -79,9 +79,9 @@ func TestAnalysisBarriers(t *testing.T) {
 	})
 
 	t.Run("partial report mid-run", func(t *testing.T) {
-		matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
+		matchesSynchronous(t, func(inline bool) []byte {
 			rt := cuda.NewRuntime(gpu.RTX2080Ti)
-			snap := &snapshotter{Profiler: attachMode(rt, oracleCfg, inline, workers, depth), t: t}
+			snap := &snapshotter{Profiler: attachMode(rt, oracleCfg, inline), t: t}
 			rt.SetInterceptor(snap)
 			runQuickstart(t, rt)
 			snap.Detach()
@@ -102,7 +102,7 @@ func TestAnalysisBarriers(t *testing.T) {
 			return nil
 		}
 		ref, err := cuda.Drive(cuda.NewLiveSource(cuda.NewRuntime(gpu.RTX2080Ti), program),
-			func(rt *cuda.Runtime) *Profiler { return attachMode(rt, cfg, true, 0, 0) })
+			func(rt *cuda.Runtime) *Profiler { return attachMode(rt, cfg, true) })
 		if err != nil {
 			t.Fatal(err)
 		}

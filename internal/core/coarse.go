@@ -62,7 +62,7 @@ func newCoarseStage(env Env) *coarseStage {
 		cfg:       env.Cfg,
 		tree:      env.Tree,
 		graph:     env.Graph,
-		merger:    interval.NewMerger(env.Cfg.MergeWorkers),
+		merger:    interval.NewMerger(0),
 		dup:       vpattern.NewDuplicateTracker(),
 		redundant: env.Patterns.Enabled(vpattern.RedundantValues),
 		duplicate: env.Patterns.Enabled(vpattern.DuplicateValues),
@@ -277,14 +277,14 @@ type activeRun struct {
 	valid bool
 }
 
-// Compact performs warp-style compaction of the batch's intervals per
+// Analyze performs warp-style compaction of the batch's intervals per
 // (object, operation) pair. Consecutive records overwhelmingly hit the
 // same data object at adjacent addresses (coalesced warps), so compaction
 // is a linear pass that extends open runs — the cheap, GPU-friendly
 // processing §6.1 implements with warp shuffle primitives — with the
 // final parallel merge cleaning up whatever disorder remains. Runs and
 // counters go straight into the launch accumulator.
-func (la *coarseLaunch) Compact(b *Batch) Partial {
+func (la *coarseLaunch) Analyze(b *Batch) {
 	// A handful of open runs covers the access interleavings real kernels
 	// produce (a few operands per loop body).
 	var runs [6]activeRun
@@ -346,13 +346,7 @@ func (la *coarseLaunch) Compact(b *Batch) Partial {
 	for s := range runs {
 		flush(&runs[s])
 	}
-	return nil
 }
-
-// Absorb has nothing left to fold: Compact extended the launch's
-// intervals and counters. Interval order across batches is canonicalized
-// by the parallel merge at launch end.
-func (*coarseLaunch) Absorb(Partial) {}
 
 // LaunchEnd finalizes a launch: the "data processing kernel" runs the
 // parallel interval merge over each written object's accumulated

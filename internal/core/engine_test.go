@@ -12,36 +12,33 @@ import (
 )
 
 // TestDrainIdempotent: Drain must be safe with no launch in flight and
-// when called repeatedly, in both the inline and pipelined modes, and the
-// profiler must keep working afterwards.
+// when called repeatedly, and the profiler must keep working afterwards.
 func TestDrainIdempotent(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		rt := cuda.NewRuntime(gpu.RTX2080Ti)
-		p := Attach(rt, Config{Fine: true, BufferRecords: 8, AnalysisWorkers: workers})
+	rt := cuda.NewRuntime(gpu.RTX2080Ti)
+	p := Attach(rt, Config{Fine: true, BufferRecords: 8})
 
-		p.Drain() // nothing in flight
-		p.Drain()
+	p.Drain() // nothing in flight
+	p.Drain()
 
-		const n = 64
-		x, err := rt.MallocF32(n, "x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Launch(fillKernel(x, 1, n), gpu.Dim1(1), gpu.Dim1(n)); err != nil {
-			t.Fatal(err)
-		}
-		p.Drain() // launch already completed: still nothing in flight
-		p.Drain()
-
-		if err := rt.Launch(fillKernel(x, 2, n), gpu.Dim1(1), gpu.Dim1(n)); err != nil {
-			t.Fatal(err)
-		}
-		rep := p.Report()
-		if len(rep.Fine) != 2 {
-			t.Fatalf("workers=%d: fine records after drains = %+v", workers, rep.Fine)
-		}
-		p.Detach()
+	const n = 64
+	x, err := rt.MallocF32(n, "x")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := rt.Launch(fillKernel(x, 1, n), gpu.Dim1(1), gpu.Dim1(n)); err != nil {
+		t.Fatal(err)
+	}
+	p.Drain() // launch already completed: still nothing in flight
+	p.Drain()
+
+	if err := rt.Launch(fillKernel(x, 2, n), gpu.Dim1(1), gpu.Dim1(n)); err != nil {
+		t.Fatal(err)
+	}
+	rep := p.Report()
+	if len(rep.Fine) != 2 {
+		t.Fatalf("fine records after drains = %+v", rep.Fine)
+	}
+	p.Detach()
 }
 
 // countingStage is a custom Analysis registered through Config.Analyses:
@@ -64,8 +61,7 @@ type countingLaunch struct {
 
 func (s *countingStage) LaunchBegin(string) LaunchAnalysis { return &countingLaunch{s: s} }
 
-func (la *countingLaunch) Compact(b *Batch) Partial { return uint64(len(b.Recs)) }
-func (la *countingLaunch) Absorb(pt Partial)        { la.total += pt.(uint64) }
+func (la *countingLaunch) Analyze(b *Batch) { la.total += uint64(len(b.Recs)) }
 
 func (s *countingStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
 	if la == nil {
@@ -79,33 +75,30 @@ func (s *countingStage) Finish(*profile.Report) { s.finished = true }
 
 // TestCustomAnalysisStage: a stage registered via Config.Analyses drives
 // instrumentation by itself (all built-in analyses off) and sees the full
-// access stream through both the inline and pipelined executors.
+// access stream.
 func TestCustomAnalysisStage(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		st := &countingStage{}
-		rt := cuda.NewRuntime(gpu.RTX2080Ti)
-		p := Attach(rt, Config{
-			BufferRecords:   16,
-			AnalysisWorkers: workers,
-			Analyses:        []AnalysisFactory{func(Env) Analysis { return st }},
-		})
-		const n = 256
-		x, err := rt.MallocF32(n, "x")
-		if err != nil {
+	st := &countingStage{}
+	rt := cuda.NewRuntime(gpu.RTX2080Ti)
+	p := Attach(rt, Config{
+		BufferRecords: 16,
+		Analyses:      []AnalysisFactory{func(Env) Analysis { return st }},
+	})
+	const n = 256
+	x, err := rt.MallocF32(n, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 0; l < 3; l++ {
+		if err := rt.Launch(fillKernel(x, float32(l), n), gpu.Dim1(2), gpu.Dim1(n/2)); err != nil {
 			t.Fatal(err)
 		}
-		for l := 0; l < 3; l++ {
-			if err := rt.Launch(fillKernel(x, float32(l), n), gpu.Dim1(2), gpu.Dim1(n/2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p.Report()
-		if st.launches != 3 || st.accesses != 3*n || !st.finished {
-			t.Fatalf("workers=%d: custom stage saw launches=%d accesses=%d finished=%v",
-				workers, st.launches, st.accesses, st.finished)
-		}
-		p.Detach()
 	}
+	p.Report()
+	if st.launches != 3 || st.accesses != 3*n || !st.finished {
+		t.Fatalf("custom stage saw launches=%d accesses=%d finished=%v",
+			st.launches, st.accesses, st.finished)
+	}
+	p.Detach()
 }
 
 // TestConcurrentSessionsByteIdentical: two Sessions profiling different
@@ -119,8 +112,7 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 
 	cfg := Config{
 		Coarse: true, Fine: true,
-		BufferRecords:   512,
-		AnalysisWorkers: 4,
+		BufferRecords: 512,
 	}
 	// One profiling closure per workload: a single call site keeps the
 	// captured allocation call paths identical between solo and

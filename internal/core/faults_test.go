@@ -75,9 +75,8 @@ func faultyQuickstart(rt *cuda.Runtime) []error {
 
 var faultyCfg = Config{
 	Coarse: true, Fine: true,
-	BufferRecords:   64,
-	AnalysisWorkers: 2,
-	Program:         "faulty",
+	BufferRecords: 64,
+	Program:       "faulty",
 }
 
 // runWithPlan attaches a profiler to a fresh runtime with plan armed,
@@ -217,10 +216,8 @@ func TestDegradedFlushDropAndTruncate(t *testing.T) {
 // report is byte-identical to the unfaulted baseline except for the
 // Degraded section naming the fired injection.
 func TestFlushDelayIsCleanDegradation(t *testing.T) {
-	cfg := faultyCfg
-	cfg.PipelineDepth = 3
-	pBase, _ := runWithPlan(t, nil, cfg)
-	pDelay, errs := runWithPlan(t, faultinject.New().FailNth(faultinject.FlushDelay, 1), cfg)
+	pBase, _ := runWithPlan(t, nil, faultyCfg)
+	pDelay, errs := runWithPlan(t, faultinject.New().FailNth(faultinject.FlushDelay, 1), faultyCfg)
 	if len(errs) != 0 {
 		t.Fatalf("errors = %v", errs)
 	}
@@ -287,7 +284,6 @@ func TestDrainRacesInFlightFaultedLaunch(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := faultyCfg
 	cfg.BufferRecords = 8
-	cfg.AnalysisWorkers = 4
 	plan := faultinject.New().FailLaunchNth(1, 500)
 	p, errs := runWithPlan(t, plan, cfg)
 	if len(errs) != 1 {

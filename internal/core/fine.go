@@ -54,10 +54,10 @@ func (s *fineStage) LaunchBegin(string) LaunchAnalysis {
 	return &fineLaunch{acc: acc}
 }
 
-// Compact adds the batch straight into the launch accumulator: a scalar
+// Analyze adds the batch straight into the launch accumulator: a scalar
 // record through Add, a compacted range record decoded once and ingested
 // whole.
-func (la *fineLaunch) Compact(b *Batch) Partial {
+func (la *fineLaunch) Analyze(b *Batch) {
 	acc := la.acc
 	for i, a := range b.Recs {
 		id := b.IDs[i]
@@ -70,11 +70,7 @@ func (la *fineLaunch) Compact(b *Batch) Partial {
 			acc.AddRange(id, a, raws)
 		}
 	}
-	return nil
 }
-
-// Absorb has nothing left to fold: Compact added the batch.
-func (*fineLaunch) Absorb(Partial) {}
 
 // LaunchEnd finalizes the launch's per-object pattern reports and
 // recycles the accumulator.

@@ -121,7 +121,7 @@ func TestChunkedCompactMatchesSequential(t *testing.T) {
 	for _, fc := range []vpattern.FineConfig{{}, {MaxTrackedValues: 8}} {
 		st := newFineStage(Env{Cfg: &Config{FineConfig: fc}})
 		whole := st.LaunchBegin("k").(*fineLaunch)
-		whole.Compact(b)
+		whole.Analyze(b)
 		want := whole.acc.Finalize()
 		if !hasPattern(want, vpattern.StructuredValues) {
 			t.Fatalf("cap %d: the sweep shows no structured values", fc.MaxTrackedValues)
@@ -130,7 +130,7 @@ func TestChunkedCompactMatchesSequential(t *testing.T) {
 			la := st.LaunchBegin("k").(*fineLaunch)
 			for lo := 0; lo < n; lo += chunk {
 				hi := min(lo+chunk, n)
-				la.Compact(&Batch{Recs: b.Recs[lo:hi], IDs: b.IDs[lo:hi],
+				la.Analyze(&Batch{Recs: b.Recs[lo:hi], IDs: b.IDs[lo:hi],
 					rangeOff: b.rangeOff[lo:hi], rangeBytes: b.rangeBytes})
 			}
 			if got := la.acc.Finalize(); !reflect.DeepEqual(want, got) {

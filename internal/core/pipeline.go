@@ -9,9 +9,10 @@
 // launch's last batch, finalizes them, in FIFO order, while the kernel
 // goroutine runs the next API. Every stage sees each launch's accesses
 // once, in flush order, so the report is the one fully synchronous
-// analysis emits, by construction. The sanitizer cycles at most
-// pipelineDepth flush buffers; a flush that finds them all in flight
-// waits, which bounds how far analysis falls behind collection.
+// analysis emits, by construction. The sanitizer cycles at most two flush
+// buffers, one filling while the analysis goroutine drains the other
+// (§6.1's double buffering); a flush that finds both in flight waits,
+// which bounds how far analysis falls behind collection.
 package core
 
 import (
@@ -23,12 +24,6 @@ import (
 	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
 )
-
-// pipelineDepth is the number of flush buffers the sanitizer cycles:
-// one filling while the analysis goroutine drains the other (§6.1's
-// double buffering). The second is allocated only when a flush finds the
-// first still in flight.
-const pipelineDepth = 2
 
 // task is one entry of the analysis goroutine's FIFO queue: a flushed
 // batch of launch ls or, when b is nil, the marker that ls has ended.
@@ -141,13 +136,10 @@ func (a *analyzer) analyze(ls *launchState, b *Batch, async bool) {
 		if la == nil || a.async[i] != async {
 			continue
 		}
-		sw := a.probes.compact[i].Start()
-		pt := la.Compact(b)
+		sw := a.probes.analyze[i].Start()
+		la.Analyze(b)
 		sw.Stop()
 		a.probes.batches[i].Inc()
-		sw = a.probes.absorb[i].Start()
-		la.Absorb(pt)
-		sw.Stop()
 	}
 }
 
@@ -190,7 +182,7 @@ func (a *analyzer) newBatch(recs []gpu.Access) *Batch {
 
 // release returns the batch shell to the spares and then the record
 // buffer to the sanitizer, so a flush that was waiting for the buffer
-// finds the shell already back. Called once every stage has absorbed the
+// finds the shell already back. Called once every stage has analyzed the
 // batch.
 func (a *analyzer) release(b *Batch) {
 	recs := b.Recs

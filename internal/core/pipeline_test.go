@@ -95,45 +95,23 @@ func runQuickstart(t testing.TB, rt *cuda.Runtime) {
 	}
 }
 
-// engineModes are the settings every oracle test runs: the synchronous
-// reference driver, which makes the same stage calls inline on the
-// kernel-execution goroutine, then the asynchronous engine under the
-// default and two no-op AnalysisWorkers/PipelineDepth settings.
-var engineModes = []struct {
-	name           string
-	inline         bool
-	workers, depth int
-}{
-	{"synchronous", true, 0, 0},
-	{"async", false, 0, 0},
-	{"async workers=1 depth=2", false, 1, 2},
-	{"async workers=4 depth=4", false, 4, 4},
-}
-
-// attachMode attaches a profiler under one engine mode.
-func attachMode(rt *cuda.Runtime, cfg Config, inline bool, workers, depth int) *Profiler {
-	cfg.AnalysisWorkers, cfg.PipelineDepth = workers, depth
+// attachMode attaches a profiler that runs its stages on the analysis
+// goroutine or, when inline is set, on the kernel-execution goroutine:
+// the synchronous reference driver, which makes the same stage calls.
+func attachMode(rt *cuda.Runtime, cfg Config, inline bool) *Profiler {
 	p := Attach(rt, cfg)
 	p.an.inline = inline
 	return p
 }
 
-// matchesSynchronous runs every engine mode through run and fails the
-// test on any report that differs from the synchronous reference. run
-// must profile from one call site, so the allocation call paths the
-// report captures are identical across modes.
-func matchesSynchronous(t *testing.T, run func(inline bool, workers, depth int) []byte) {
+// matchesSynchronous runs run under the synchronous reference driver and
+// then the asynchronous engine, and fails the test if the two reports
+// differ. run must profile from one call site, so the allocation call
+// paths the report captures are identical across both runs.
+func matchesSynchronous(t *testing.T, run func(inline bool) []byte) {
 	t.Helper()
-	var ref []byte
-	for _, m := range engineModes {
-		got := run(m.inline, m.workers, m.depth)
-		if ref == nil {
-			ref = got
-			continue
-		}
-		if !bytes.Equal(ref, got) {
-			t.Errorf("%s: report differs from the synchronous reference", m.name)
-		}
+	if ref, got := run(true), run(false); !bytes.Equal(ref, got) {
+		t.Error("async report differs from the synchronous reference")
 	}
 }
 
@@ -143,13 +121,13 @@ func matchesSynchronous(t *testing.T, run func(inline bool, workers, depth int) 
 // batches, so the analysis goroutine works inside a launch while the
 // kernel goroutine keeps collecting.
 func TestPipelineMatchesSynchronous(t *testing.T) {
-	matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
+	matchesSynchronous(t, func(inline bool) []byte {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := attachMode(rt, Config{
 			Coarse: true, Fine: true, ReuseDistance: true,
 			BufferRecords: 128,
 			Program:       "quickstart",
-		}, inline, workers, depth)
+		}, inline)
 		runQuickstart(t, rt)
 		p.Detach()
 		return reportJSON(t, p)
@@ -168,13 +146,13 @@ func TestPipelineMatchesSynchronousDarknet(t *testing.T) {
 	workloads.Scale = 16
 	defer func() { workloads.Scale = oldScale }()
 
-	matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
+	matchesSynchronous(t, func(inline bool) []byte {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := attachMode(rt, Config{
 			Coarse: true, Fine: true,
 			BufferRecords: 128,
 			Program:       "Darknet",
-		}, inline, workers, depth)
+		}, inline)
 		if err := w.Run(rt, workloads.Original); err != nil {
 			t.Fatal(err)
 		}
@@ -188,13 +166,13 @@ func TestPipelineMatchesSynchronousDarknet(t *testing.T) {
 // goroutine keeps both buffers in flight and waits on the analysis
 // goroutine, all under the same byte-identity requirement.
 func TestPipelineStress(t *testing.T) {
-	matchesSynchronous(t, func(inline bool, workers, depth int) []byte {
+	matchesSynchronous(t, func(inline bool) []byte {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := attachMode(rt, Config{
 			Coarse: true, Fine: true, ReuseDistance: true,
 			BufferRecords: 8,
 			Program:       "stress",
-		}, inline, workers, depth)
+		}, inline)
 		const n = 2048
 		x, err := rt.MallocF32(n, "x")
 		if err != nil {
@@ -226,49 +204,43 @@ func TestPipelineStress(t *testing.T) {
 // drain the profiler, which discards the partial launch and returns its
 // buffers; the next launch then profiles normally.
 func TestFailedLaunchDrainsPipeline(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		rt := cuda.NewRuntime(gpu.RTX2080Ti)
-		p := Attach(rt, Config{
-			Fine:            true,
-			BufferRecords:   4,
-			AnalysisWorkers: workers,
-		})
-		const n = 64
-		x, err := rt.MallocF32(n, "x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := &gpu.GoKernel{
-			Name: "bad",
-			Func: func(th *gpu.Thread) {
-				i := th.GlobalID()
-				th.StoreF32(0, uint64(x)+uint64(4*(i%n)), 1)
-				if i == 32 {
-					th.LoadF32(1, 0xdead) // unmapped: kernel fault
-				}
-			},
-		}
-		if err := rt.Launch(bad, gpu.Dim1(1), gpu.Dim1(64)); err == nil {
-			t.Fatal("faulting kernel did not error")
-		}
-		if p.launch != nil {
-			t.Fatalf("workers=%d: stale launch state survived a failed launch", workers)
-		}
-		if err := rt.Launch(fillKernel(x, 2, n), gpu.Dim1(1), gpu.Dim1(n)); err != nil {
-			t.Fatal(err)
-		}
-		rep := p.Report()
-		var fills int
-		for _, f := range rep.Fine {
-			if f.Kernel == "fill_kernel" && f.Stores == n {
-				fills++
-			}
-		}
-		if fills != 1 {
-			t.Fatalf("workers=%d: fine records after recovery = %+v", workers, rep.Fine)
-		}
-		p.Detach()
+	rt := cuda.NewRuntime(gpu.RTX2080Ti)
+	p := Attach(rt, Config{Fine: true, BufferRecords: 4})
+	const n = 64
+	x, err := rt.MallocF32(n, "x")
+	if err != nil {
+		t.Fatal(err)
 	}
+	bad := &gpu.GoKernel{
+		Name: "bad",
+		Func: func(th *gpu.Thread) {
+			i := th.GlobalID()
+			th.StoreF32(0, uint64(x)+uint64(4*(i%n)), 1)
+			if i == 32 {
+				th.LoadF32(1, 0xdead) // unmapped: kernel fault
+			}
+		},
+	}
+	if err := rt.Launch(bad, gpu.Dim1(1), gpu.Dim1(64)); err == nil {
+		t.Fatal("faulting kernel did not error")
+	}
+	if p.launch != nil {
+		t.Fatal("stale launch state survived a failed launch")
+	}
+	if err := rt.Launch(fillKernel(x, 2, n), gpu.Dim1(1), gpu.Dim1(n)); err != nil {
+		t.Fatal(err)
+	}
+	rep := p.Report()
+	var fills int
+	for _, f := range rep.Fine {
+		if f.Kernel == "fill_kernel" && f.Stores == n {
+			fills++
+		}
+	}
+	if fills != 1 {
+		t.Fatalf("fine records after recovery = %+v", rep.Fine)
+	}
+	p.Detach()
 }
 
 // TestBulkRangeLoadValues checks that compacted load-range records feed

@@ -54,14 +54,10 @@ type Config struct {
 	// Figure 5). Default AdaptiveCopy.
 	CopyStrategy interval.CopyStrategy
 
-	// MergeWorkers sets the parallelism of the interval-merge "data
-	// processing kernel" (<=0: default).
-	MergeWorkers int
-
-	// AnalysisWorkers and PipelineDepth are accepted and validated
-	// (negative values are a ConfigError) but have no effect: every
-	// profiler runs one analysis goroutine over at most two flush buffers
-	// (pipeline.go).
+	// AnalysisWorkers and PipelineDepth are ignored: every profiler runs
+	// one analysis goroutine over at most two flush buffers (pipeline.go).
+	// They remain only because the benchmark module (bench/ops.go) still
+	// sets them.
 	AnalysisWorkers int
 	PipelineDepth   int
 
@@ -147,9 +143,9 @@ type Profiler struct {
 	// every probe a no-op) unless Config.Telemetry carries a recorder.
 	tel    *telemetry.Recorder
 	probes engineProbes
-	// schedProbes remembers that this profiler attached probes to the
-	// shared scheduler, so Detach can remove them.
-	schedProbes bool
+	// schedProbes are the probes this profiler attached to the shared
+	// scheduler (nil when none), so Detach removes them and only them.
+	schedProbes *parallel.SchedProbes
 }
 
 // launchState tracks one instrumented kernel launch: the sanitizer's
@@ -210,7 +206,6 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 	p.initTelemetry()
 	p.san = sanitizer.New(sanitizer.Config{
 		BufferRecords:        cfg.BufferRecords,
-		PipelineDepth:        pipelineDepth,
 		KernelFilter:         cfg.KernelFilter,
 		KernelSamplingPeriod: cfg.KernelSamplingPeriod,
 		BlockSamplingPeriod:  cfg.BlockSamplingPeriod,
@@ -246,10 +241,7 @@ func (p *Profiler) Detach() {
 	p.barrier()
 	p.san.Release()
 	p.an.dropSpares()
-	if p.schedProbes {
-		p.sched.SetProbes(nil)
-		p.schedProbes = false
-	}
+	p.sched.ClearProbes(p.schedProbes)
 }
 
 // Graph returns the program-wide value flow graph built so far.

@@ -32,10 +32,10 @@ func (s *reuseStage) LaunchBegin(string) LaunchAnalysis {
 	return &reuseLaunch{an: reuse.NewAnalyzer()}
 }
 
-// Compact touches every cache line each record covers exactly once, in
+// Analyze touches every cache line each record covers exactly once, in
 // record order, with the start aligned down to a line boundary so records
 // straddling lines neither miss their trailing line nor double-count.
-func (la *reuseLaunch) Compact(b *Batch) Partial {
+func (la *reuseLaunch) Analyze(b *Batch) {
 	const mask = ^uint64(reuse.LineSize - 1)
 	for _, a := range b.Recs {
 		if a.Bytes() == 0 {
@@ -47,11 +47,7 @@ func (la *reuseLaunch) Compact(b *Batch) Partial {
 			la.an.Touch(line)
 		}
 	}
-	return nil
 }
-
-// Absorb has nothing left to fold: Compact touched the batch's lines.
-func (*reuseLaunch) Absorb(Partial) {}
 
 // LaunchEnd emits the launch's histogram.
 func (s *reuseStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {

@@ -1,6 +1,6 @@
 // Engine self-observability: when Config.Telemetry carries a recorder,
 // Attach threads probes through every layer — sanitizer flush volume and
-// buffer-wait stalls, per-stage compact/absorb timers, waits for the
+// buffer-wait stalls, per-stage analyze/finalize timers, waits for the
 // analysis goroutine, scheduler utilization, interval-merge volumes, and
 // the coarse stage's snapshot diff/apply timers with per-strategy copy
 // traffic — and declares the two self-trace lanes (kernel execution and
@@ -29,10 +29,9 @@ type engineProbes struct {
 	// queue — the analysis the pipeline failed to hide.
 	drainWait *telemetry.Timer
 
-	// compact/absorb/finalize/batches instrument each stage's work:
-	// per-batch compaction and absorption, and launch-end finalization.
-	compact  []*telemetry.Timer
-	absorb   []*telemetry.Timer
+	// analyze/finalize/batches instrument each stage's work: per-batch
+	// analysis and launch-end finalization.
+	analyze  []*telemetry.Timer
 	finalize []*telemetry.Timer
 	batches  []*telemetry.Counter
 
@@ -55,8 +54,7 @@ func (p *Profiler) initTelemetry() {
 	p.tel = tel
 	n := len(p.stages)
 	p.probes = engineProbes{
-		compact:  make([]*telemetry.Timer, n),
-		absorb:   make([]*telemetry.Timer, n),
+		analyze:  make([]*telemetry.Timer, n),
 		finalize: make([]*telemetry.Timer, n),
 		batches:  make([]*telemetry.Counter, n),
 	}
@@ -76,19 +74,18 @@ func (p *Profiler) initTelemetry() {
 		plan.SetOnFire(func(faultinject.Injection) { injected.Inc() })
 	}
 	for i, st := range p.stages {
-		p.probes.compact[i] = tel.Timer("stage." + st.Name() + ".compact")
-		p.probes.absorb[i] = tel.Timer("stage." + st.Name() + ".absorb")
+		p.probes.analyze[i] = tel.Timer("stage." + st.Name() + ".analyze")
 		p.probes.finalize[i] = tel.Timer("stage." + st.Name() + ".finalize")
 		p.probes.batches[i] = tel.Counter("stage." + st.Name() + ".batches")
 	}
 
 	// Eager creation: every sanitizer/scheduler key appears in the export
 	// even when the run never exercises it.
-	p.sched.SetProbes(&parallel.SchedProbes{
+	p.schedProbes = &parallel.SchedProbes{
 		Acquires: tel.Counter("scheduler.acquires"),
 		InUse:    tel.Gauge("scheduler.in_use"),
-	})
-	p.schedProbes = true
+	}
+	p.sched.SetProbes(p.schedProbes)
 
 	tel.DeclareLane(telemetry.LaneKernel, "kernel execution")
 	tel.DeclareLane(telemetry.LaneAnalysis, "analysis")

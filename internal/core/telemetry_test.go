@@ -8,55 +8,47 @@ import (
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
+	"valueexpert/internal/parallel"
 	"valueexpert/internal/telemetry"
 	"valueexpert/internal/workloads"
 )
 
 // TestTelemetryPreservesReportBytes is the tentpole's observer guarantee:
 // threading a recorder (with a trace sink attached) through the engine
-// must not perturb the report by a single byte, synchronous or
-// pipelined. The small buffer forces many flushes so every instrumented
-// path actually fires.
+// must not perturb the report by a single byte. The small buffer forces
+// many flushes so every instrumented path actually fires.
 func TestTelemetryPreservesReportBytes(t *testing.T) {
-	run := func(workers, depth int, tel *telemetry.Recorder) []byte {
+	run := func(tel *telemetry.Recorder) []byte {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := Attach(rt, Config{
 			Coarse: true, Fine: true, ReuseDistance: true,
-			BufferRecords:   256,
-			AnalysisWorkers: workers,
-			PipelineDepth:   depth,
-			Telemetry:       tel,
-			Program:         "quickstart",
+			BufferRecords: 256,
+			Telemetry:     tel,
+			Program:       "quickstart",
 		})
 		runQuickstart(t, rt)
 		p.Detach()
 		return reportJSON(t, p)
 	}
-	for _, s := range []struct{ workers, depth int }{{0, 0}, {4, 4}} {
-		// Both runs go through the one call site below so the allocation
-		// call paths the report captures (file:line frames) match.
-		var reports [][]byte
-		tel := telemetry.New()
-		tel.SetTrace(telemetry.NewBuffer())
-		for _, rec := range []*telemetry.Recorder{nil, tel} {
-			reports = append(reports, run(s.workers, s.depth, rec))
-		}
-		if !bytes.Equal(reports[0], reports[1]) {
-			t.Errorf("workers=%d depth=%d: telemetry perturbed the report", s.workers, s.depth)
-		}
+	// Both runs go through the one call site above so the allocation
+	// call paths the report captures (file:line frames) match.
+	tel := telemetry.New()
+	tel.SetTrace(telemetry.NewBuffer())
+	if !bytes.Equal(run(nil), run(tel)) {
+		t.Error("telemetry perturbed the report")
+	}
 
-		// The recorder must actually have observed the run, or the
-		// identity above proves nothing.
-		m := tel.Metrics()
-		if m.Counters["sanitizer.flushes"] == 0 {
-			t.Errorf("workers=%d: no sanitizer flushes recorded", s.workers)
-		}
-		if m.Counters["stage.coarse.batches"] == 0 {
-			t.Errorf("workers=%d: no coarse batches recorded", s.workers)
-		}
-		if m.Timers["collector.flush_capture"].Count == 0 {
-			t.Errorf("workers=%d: flush capture timer never observed", s.workers)
-		}
+	// The recorder must actually have observed the run, or the identity
+	// above proves nothing.
+	m := tel.Metrics()
+	if m.Counters["sanitizer.flushes"] == 0 {
+		t.Error("no sanitizer flushes recorded")
+	}
+	if m.Counters["stage.coarse.batches"] == 0 {
+		t.Error("no coarse batches recorded")
+	}
+	if m.Timers["collector.flush_capture"].Count == 0 {
+		t.Error("flush capture timer never observed")
 	}
 }
 
@@ -68,10 +60,9 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 	tel := telemetry.New()
 	p := Attach(rt, Config{
 		Coarse: true, Fine: true,
-		BufferRecords:   256,
-		AnalysisWorkers: 2, PipelineDepth: 2,
-		Telemetry: tel,
-		Program:   "quickstart",
+		BufferRecords: 256,
+		Telemetry:     tel,
+		Program:       "quickstart",
 	})
 	runQuickstart(t, rt)
 	p.Detach()
@@ -82,8 +73,7 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 	}
 	for _, timer := range []string{
 		"collector.flush_capture", "pipeline.drain_wait",
-		"stage.coarse.compact", "stage.coarse.absorb",
-		"stage.fine.compact", "stage.fine.absorb",
+		"stage.coarse.analyze", "stage.fine.analyze",
 		"snapshot.refresh", "merge.time",
 	} {
 		if _, ok := m.Timers[timer]; !ok {
@@ -103,7 +93,10 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 	if _, ok := m.Gauges["scheduler.in_use"]; !ok {
 		t.Errorf("gauge scheduler.in_use missing from export (have %v)", keys(m.Gauges))
 	}
-	for _, gone := range []string{"pipeline.occupancy", "stage.fine.combine", "stage.coarse.combine", "scheduler.wait"} {
+	for _, gone := range []string{
+		"pipeline.occupancy", "stage.fine.combine", "stage.coarse.combine", "scheduler.wait",
+		"stage.fine.compact", "stage.fine.absorb", "stage.coarse.compact", "stage.coarse.absorb",
+	} {
 		_, g := m.Gauges[gone]
 		_, tm := m.Timers[gone]
 		if g || tm {
@@ -133,6 +126,27 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 	}
 }
 
+// TestDetachKeepsOtherSchedulerProbes: profilers share the process-wide
+// scheduler, so one detaching must leave a still-attached profiler's
+// scheduler probes in place (vxprofd runs many sessions at once).
+func TestDetachKeepsOtherSchedulerProbes(t *testing.T) {
+	attach := func() (*Profiler, *telemetry.Recorder) {
+		tel := telemetry.New()
+		return Attach(cuda.NewRuntime(gpu.RTX2080Ti), Config{Coarse: true, Telemetry: tel}), tel
+	}
+	a, _ := attach()
+	b, telB := attach()
+	a.Detach()
+	if !parallel.Shared().TryAcquire() {
+		t.Fatal("shared scheduler has no free slot")
+	}
+	parallel.Shared().Release()
+	b.Detach()
+	if n := telB.Metrics().Counters["scheduler.acquires"]; n != 1 {
+		t.Fatalf("B's scheduler.acquires = %d after A detached, want 1", n)
+	}
+}
+
 // TestSelfTraceLanes checks the Chrome-trace side: kernel spans on the
 // kernel lane, analysis spans on the analysis lane, flush instants, and
 // lane metadata naming both threads.
@@ -143,10 +157,9 @@ func TestSelfTraceLanes(t *testing.T) {
 	tel.SetTrace(buf)
 	p := Attach(rt, Config{
 		Coarse: true, Fine: true,
-		BufferRecords:   256,
-		AnalysisWorkers: 2, PipelineDepth: 2,
-		Telemetry: tel,
-		Program:   "quickstart",
+		BufferRecords: 256,
+		Telemetry:     tel,
+		Program:       "quickstart",
 	})
 	runQuickstart(t, rt)
 	p.Detach()
@@ -247,19 +260,17 @@ func TestAnalysisTimeWithinWall(t *testing.T) {
 	workloads.Scale = 32
 	defer func() { workloads.Scale = oldScale }()
 
-	for _, workers := range []int{0, 2} {
-		src := cuda.NewLiveSource(cuda.NewRuntime(gpu.RTX2080Ti), func(rt *cuda.Runtime) error {
-			return w.Run(rt, workloads.Original)
-		})
-		start := time.Now()
-		p, err := Profile(src, Config{Coarse: true, Fine: true, AnalysisWorkers: workers})
-		wall := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Detach()
-		if got := p.AnalysisTime(); got <= 0 || got > wall {
-			t.Errorf("workers=%d: analysis time %v outside (0, wall %v]", workers, got, wall)
-		}
+	src := cuda.NewLiveSource(cuda.NewRuntime(gpu.RTX2080Ti), func(rt *cuda.Runtime) error {
+		return w.Run(rt, workloads.Original)
+	})
+	start := time.Now()
+	p, err := Profile(src, Config{Coarse: true, Fine: true})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Detach()
+	if got := p.AnalysisTime(); got <= 0 || got > wall {
+		t.Errorf("analysis time %v outside (0, wall %v]", got, wall)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // ConfigError reports one invalid Config field. Field names the Go
 // struct field, so CLI front-ends can map it back to their flag (vxprof
-// maps AnalysisWorkers → -workers); Reason is the human explanation.
+// maps KernelSamplingPeriod → -sample); Reason is the human explanation.
 type ConfigError struct {
 	Field  string
 	Reason string
@@ -24,18 +24,6 @@ func (e *ConfigError) Error() string { return "config: " + e.Field + " " + e.Rea
 // Attach routes through the same validator but keeps its historical
 // panic for backward compatibility.
 func (cfg *Config) Validate() error {
-	if cfg.AnalysisWorkers < 0 {
-		return &ConfigError{Field: "AnalysisWorkers",
-			Reason: fmt.Sprintf("must be >= 0, got %d (the setting has no effect)", cfg.AnalysisWorkers)}
-	}
-	if cfg.PipelineDepth < 0 {
-		return &ConfigError{Field: "PipelineDepth",
-			Reason: fmt.Sprintf("must be >= 0, got %d (the setting has no effect)", cfg.PipelineDepth)}
-	}
-	if cfg.MergeWorkers < 0 {
-		return &ConfigError{Field: "MergeWorkers",
-			Reason: fmt.Sprintf("must be >= 0, got %d (0 = default parallelism)", cfg.MergeWorkers)}
-	}
 	if cfg.BufferRecords < 0 {
 		return &ConfigError{Field: "BufferRecords",
 			Reason: fmt.Sprintf("must be >= 0, got %d (0 = default capacity)", cfg.BufferRecords)}

@@ -14,7 +14,7 @@ func TestConfigValidate(t *testing.T) {
 	valid := []Config{
 		{},
 		{Coarse: true, Fine: true, ReuseDistance: true},
-		{AnalysisWorkers: 8, PipelineDepth: 4, MergeWorkers: 2, BufferRecords: 1 << 20},
+		{BufferRecords: 1 << 20, KernelSamplingPeriod: 4, BlockSamplingPeriod: 2},
 		{Coarse: true, CopyStrategy: interval.AdaptiveCopy},
 		{Fine: true, Patterns: []string{"single zero", "heavy type"}},
 	}
@@ -28,9 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		cfg   Config
 		field string
 	}{
-		{Config{AnalysisWorkers: -1}, "AnalysisWorkers"},
-		{Config{PipelineDepth: -2}, "PipelineDepth"},
-		{Config{MergeWorkers: -1}, "MergeWorkers"},
 		{Config{BufferRecords: -64}, "BufferRecords"},
 		{Config{KernelSamplingPeriod: -1}, "KernelSamplingPeriod"},
 		{Config{BlockSamplingPeriod: -5}, "BlockSamplingPeriod"},
@@ -65,13 +62,13 @@ func TestProfileRejectsInvalidConfig(t *testing.T) {
 		t.Fatal("source ran despite invalid config")
 		return nil
 	})
-	_, err := Profile(src, Config{AnalysisWorkers: -3})
+	_, err := Profile(src, Config{BufferRecords: -3})
 	var ce *ConfigError
-	if !errors.As(err, &ce) || ce.Field != "AnalysisWorkers" {
+	if !errors.As(err, &ce) || ce.Field != "BufferRecords" {
 		t.Fatalf("Profile error = %v", err)
 	}
 
-	if _, err := NewSession(Config{PipelineDepth: -1}, gpu.A100); err == nil {
+	if _, err := NewSession(Config{KernelSamplingPeriod: -1}, gpu.A100); err == nil {
 		t.Fatal("NewSession accepted invalid config")
 	}
 }
@@ -84,9 +81,9 @@ func TestAttachPanicsOnInvalidConfig(t *testing.T) {
 		if r == nil {
 			t.Fatal("Attach did not panic")
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "AnalysisWorkers") {
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "BufferRecords") {
 			t.Fatalf("panic = %v", r)
 		}
 	}()
-	Attach(cuda.NewRuntime(gpu.RTX2080Ti), Config{AnalysisWorkers: -1})
+	Attach(cuda.NewRuntime(gpu.RTX2080Ti), Config{BufferRecords: -1})
 }

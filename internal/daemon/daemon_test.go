@@ -20,14 +20,11 @@ import (
 
 // engineCfg is the configuration every session test runs: both analyses
 // and small buffers to force several flushes per kernel, so the race
-// detector sees the analysis goroutine work inside launches. The worker
-// settings are accepted but inert.
+// detector sees the analysis goroutine work inside launches.
 func engineCfg() core.Config {
 	return core.Config{
 		Coarse: true, Fine: true,
-		BufferRecords:   128,
-		AnalysisWorkers: 2,
-		PipelineDepth:   2,
+		BufferRecords: 128,
 	}
 }
 
@@ -330,14 +327,14 @@ func TestCancelBeforeKernel(t *testing.T) {
 func TestAttachValidates(t *testing.T) {
 	svc := NewService()
 	cfg := engineCfg()
-	cfg.AnalysisWorkers = -1
+	cfg.BufferRecords = -1
 	_, err := svc.Attach(SessionConfig{
 		Program: "bad", Device: gpu.RTX2080Ti, Engine: cfg,
 		Run: func(rt *cuda.Runtime) error { return nil },
 	})
 	var ce *core.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "AnalysisWorkers" {
-		t.Fatalf("Attach = %v, want ConfigError on AnalysisWorkers", err)
+	if !errors.As(err, &ce) || ce.Field != "BufferRecords" {
+		t.Fatalf("Attach = %v, want ConfigError on BufferRecords", err)
 	}
 	if len(svc.Sessions()) != 0 {
 		t.Fatal("rejected attach left a session behind")

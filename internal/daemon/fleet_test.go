@@ -371,7 +371,7 @@ func TestPartialReportNonPerturbing(t *testing.T) {
 // remoteOpts is the canonical option set the remote tests validate
 // against; engineCfg()'s shape expressed through the option schema.
 func remoteOpts() cliconfig.Options {
-	return cliconfig.Options{Coarse: true, Fine: true, Sample: 1, Scale: 1, Workers: 2, Depth: 2}
+	return cliconfig.Options{Coarse: true, Fine: true, Sample: 1, Scale: 1}
 }
 
 // TestRemoteAttachByteIdentity: a program streamed over the attach
@@ -588,6 +588,8 @@ func TestRemoteAttachRejectsOptions(t *testing.T) {
 		{`{"faults": "malloc@1"}`, "faults", "-faults"},
 		{`{"sampel": 20}`, "sampel", `unknown option "sampel"`},
 		{`{"Sample": 0}`, "sample", "-sample must be >= 1"},
+		{`{"workers": 2}`, "workers", `unknown option "workers"`},
+		{`{"depth": 2}`, "depth", `unknown option "depth"`},
 	} {
 		_, err := DialAttach("tcp", ln.Addr().String(), AttachRequest{
 			Program: "rnd-27", Options: []byte(tc.options),

@@ -46,38 +46,6 @@ func TestCorpusCapsulesByteIdentity(t *testing.T) {
 	}
 }
 
-// TestCorpusReplaySettingIdentity: replaying a corpus capsule at
-// workers=4/depth=3, a setting the engine accepts but ignores, yields the
-// same report bytes as the default replay: the analysis goroutine's
-// scheduling never shows, for replayed capsules too.
-func TestCorpusReplaySettingIdentity(t *testing.T) {
-	files, err := CorpusFiles(corpusDir)
-	if err != nil || len(files) == 0 {
-		t.Fatalf("corpus: %v (%d files)", err, len(files))
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := func(workers, depth int) []byte {
-		cfg := CorpusConfig()
-		cfg.AnalysisWorkers = workers
-		cfg.PipelineDepth = depth
-		rep, _, err := capsule.Reprofile(data, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if sync, piped := report(0, 0), report(4, 3); !bytes.Equal(sync, piped) {
-		t.Fatal("corpus replay differs between workers=0 and workers=4/depth=3")
-	}
-}
-
 // TestMeasureCorpusCell: replaying the corpus is a fixed amount of work —
 // every capsule carries a nonzero access-record volume that is the same on
 // every pass, and every pass replays to a report.

@@ -40,11 +40,15 @@ type SchedProbes struct {
 	InUse *telemetry.Gauge
 }
 
-// SetProbes attaches telemetry probes to the scheduler; nil detaches.
-// The process-wide shared scheduler is a singleton, so when several
-// profilers attach probes the last attachment wins — acceptable for the
-// common one-profiler case this instrument serves.
+// SetProbes attaches telemetry probes to the scheduler. The process-wide
+// shared scheduler is a singleton, so when several profilers attach
+// probes the last attachment wins — acceptable for the common
+// one-profiler case this instrument serves.
 func (s *Scheduler) SetProbes(p *SchedProbes) { s.probes.Store(p) }
+
+// ClearProbes detaches p if it is still the attached probe set; probes
+// another caller attached since stay.
+func (s *Scheduler) ClearProbes(p *SchedProbes) { s.probes.CompareAndSwap(p, nil) }
 
 // NewScheduler creates a scheduler with the given number of slots.
 // capacity <= 0 selects GOMAXPROCS.

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"valueexpert/internal/telemetry"
 )
 
 func TestSchedulerCapacity(t *testing.T) {
@@ -83,5 +85,28 @@ func TestPoolsShareScheduler(t *testing.T) {
 	p.For(100, func(int) { atomic.AddInt64(&calls, 1) })
 	if calls != 100 {
 		t.Fatalf("sequential fallback ran %d/100 iterations", calls)
+	}
+}
+
+// TestClearProbesKeepsNewerAttachment: clearing a probe set that another
+// caller has since replaced leaves the newer one attached.
+func TestClearProbesKeepsNewerAttachment(t *testing.T) {
+	s := NewScheduler(1)
+	a := &SchedProbes{Acquires: &telemetry.Counter{}}
+	b := &SchedProbes{Acquires: &telemetry.Counter{}}
+	s.SetProbes(a)
+	s.SetProbes(b)
+	s.ClearProbes(a)
+	if !s.TryAcquire() {
+		t.Fatal("slot not available")
+	}
+	s.Release()
+	if a.Acquires.Value() != 0 || b.Acquires.Value() != 1 {
+		t.Fatalf("acquires a=%d b=%d, want 0 and 1", a.Acquires.Value(), b.Acquires.Value())
+	}
+	s.ClearProbes(b)
+	s.TryAcquire()
+	if b.Acquires.Value() != 1 {
+		t.Fatal("cleared probes still observe leases")
 	}
 }

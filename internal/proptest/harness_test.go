@@ -47,11 +47,11 @@ func checkOne(t *testing.T, seed int64) {
 // whose runs are compared against a corrupted baseline must fail, proving
 // the byte comparison has teeth.
 func TestCheckSeedCatchesSilentDivergence(t *testing.T) {
-	out, err := runLive(1, nil, cfg(0, 0), true)
+	out, err := runLive(1, nil, cfg(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := runLive(2, nil, cfg(0, 0), true)
+	other, err := runLive(2, nil, cfg(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

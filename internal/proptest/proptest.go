@@ -2,11 +2,10 @@
 // seed it generates a random GPU program (workloads.RandomProgram) and
 // checks engine-wide invariants across execution modes —
 //
-//	(a) two runs of the engine, at the default setting and at the
-//	    accepted but inert workers=4/depth=3, produce byte-identical
-//	    reports, so the analysis goroutine's scheduling never shows,
-//	    also with the fine value histograms capped at 8 distinct values
-//	    so that saturation runs through the whole engine;
+//	(a) two runs of the engine produce byte-identical reports, so the
+//	    analysis goroutine's scheduling never shows, also with the fine
+//	    value histograms capped at 8 distinct values so that saturation
+//	    runs through the whole engine;
 //	(b) profiling a live run and profiling its recorded trace produce
 //	    byte-identical reports;
 //	(c) under injected faults the engine either surfaces a typed error
@@ -55,20 +54,18 @@ import (
 // cfg builds the engine configuration used by every run of a seed. Small
 // buffers force several flushes per kernel so the hand-off and fault paths
 // are actually exercised.
-func cfg(workers, depth int) core.Config {
+func cfg() core.Config {
 	return core.Config{
 		Coarse: true, Fine: true,
-		BufferRecords:   128,
-		AnalysisWorkers: workers,
-		PipelineDepth:   depth,
-		Program:         "proptest",
+		BufferRecords: 128,
+		Program:       "proptest",
 	}
 }
 
 // saturatingCfg is cfg with the fine value histograms capped at 8
 // distinct values, so most objects saturate.
-func saturatingCfg(workers, depth int) core.Config {
-	c := cfg(workers, depth)
+func saturatingCfg() core.Config {
+	c := cfg()
 	c.FineConfig.MaxTrackedValues = 8
 	return c
 }
@@ -207,8 +204,8 @@ func faultPlans(seed int64) []struct {
 func CheckSeed(seed int64) error {
 	base := runtime.NumGoroutine()
 
-	// Baseline: clean run, default engine setting.
-	baseline, err := runLive(seed, nil, cfg(0, 0), true)
+	// Baseline: clean run.
+	baseline, err := runLive(seed, nil, cfg(), true)
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
@@ -222,29 +219,29 @@ func CheckSeed(seed int64) error {
 		return fmt.Errorf("after baseline run: %w", err)
 	}
 
-	// (a) A second run, at another worker setting, is identical.
-	piped, err := runLive(seed, nil, cfg(4, 3), true)
+	// (a) A second run is identical.
+	again, err := runLive(seed, nil, cfg(), true)
 	if err != nil {
-		return fmt.Errorf("workers=4/depth=3 run: %w", err)
+		return fmt.Errorf("second run: %w", err)
 	}
-	if !bytes.Equal(baseline.report, piped.report) {
-		return fmt.Errorf("property (a): default and workers=4/depth=3 reports differ (%d vs %d bytes)",
-			len(baseline.report), len(piped.report))
+	if !bytes.Equal(baseline.report, again.report) {
+		return fmt.Errorf("property (a): two runs' reports differ (%d vs %d bytes)",
+			len(baseline.report), len(again.report))
 	}
 	if err := awaitGoroutines(base); err != nil {
-		return fmt.Errorf("after workers=4/depth=3 run: %w", err)
+		return fmt.Errorf("after second run: %w", err)
 	}
-	satSync, err := runLive(seed, nil, saturatingCfg(0, 0), true)
+	sat, err := runLive(seed, nil, saturatingCfg(), true)
 	if err != nil {
-		return fmt.Errorf("saturating baseline run: %w", err)
+		return fmt.Errorf("saturating run: %w", err)
 	}
-	satPiped, err := runLive(seed, nil, saturatingCfg(4, 3), true)
+	satAgain, err := runLive(seed, nil, saturatingCfg(), true)
 	if err != nil {
-		return fmt.Errorf("saturating workers=4/depth=3 run: %w", err)
+		return fmt.Errorf("second saturating run: %w", err)
 	}
-	if !bytes.Equal(satSync.report, satPiped.report) {
-		return fmt.Errorf("property (a): with 8 tracked values, default and workers=4/depth=3 reports differ (%d vs %d bytes)",
-			len(satSync.report), len(satPiped.report))
+	if !bytes.Equal(sat.report, satAgain.report) {
+		return fmt.Errorf("property (a): with 8 tracked values, two runs' reports differ (%d vs %d bytes)",
+			len(sat.report), len(satAgain.report))
 	}
 	if err := awaitGoroutines(base); err != nil {
 		return fmt.Errorf("after saturating runs: %w", err)
@@ -257,7 +254,7 @@ func CheckSeed(seed int64) error {
 	if err != nil {
 		return fmt.Errorf("property (b): %w", err)
 	}
-	replayed, err := replay(binTrace, cfg(0, 0))
+	replayed, err := replay(binTrace, cfg())
 	if err != nil {
 		return fmt.Errorf("property (b): %w", err)
 	}
@@ -281,7 +278,7 @@ func CheckSeed(seed int64) error {
 	// (c) Faulted runs surface typed errors or a Degraded report — never
 	// a silently different clean report.
 	for _, fp := range faultPlans(seed) {
-		out, err := runLive(seed, fp.plan, cfg(0, 0), true)
+		out, err := runLive(seed, fp.plan, cfg(), true)
 		if err != nil {
 			return fmt.Errorf("fault plan %s: %w", fp.name, err)
 		}
@@ -308,7 +305,7 @@ func CheckSeed(seed int64) error {
 
 	// Intolerant program under an allocation fault: the first error stops
 	// the program and is a typed *cuda.Error carrying the OOM code.
-	out, err := runLive(seed, faultinject.New().FailNth(faultinject.Malloc, 1), cfg(0, 0), false)
+	out, err := runLive(seed, faultinject.New().FailNth(faultinject.Malloc, 1), cfg(), false)
 	if err != nil {
 		return fmt.Errorf("intolerant run: %w", err)
 	}
@@ -327,7 +324,7 @@ func CheckSeed(seed int64) error {
 	// the same program attached as a daemon session — profiled on a
 	// stream-handler goroutine, finalized by the session machinery —
 	// yields the baseline report byte for byte.
-	viaDaemon, err := runDaemonSession(seed, cfg(0, 0))
+	viaDaemon, err := runDaemonSession(seed, cfg())
 	if err != nil {
 		return fmt.Errorf("property (e): %w", err)
 	}
@@ -355,7 +352,7 @@ func CheckSeed(seed int64) error {
 // the remote-attach socket where the session first queues behind a
 // running blocker — and demands byte-identical reports.
 func checkRemoteAttach(seed int64) error {
-	opts := cliconfig.Options{Coarse: true, Fine: true, Sample: 1, Scale: 1, Workers: 2, Depth: 2}
+	opts := cliconfig.Options{Coarse: true, Fine: true, Sample: 1, Scale: 1}
 	ecfg, err := opts.EngineConfig("proptest")
 	if err != nil {
 		return err
@@ -382,7 +379,7 @@ func checkRemoteAttach(seed int64) error {
 
 	gate := make(chan struct{})
 	if _, err := svc.Attach(daemon.SessionConfig{
-		Program: "blocker", Device: gpu.RTX2080Ti, Engine: cfg(0, 0),
+		Program: "blocker", Device: gpu.RTX2080Ti, Engine: cfg(),
 		Run: func(rt *cuda.Runtime) error { <-gate; return nil },
 	}); err != nil {
 		return fmt.Errorf("blocker attach: %w", err)

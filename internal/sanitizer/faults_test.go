@@ -2,6 +2,7 @@ package sanitizer
 
 import (
 	"testing"
+	"time"
 
 	"valueexpert/gpu"
 	"valueexpert/internal/faultinject"
@@ -53,11 +54,10 @@ func TestFlushTruncate(t *testing.T) {
 }
 
 func TestFlushDelayPreservesOrderAndRecords(t *testing.T) {
-	// Depth 2 allows the delay to hold a buffer; nothing may be lost and
-	// delivery order must be preserved.
+	// The spare buffer allows the delay to hold one; nothing may be lost
+	// and delivery order must be preserved.
 	flushed, s := faultFeed(t, Config{
 		BufferRecords: 10,
-		PipelineDepth: 2,
 		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, 1),
 	}, 25)
 	if len(flushed) != 3 {
@@ -80,27 +80,47 @@ func TestFlushDelayPreservesOrderAndRecords(t *testing.T) {
 	}
 }
 
-func TestFlushDelayAtDepthOneDoesNotDeadlock(t *testing.T) {
-	// With a single buffer the engine must refuse to hold it; the fault
-	// degrades to an immediate delivery instead of deadlocking.
-	flushed, _ := faultFeed(t, Config{
+// TestFlushDelayNeverHoldsLastBuffer: the consumer keeps its latest
+// buffer and recycles the previous one only when the next arrives, so
+// when the second delivery's delay fires both buffers are out. Holding
+// that delivery would leave the collector waiting for a buffer the
+// consumer never returns; the fault must degrade to an immediate
+// delivery instead.
+func TestFlushDelayNeverHoldsLastBuffer(t *testing.T) {
+	e := New(Config{
 		BufferRecords: 10,
-		PipelineDepth: 1,
-		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, 1),
-	}, 25)
+		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, 2),
+	})
+	var last []gpu.Access
 	var total int
-	for _, f := range flushed {
-		total += len(f)
+	hook, _, finish := e.Instrument("k", func(recs []gpu.Access) {
+		total += len(recs)
+		if last != nil {
+			e.Recycle(last)
+		}
+		last = recs
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 35; i++ {
+			hook(gpu.Access{Addr: uint64(i)})
+		}
+		finish()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("collector deadlocked waiting for a buffer")
 	}
-	if total != 25 {
-		t.Fatalf("delivered %d records, want 25", total)
+	if total != 35 {
+		t.Fatalf("delivered %d records, want 35", total)
 	}
 }
 
 func TestAbortRecyclesHeldBuffer(t *testing.T) {
 	e := New(Config{
 		BufferRecords: 4,
-		PipelineDepth: 2,
 		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, 1),
 	})
 	hook, _, _ := e.Instrument("k", func(recs []gpu.Access) { e.Recycle(recs) })

@@ -25,14 +25,6 @@ type Config struct {
 	// swapped for an empty one. Zero selects DefaultBufferRecords.
 	BufferRecords int
 
-	// PipelineDepth is the most flush buffers cycled between the
-	// collector and the analyzer (paper §6.1's double buffering is depth
-	// 2). Buffers are allocated on demand: a new one only when a flush
-	// finds none free. With depth 1 the collector blocks until the
-	// analyzer recycles the single buffer — synchronous analysis. Zero
-	// selects 1.
-	PipelineDepth int
-
 	// KernelFilter, when non-nil, selects which kernels are instrumented
 	// by name. Nil instruments every kernel.
 	KernelFilter func(name string) bool
@@ -77,6 +69,12 @@ type Probes struct {
 // DefaultBufferRecords matches a few-megabyte device buffer.
 const DefaultBufferRecords = 64 << 10
 
+// depth is the most flush buffers cycled between the collector and the
+// analyzer: one filling while the analyzer drains the other, paper §6.1's
+// double buffering. The second is allocated only when a flush finds the
+// first still in flight.
+const depth = 2
+
 // Stats reports instrumentation volume.
 type Stats struct {
 	Records          uint64 // access records captured
@@ -98,8 +96,8 @@ type Engine struct {
 
 	// free holds the idle flush buffers. The hook takes a buffer, fills
 	// it, hands it to the analyzer via flush, and takes the next one —
-	// allocating it while fewer than PipelineDepth exist (made), and
-	// otherwise blocking until one is recycled, which is the pipeline's
+	// allocating it while fewer than depth exist (made), and otherwise
+	// blocking until one is recycled, which is the pipeline's
 	// backpressure.
 	free chan []gpu.Access
 	made int
@@ -118,25 +116,22 @@ func New(cfg Config) *Engine {
 	if cfg.BufferRecords <= 0 {
 		cfg.BufferRecords = DefaultBufferRecords
 	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 1
-	}
 	return &Engine{
 		cfg:      cfg,
-		free:     make(chan []gpu.Access, cfg.PipelineDepth),
+		free:     make(chan []gpu.Access, depth),
 		launches: make(map[string]int),
 	}
 }
 
 // take returns an empty flush buffer: an idle one, a new one while fewer
-// than PipelineDepth exist, or else the next one recycled.
+// than depth exist, or else the next one recycled.
 func (e *Engine) take() []gpu.Access {
 	select {
 	case buf := <-e.free:
 		return buf
 	default:
 	}
-	if e.made < e.cfg.PipelineDepth {
+	if e.made < depth {
 		e.made++
 		return make([]gpu.Access, 0, e.cfg.BufferRecords)
 	}
@@ -248,10 +243,12 @@ func (e *Engine) deliver(buf []gpu.Access, flush func([]gpu.Access)) {
 		e.cfg.Probes.DroppedRecords.Add(uint64(lost))
 		buf = buf[:len(buf)/2]
 	}
-	if _, ok := e.cfg.Faults.Fire(faultinject.FlushDelay); ok && (len(e.free) > 0 || e.made < e.cfg.PipelineDepth) {
+	if _, ok := e.cfg.Faults.Fire(faultinject.FlushDelay); ok && (len(e.free) > 0 || e.made < depth) {
 		// Hold the delivery back — but only while a spare buffer exists
-		// or may be allocated; at pipeline depth 1 holding the sole buffer
-		// would deadlock the collector's next buffer wait.
+		// or may be allocated. Otherwise the collector's next buffer wait
+		// would need the analyzer to recycle a buffer without receiving a
+		// new one, which a consumer that keeps its latest buffer until the
+		// next arrives never does: a deadlock.
 		e.held = buf
 		return
 	}

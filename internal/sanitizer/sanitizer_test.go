@@ -123,50 +123,16 @@ func TestDefaultBufferSize(t *testing.T) {
 	if cap(buf) != DefaultBufferRecords {
 		t.Fatalf("default buffer = %d, want %d", cap(buf), DefaultBufferRecords)
 	}
-	if e.made != 1 || e.cfg.PipelineDepth != 1 {
-		t.Fatalf("default pool depth = %d buffers (%d made), want 1", e.cfg.PipelineDepth, e.made)
+	if e.made != 1 {
+		t.Fatalf("%d buffers made, want 1", e.made)
 	}
 	e.Recycle(buf)
-}
-
-// TestPipelinedHandOff drives the buffer ring with an asynchronous
-// consumer: buffers are held across flushes and recycled out of order,
-// and collection must proceed as long as a free buffer exists.
-func TestPipelinedHandOff(t *testing.T) {
-	const depth = 3
-	e := New(Config{BufferRecords: 4, PipelineDepth: depth})
-	var held [][]gpu.Access
-	var total int
-	hook, _, finish := e.Instrument("k", func(recs []gpu.Access) {
-		total += len(recs)
-		held = append(held, recs)
-		if len(held) == depth-1 {
-			// Recycle the oldest held buffers out of order, keeping one in
-			// flight, before collection would otherwise block.
-			e.Recycle(held[1])
-			e.Recycle(held[0])
-			held = held[2:]
-		}
-	})
-	for i := 0; i < 41; i++ {
-		hook(gpu.Access{Addr: uint64(i)})
-	}
-	finish()
-	for _, b := range held {
-		e.Recycle(b)
-	}
-	if total != 41 {
-		t.Fatalf("flushed records = %d, want 41", total)
-	}
-	if s := e.Stats(); s.Records != 41 || s.Flushes != 11 {
-		t.Fatalf("stats = %+v", s)
-	}
 }
 
 // TestBufferReuseAcrossLaunches checks that with a recycling consumer the
 // pool never grows: the same buffers serve many launches.
 func TestBufferReuseAcrossLaunches(t *testing.T) {
-	e := New(Config{BufferRecords: 8, PipelineDepth: 2})
+	e := New(Config{BufferRecords: 8})
 	for launch := 0; launch < 5; launch++ {
 		flushed, ok := feed(t, e, "k", 20)
 		if !ok || len(flushed) != 3 {
@@ -181,10 +147,10 @@ func TestBufferReuseAcrossLaunches(t *testing.T) {
 
 // TestBuffersAllocatedOnDemand: a consumer that recycles each buffer at
 // once never needs a second one; one that holds a buffer across a flush
-// makes the engine allocate the second, never more than PipelineDepth;
-// Release drops them all and the next launch allocates afresh.
+// makes the engine allocate the second, never more than two; Release
+// drops them all and the next launch allocates afresh.
 func TestBuffersAllocatedOnDemand(t *testing.T) {
-	e := New(Config{BufferRecords: 8, PipelineDepth: 2})
+	e := New(Config{BufferRecords: 8})
 	if _, ok := feed(t, e, "k", 40); !ok || e.Buffers() != 1 {
 		t.Fatalf("recycling consumer: %d buffers, want 1", e.Buffers())
 	}

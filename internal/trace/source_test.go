@@ -26,11 +26,7 @@ func reportBytes(t *testing.T, p *core.Profiler) []byte {
 
 // TestSourcesByteIdentical drives the identical configuration through
 // both event sources — live execution and trace replay — and requires
-// byte-identical reports: the unified stream contract. Each workload runs
-// at the default engine setting and at workers=4, depth=4, which the
-// engine accepts but ignores; beyond live==replay per setting, the
-// reports must also agree across settings, so the analysis goroutine's
-// scheduling never shows in a report.
+// byte-identical reports: the unified stream contract.
 func TestSourcesByteIdentical(t *testing.T) {
 	old := workloads.Scale
 	workloads.Scale = 64
@@ -69,41 +65,25 @@ func TestSourcesByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var perSetting [][]byte
-			for _, setting := range []struct {
-				label          string
-				workers, depth int
-			}{
-				{"w0", 0, 0},
-				{"w4-d4", 4, 4},
-			} {
-				cfg := core.Config{
-					Coarse: true, Fine: true,
-					BufferRecords:   512,
-					AnalysisWorkers: setting.workers,
-					PipelineDepth:   setting.depth,
-					Program:         name,
-				}
-
-				var pLive *core.Profiler
-				runLive(func(rt *cuda.Runtime) { pLive = core.Attach(rt, cfg) })
-
-				pReplay, err := core.Profile(NewSource(bytes.NewReader(data.Bytes()), gpu.RTX2080Ti), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				liveJSON := reportBytes(t, pLive)
-				replayJSON := reportBytes(t, pReplay)
-				if !bytes.Equal(liveJSON, replayJSON) {
-					t.Fatalf("%s: live and replayed reports differ (%d vs %d bytes)",
-						setting.label, len(liveJSON), len(replayJSON))
-				}
-				perSetting = append(perSetting, liveJSON)
+			cfg := core.Config{
+				Coarse: true, Fine: true,
+				BufferRecords: 512,
+				Program:       name,
 			}
-			if !bytes.Equal(perSetting[0], perSetting[1]) {
-				t.Fatalf("reports differ between the two settings (%d vs %d bytes)",
-					len(perSetting[0]), len(perSetting[1]))
+
+			var pLive *core.Profiler
+			runLive(func(rt *cuda.Runtime) { pLive = core.Attach(rt, cfg) })
+
+			pReplay, err := core.Profile(NewSource(bytes.NewReader(data.Bytes()), gpu.RTX2080Ti), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			liveJSON := reportBytes(t, pLive)
+			replayJSON := reportBytes(t, pReplay)
+			if !bytes.Equal(liveJSON, replayJSON) {
+				t.Fatalf("live and replayed reports differ (%d vs %d bytes)",
+					len(liveJSON), len(replayJSON))
 			}
 		})
 	}

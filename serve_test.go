@@ -84,7 +84,7 @@ func TestServiceFacade(t *testing.T) {
 	// A rejected configuration returns the typed error and a draining
 	// service refuses new sessions.
 	bad := cfg
-	bad.AnalysisWorkers = -1
+	bad.BufferRecords = -1
 	var ce *ConfigError
 	if _, err := svc.Attach(ServiceSessionConfig{
 		Program: "bad", Device: gpu.RTX2080Ti, Engine: bad, Run: run,

@@ -83,7 +83,6 @@ type (
 	AnalysisEnv     = core.Env
 	LaunchAnalysis  = core.LaunchAnalysis
 	Batch           = core.Batch
-	Partial         = core.Partial
 	BaseStage       = core.BaseStage
 )
 

@@ -184,10 +184,10 @@ func TestConfigValidateFacade(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := Config{AnalysisWorkers: -1}
+	bad := Config{BufferRecords: -1}
 	err := bad.Validate()
 	ce, ok := err.(*ConfigError)
-	if !ok || ce.Field != "AnalysisWorkers" {
+	if !ok || ce.Field != "BufferRecords" {
 		t.Fatalf("Validate error = %v", err)
 	}
 }
