@@ -1,10 +1,11 @@
 GO ?= go
 
-# Minimum statement coverage for the analysis heart of the tool. Both
-# packages sit above 90% today; the floor leaves room for small drift but
-# catches untested growth.
+# Minimum statement coverage for the analysis heart of the tool and the
+# parallel, interval-merge and sanitizer layers under it. Every package
+# sits above 90% today; the floor leaves room for small drift but catches
+# untested growth.
 COVER_FLOOR ?= 85.0
-COVER_PKGS  ?= ./internal/vpattern ./internal/core
+COVER_PKGS  ?= ./internal/vpattern ./internal/core ./internal/parallel ./internal/interval ./internal/sanitizer
 
 # Per-target budget for the fuzz gate; the Go fuzzer accepts one -fuzz
 # pattern per run, so each target gets its own invocation.

@@ -111,11 +111,7 @@ func Extract(tr io.Reader, launchIndex int, w io.Writer, opt ExtractOptions) (*t
 	var allocs []*gpu.Allocation
 	for i := range launch.Accesses {
 		rec := &launch.Accesses[i]
-		elems := uint64(1)
-		if rec.Count > 1 {
-			elems = uint64(rec.Count)
-		}
-		nbytes := elems * uint64(rec.Size)
+		nbytes := rec.Bytes()
 		if nbytes == 0 {
 			continue
 		}
@@ -200,7 +196,7 @@ func mergeSpans(spans []span) []span {
 func cloneEvent(e *trace.Event) *trace.Event {
 	cp := *e
 	cp.Frames = append([]callpath.Frame(nil), e.Frames...)
-	cp.Accesses = append([]trace.AccessRec(nil), e.Accesses...)
+	cp.Accesses = append([]gpu.Access(nil), e.Accesses...)
 	cp.HostSrc = append([]byte(nil), e.HostSrc...)
 	return &cp
 }

@@ -102,7 +102,7 @@ func TestCustomAnalysisStage(t *testing.T) {
 }
 
 // TestConcurrentSessionsByteIdentical: two Sessions profiling different
-// workloads at the same time share the process-wide scheduler, and each
+// workloads at the same time each run their own merge pools, and each
 // must still emit a report byte-identical to its solo run. Run under
 // -race this also proves the engines share no mutable state.
 func TestConcurrentSessionsByteIdentical(t *testing.T) {

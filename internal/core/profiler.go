@@ -15,7 +15,6 @@ import (
 	"valueexpert/cuda"
 	"valueexpert/gpu"
 	"valueexpert/internal/interval"
-	"valueexpert/internal/parallel"
 	"valueexpert/internal/profile"
 	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
@@ -83,7 +82,7 @@ type Config struct {
 
 	// Telemetry, when non-nil, threads self-observation probes through
 	// every engine layer: per-stage timers and counters, pipeline and
-	// scheduler gauges, and (with a trace sink attached to the recorder)
+	// merge metrics, and (with a trace sink attached to the recorder)
 	// a Chrome trace-event self-trace. nil — the default — keeps the
 	// engine's hot paths probe-free; enabling telemetry never perturbs
 	// the emitted report.
@@ -103,7 +102,6 @@ type Profiler struct {
 	tree  *callpath.Tree
 	graph *vflow.Graph
 	san   *sanitizer.Engine
-	sched *parallel.Scheduler
 
 	// stages are the registered analyses, lifecycle-driven in this order.
 	stages []Analysis
@@ -143,9 +141,6 @@ type Profiler struct {
 	// every probe a no-op) unless Config.Telemetry carries a recorder.
 	tel    *telemetry.Recorder
 	probes engineProbes
-	// schedProbes are the probes this profiler attached to the shared
-	// scheduler (nil when none), so Detach removes them and only them.
-	schedProbes *parallel.SchedProbes
 }
 
 // launchState tracks one instrumented kernel launch: the sanitizer's
@@ -180,7 +175,6 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 		patterns:    patterns,
 		rt:          rt,
 		tree:        callpath.NewTree(),
-		sched:       parallel.Shared(),
 		pendingFree: -1,
 	}
 	p.graph = vflow.New(p.tree)
@@ -233,15 +227,13 @@ func Profile(src cuda.EventSource, cfg Config) (*Profiler, error) {
 }
 
 // Detach removes the profiler from its runtime, waits for the analysis
-// goroutine, then drops the idle flush buffers and batch shells and
-// releases any probes it attached to shared infrastructure. Reports stay
-// readable; a profiler installed again allocates its buffers afresh.
+// goroutine, then drops the idle flush buffers and batch shells. Reports
+// stay readable; a profiler installed again allocates its buffers afresh.
 func (p *Profiler) Detach() {
 	p.rt.SetInterceptor(nil)
 	p.barrier()
 	p.san.Release()
 	p.an.dropSpares()
-	p.sched.ClearProbes(p.schedProbes)
 }
 
 // Graph returns the program-wide value flow graph built so far.

@@ -1,16 +1,15 @@
 // Engine self-observability: when Config.Telemetry carries a recorder,
 // Attach threads probes through every layer — sanitizer flush volume and
 // buffer-wait stalls, per-stage analyze/finalize timers, waits for the
-// analysis goroutine, scheduler utilization, interval-merge volumes, and
-// the coarse stage's snapshot diff/apply timers with per-strategy copy
-// traffic — and declares the two self-trace lanes (kernel execution and
-// the analysis goroutine). With a nil recorder every probe is nil and the
-// engine's hot paths pay only pointer tests.
+// analysis goroutine, interval-merge volumes, and the coarse stage's
+// snapshot diff/apply timers with per-strategy copy traffic — and
+// declares the two self-trace lanes (kernel execution and the analysis
+// goroutine). With a nil recorder every probe is nil and the engine's hot
+// paths pay only pointer tests.
 package core
 
 import (
 	"valueexpert/internal/faultinject"
-	"valueexpert/internal/parallel"
 	"valueexpert/internal/profile"
 	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
@@ -78,14 +77,6 @@ func (p *Profiler) initTelemetry() {
 		p.probes.finalize[i] = tel.Timer("stage." + st.Name() + ".finalize")
 		p.probes.batches[i] = tel.Counter("stage." + st.Name() + ".batches")
 	}
-
-	// Eager creation: every sanitizer/scheduler key appears in the export
-	// even when the run never exercises it.
-	p.schedProbes = &parallel.SchedProbes{
-		Acquires: tel.Counter("scheduler.acquires"),
-		InUse:    tel.Gauge("scheduler.in_use"),
-	}
-	p.sched.SetProbes(p.schedProbes)
 
 	tel.DeclareLane(telemetry.LaneKernel, "kernel execution")
 	tel.DeclareLane(telemetry.LaneAnalysis, "analysis")

@@ -8,7 +8,6 @@ import (
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
-	"valueexpert/internal/parallel"
 	"valueexpert/internal/telemetry"
 	"valueexpert/internal/workloads"
 )
@@ -53,8 +52,8 @@ func TestTelemetryPreservesReportBytes(t *testing.T) {
 }
 
 // TestTelemetryPerStageMetrics checks the metric vocabulary the export
-// promises: per-stage timers, per-strategy snapshot counters and the
-// scheduler gauge, and no metric of an engine part that does not exist.
+// promises: per-stage timers and per-strategy snapshot counters, and no
+// metric of an engine part that does not exist.
 func TestTelemetryPerStageMetrics(t *testing.T) {
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	tel := telemetry.New()
@@ -81,7 +80,7 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 		}
 	}
 	for _, counter := range []string{
-		"sanitizer.flushes", "sanitizer.records", "scheduler.acquires",
+		"sanitizer.flushes", "sanitizer.records",
 		"stage.coarse.batches", "stage.fine.batches",
 		"snapshot.copy_bytes.direct", "snapshot.copy_calls.direct",
 		"merge.input_intervals", "merge.output_intervals",
@@ -90,24 +89,20 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 			t.Errorf("counter %q missing from export (have %v)", counter, keys(m.Counters))
 		}
 	}
-	if _, ok := m.Gauges["scheduler.in_use"]; !ok {
-		t.Errorf("gauge scheduler.in_use missing from export (have %v)", keys(m.Gauges))
-	}
 	for _, gone := range []string{
 		"pipeline.occupancy", "stage.fine.combine", "stage.coarse.combine", "scheduler.wait",
 		"stage.fine.compact", "stage.fine.absorb", "stage.coarse.compact", "stage.coarse.absorb",
+		"scheduler.acquires", "scheduler.in_use",
 	} {
 		_, g := m.Gauges[gone]
 		_, tm := m.Timers[gone]
-		if g || tm {
+		_, c := m.Counters[gone]
+		if g || tm || c {
 			t.Errorf("removed metric %q still exported", gone)
 		}
 	}
 	if m.Counters["sanitizer.records"] == 0 {
 		t.Error("no access records counted")
-	}
-	if m.Gauges["scheduler.in_use"].Count == 0 {
-		t.Error("scheduler utilization never sampled")
 	}
 
 	// The export must be valid JSON with the documented envelope.
@@ -123,27 +118,6 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 		if _, ok := env[k]; !ok {
 			t.Errorf("export missing %q", k)
 		}
-	}
-}
-
-// TestDetachKeepsOtherSchedulerProbes: profilers share the process-wide
-// scheduler, so one detaching must leave a still-attached profiler's
-// scheduler probes in place (vxprofd runs many sessions at once).
-func TestDetachKeepsOtherSchedulerProbes(t *testing.T) {
-	attach := func() (*Profiler, *telemetry.Recorder) {
-		tel := telemetry.New()
-		return Attach(cuda.NewRuntime(gpu.RTX2080Ti), Config{Coarse: true, Telemetry: tel}), tel
-	}
-	a, _ := attach()
-	b, telB := attach()
-	a.Detach()
-	if !parallel.Shared().TryAcquire() {
-		t.Fatal("shared scheduler has no free slot")
-	}
-	parallel.Shared().Release()
-	b.Detach()
-	if n := telB.Metrics().Counters["scheduler.acquires"]; n != 1 {
-		t.Fatalf("B's scheduler.acquires = %d after A detached, want 1", n)
 	}
 }
 

@@ -3,11 +3,11 @@
 // scans, radix sorts, reductions, and a chunked parallel-for.
 //
 // On real hardware these run as data-processing kernels occupying dedicated
-// streaming multiprocessors (paper §6.1); here they are implemented over a
-// process-wide bounded Scheduler: each operation keeps the same structure
-// (block-local work + cross-block combine) and the same asymptotics, while
-// the goroutines actually executing the blocks are leased from one shared
-// CPU budget so concurrent profilers cannot oversubscribe the host.
+// streaming multiprocessors (paper §6.1), and the hardware bounds how many
+// run at once. Here each operation keeps the same structure (block-local
+// work + cross-block combine) and the same asymptotics, its blocks run on
+// goroutines the pool starts itself, and the Go runtime bounds how many of
+// them run at once to GOMAXPROCS.
 package parallel
 
 import (
@@ -16,43 +16,31 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers is the degree of parallelism used when a Pool is created
-// with workers <= 0. It mirrors launching one analysis block per available
-// processor.
-var DefaultWorkers = runtime.GOMAXPROCS(0)
-
 // Pool partitions data-parallel operations into chunks. The chunk layout —
 // and therefore every result — depends only on the pool's configured
-// width, never on how many scheduler slots happen to be free: helpers only
-// change which goroutine executes a chunk. The zero value is not usable;
-// construct with NewPool.
+// width: helpers only change which goroutine executes a chunk. The zero
+// value is not usable; construct with NewPool.
 type Pool struct {
 	workers int
-	sched   *Scheduler
 }
 
-// NewPool returns a Pool with the given degree of parallelism drawing
-// helpers from the shared process-wide scheduler. workers <= 0 selects
-// DefaultWorkers.
-func NewPool(workers int) *Pool { return NewPoolOn(Shared(), workers) }
-
-// NewPoolOn returns a Pool leasing helpers from the given scheduler.
-func NewPoolOn(s *Scheduler, workers int) *Pool {
+// NewPool returns a Pool with the given degree of parallelism. workers <= 0
+// selects GOMAXPROCS, one analysis block per available processor.
+func NewPool(workers int) *Pool {
 	if workers <= 0 {
-		workers = DefaultWorkers
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, sched: s}
+	return &Pool{workers: workers}
 }
 
 // Workers reports the pool's degree of parallelism.
 func (p *Pool) Workers() int { return p.workers }
 
 // run executes fn(c) for every chunk index in [0, nChunks). The calling
-// goroutine always participates; up to min(workers, nChunks)-1 helpers are
-// leased from the scheduler without blocking, so a fully loaded scheduler
-// degrades to sequential execution on the caller. Chunks are claimed from
-// a shared counter, which is safe because every operation writes each
-// chunk's result to a slot determined by the chunk index alone.
+// goroutine always participates, alongside min(workers, nChunks)-1 helper
+// goroutines. Chunks are claimed from a shared counter, which is safe
+// because every operation writes each chunk's result to a slot determined
+// by the chunk index alone.
 func (p *Pool) run(nChunks int, fn func(c int)) {
 	if nChunks <= 0 {
 		return
@@ -69,14 +57,10 @@ func (p *Pool) run(nChunks int, fn func(c int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
-		if !p.sched.TryAcquire() {
-			break
-		}
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer p.sched.Release()
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nChunks {
@@ -97,8 +81,8 @@ func (p *Pool) run(nChunks int, fn func(c int)) {
 }
 
 // chunking returns the chunk size and count for n items: at most Workers
-// contiguous ranges, identical to the layout used since the pool was
-// per-goroutine, so results are bit-stable across scheduler load.
+// contiguous ranges, so results are bit-stable whichever goroutine runs
+// each chunk.
 func (p *Pool) chunking(n int) (chunk, nChunks int) {
 	w := p.workers
 	if w > n {
@@ -220,26 +204,6 @@ func (p *Pool) ExclusiveScan(xs []int64) int64 {
 	total := xs[n-1]
 	copy(xs[1:], xs[:n-1])
 	xs[0] = 0
-	return total
-}
-
-// Reduce returns the sum of xs computed with a parallel tree reduction.
-func (p *Pool) Reduce(xs []int64) int64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	partials := MapChunks(p, n, func(lo, hi int) int64 {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += xs[i]
-		}
-		return s
-	})
-	var total int64
-	for _, s := range partials {
-		total += s
-	}
 	return total
 }
 

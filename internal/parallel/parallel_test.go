@@ -1,8 +1,11 @@
 package parallel
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -99,21 +102,6 @@ func TestInclusiveScanMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestReduceMatchesSum(t *testing.T) {
-	f := func(raw []int32, workers uint8) bool {
-		xs := make([]int64, len(raw))
-		var want int64
-		for i, v := range raw {
-			xs[i] = int64(v)
-			want += int64(v)
-		}
-		return NewPool(int(workers%8)+1).Reduce(xs) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxUint64(t *testing.T) {
 	p := NewPool(4)
 	if got := p.MaxUint64(nil); got != 0 {
@@ -186,8 +174,60 @@ func TestPoolWorkers(t *testing.T) {
 	if NewPool(3).Workers() != 3 {
 		t.Fatal("explicit workers")
 	}
-	if NewPool(0).Workers() != DefaultWorkers {
-		t.Fatal("default workers")
+	if got, want := NewPool(0).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default workers = %d, want GOMAXPROCS %d", got, want)
+	}
+}
+
+// TestPoolsRunConcurrently: independent pools used from many goroutines at
+// once — the way concurrent vxprofd sessions run their merges — each
+// produce exactly the sequential result. Run under -race this also shows
+// the pools share no state.
+func TestPoolsRunConcurrently(t *testing.T) {
+	const goroutines, n = 8, 4096 // n above the radix sort's sequential cutoff
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			p := NewPool(4)
+
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = rng.Uint64()
+			}
+			want := append([]uint64(nil), keys...)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			p.RadixSortUint64(keys)
+			for i := range keys {
+				if keys[i] != want[i] {
+					errs <- fmt.Errorf("seed %d: sort mismatch at %d", seed, i)
+					return
+				}
+			}
+
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = rng.Int63n(1000) - 500
+			}
+			scan := append([]int64(nil), xs...)
+			p.InclusiveScan(scan)
+			var run int64
+			for i, x := range xs {
+				run += x
+				if scan[i] != run {
+					errs <- fmt.Errorf("seed %d: scan[%d] = %d, want %d", seed, i, scan[i], run)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -341,7 +341,7 @@ func (bw *Writer) appendLaunch(e *Event) error {
 	return nil
 }
 
-func packFlags(r *AccessRec) (byte, error) {
+func packFlags(r *gpu.Access) (byte, error) {
 	var l2 byte
 	switch r.Size {
 	case 1:
@@ -383,7 +383,7 @@ type binReader struct {
 
 	dict    []string
 	payload []byte
-	recs    []AccessRec
+	recs    []gpu.Access
 	ev      Event
 	frames  []callpath.Frame
 	hostSrc []byte
@@ -860,7 +860,7 @@ func (br *binReader) decodeLaunch(c *cursor) error {
 	}
 	recs := br.recs[:0]
 	if cap(recs) < n {
-		recs = make([]AccessRec, 0, n)
+		recs = make([]gpu.Access, 0, n)
 	}
 	prev := int64(0)
 	for i := 0; i < n; i++ {
@@ -872,7 +872,7 @@ func (br *binReader) decodeLaunch(c *cursor) error {
 		if prev < 0 || prev > math.MaxUint32 {
 			return c.fail("pc %d out of range at record %d", prev, i)
 		}
-		recs = append(recs, AccessRec{PC: gpu.PC(prev)})
+		recs = append(recs, gpu.Access{PC: gpu.PC(prev)})
 	}
 	if err := pcCol.drained("pc"); err != nil {
 		return err

@@ -26,7 +26,7 @@ func sampleEvents() []*Event {
 		{Kind: kindLaunch, Name: "gemm_kernel", Frames: frames,
 			Grid: [3]int{4, 2, 1}, Block: [3]int{64, 1, 1},
 			Counters: gpu.LaunchCounters{Loads: 7, Stores: 3, BytesLoaded: 28, BytesStored: 12, FP32Ops: 11},
-			Accesses: []AccessRec{
+			Accesses: []gpu.Access{
 				{PC: 0x40, Addr: 0x7f00_0000_0000, Size: 4, Kind: gpu.KindFloat, Raw: 0x3f800000},
 				{PC: 0x40, Addr: 0x7f00_0000_0004, Size: 4, Kind: gpu.KindFloat, Raw: 0x3f800000, Thread: 1},
 				{PC: 0x48, Addr: 0x7f00_0000_0000, Size: 8, Kind: gpu.KindFloat, Store: true,

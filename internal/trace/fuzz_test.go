@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"valueexpert/callpath"
+	"valueexpert/gpu"
 )
 
 // fuzzSampleBinary builds a small well-formed binary container
@@ -23,7 +24,7 @@ func fuzzSampleBinary(tb testing.TB) []byte {
 		&Event{Kind: kindMemset, Name: "cudaMemset", Dst: 0x7f00_0000_0000, Bytes: 8},
 		&Event{Kind: kindLaunch, Name: "k", Seq: 3,
 			Grid: [3]int{2, 1, 1}, Block: [3]int{32, 1, 1},
-			Accesses: []AccessRec{
+			Accesses: []gpu.Access{
 				{PC: 0x10, Addr: 0x7f00_0000_0000, Size: 4, Kind: 1, Raw: 0x3f800000, Block: 0, Thread: 0},
 				{PC: 0x18, Addr: 0x7f00_0000_0004, Size: 4, Kind: 1, Store: true, Raw: 0, Count: 3, Block: 1, Thread: 2},
 			}},

@@ -58,7 +58,7 @@ func Scan(rd io.Reader, fn func(e *Event) error) error {
 // execution counters drive the cost model.
 type replayKernel struct {
 	name string
-	recs []AccessRec
+	recs []gpu.Access
 	ctrs gpu.LaunchCounters
 }
 
@@ -67,12 +67,7 @@ func (k *replayKernel) AccessTypes() map[gpu.PC]gpu.AccessType { return nil }
 func (k *replayKernel) LineMapping() map[gpu.PC]gpu.SrcLine    { return nil }
 
 func (k *replayKernel) Execute(dev *gpu.Device, _, _ gpu.Dim3, hook gpu.AccessFunc, blockFilter func(int32) bool, ctr *gpu.LaunchCounters) error {
-	for _, rec := range k.recs {
-		a := gpu.Access{
-			PC: rec.PC, Addr: rec.Addr, Size: rec.Size, Kind: rec.Kind,
-			Store: rec.Store, Raw: rec.Raw, Count: rec.Count,
-			Block: rec.Block, Thread: rec.Thread,
-		}
+	for _, a := range k.recs {
 		if a.Store {
 			raw := a.Raw
 			for i := 0; i < a.Elems(); i++ {

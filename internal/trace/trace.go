@@ -38,19 +38,6 @@ type Format uint8
 // FormatBinary is the VXTR container.
 const FormatBinary Format = 0
 
-// AccessRec is one recorded access (scalar or compacted range).
-type AccessRec struct {
-	PC     gpu.PC        `json:"pc"`
-	Addr   uint64        `json:"addr"`
-	Size   uint8         `json:"size"`
-	Kind   gpu.ValueKind `json:"kind"`
-	Store  bool          `json:"store,omitempty"`
-	Raw    uint64        `json:"raw"`
-	Count  uint32        `json:"count,omitempty"`
-	Block  int32         `json:"block"`
-	Thread int32         `json:"thread"`
-}
-
 // Event is one recorded API invocation — the portable vocabulary the
 // container serializes. Beyond the recorded runtime APIs, three kinds
 // exist only in capsule containers: "alloc_at" pins an allocation to its
@@ -73,7 +60,7 @@ type Event struct {
 	Grid     [3]int             `json:"grid,omitempty"`
 	Block    [3]int             `json:"block,omitempty"`
 	Counters gpu.LaunchCounters `json:"counters,omitempty"`
-	Accesses []AccessRec        `json:"accesses,omitempty"`
+	Accesses []gpu.Access       `json:"accesses,omitempty"`
 
 	// ObjID is an alloc_at event's preserved allocation ID.
 	ObjID int `json:"obj_id,omitempty"`
@@ -142,7 +129,7 @@ type Recorder struct {
 	rt    *cuda.Runtime
 	inner cuda.Interceptor
 	w     *Writer
-	cur   []AccessRec
+	cur   []gpu.Access
 	err   error
 }
 
@@ -205,11 +192,7 @@ func (r *Recorder) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 		innerHook, innerFilter = r.inner.Instrumentation(kernelName)
 	}
 	return func(a gpu.Access) {
-		r.cur = append(r.cur, AccessRec{
-			PC: a.PC, Addr: a.Addr, Size: a.Size, Kind: a.Kind,
-			Store: a.Store, Raw: a.Raw, Count: a.Count,
-			Block: a.Block, Thread: a.Thread,
-		})
+		r.cur = append(r.cur, a)
 		if innerHook != nil && (innerFilter == nil || innerFilter(a.Block)) {
 			innerHook(a)
 		}
