@@ -72,7 +72,7 @@ func TestArenaHistMatchesMapReference(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			v := randValue(rng, pool)
 			n := uint64(1 + rng.Intn(3))
-			got := h.add(v, n, cap)
+			got := h.add(v, n, cap) >= 0
 			want := ref.add(v, n, cap)
 			if got != want {
 				t.Fatalf("trial %d step %d: add(%+v) tracked=%v, reference %v", trial, step, v, got, want)
@@ -163,8 +163,9 @@ func TestRankMatchesFullSort(t *testing.T) {
 }
 
 // TestFineAddAllocsFree: the fine access path — shared context, exact
-// histogram, every builtin detector — must not allocate in the steady
-// state, including the in-place Reset between batches.
+// histogram and its hint, every builtin detector — must not allocate in
+// the steady state, for scalars and for decoded range records alike,
+// including the in-place Reset between batches.
 func TestFineAddAllocsFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	accs, objOf := randStream(rng, 512)
@@ -179,4 +180,81 @@ func TestFineAddAllocsFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("FineAccumulator.Add allocated %.1f times per warmed batch, want 0", allocs)
 	}
+
+	// Range records: 64 captured loads and fills of 2–64 elements each,
+	// decoded and ingested whole.
+	recs := make([]rec, 64)
+	for i := range recs {
+		a := randAccess(rng)
+		vs := make([]uint64, 2+rng.Intn(63))
+		for e := range vs {
+			vs[e] = uint64(rng.Intn(40))
+		}
+		recs[i] = loadRange(rng.Intn(5), a.Addr, a.Size, a.Kind, vs)
+		if a.Store {
+			recs[i].a.Store, recs[i].a.Raw, recs[i].vals = true, vs[0], nil
+		}
+	}
+	runRanges := func() {
+		fa.Reset()
+		ingestBulk(fa, recs)
+	}
+	runRanges()
+	if allocs := testing.AllocsPerRun(20, runRanges); allocs != 0 {
+		t.Fatalf("FineAccumulator.DecodeRange+AddRange allocated %.1f times per warmed batch, want 0", allocs)
+	}
+}
+
+// BenchmarkExactHistogram times the shared context's exact histogram
+// alone (no detectors) per ingested element, over two stream shapes:
+//   - window: 64-element range loads sliding one element at a time over
+//     4,096 float32 elements of distinct values, so each element away
+//     from the ends is loaded 64 times (a convolution's input reuse);
+//   - distinct: 4,096 single-element loads of distinct values against a
+//     256-value cap, so nearly every add misses and overflows.
+func BenchmarkExactHistogram(b *testing.B) {
+	const elems, width = 4096, 64
+	vals := make([]uint64, elems)
+	for e := range vals {
+		vals[e] = gpu.RawFromFloat32(float32(e) * 0.5)
+	}
+	b.Run("window", func(b *testing.B) {
+		fa := NewFineAccumulatorWith(FineConfig{}, nil)
+		a := gpu.Access{Size: 4, Kind: gpu.KindFloat, Count: width}
+		run := func() int {
+			fa.Reset()
+			for s := 0; s+width <= elems; s++ {
+				a.Addr = uint64(4 * s)
+				fa.AddRange(1, a, vals[s:s+width])
+			}
+			return (elems - width + 1) * width
+		}
+		benchPerElement(b, run)
+	})
+	b.Run("distinct", func(b *testing.B) {
+		fa := NewFineAccumulatorWith(FineConfig{MaxTrackedValues: 256}, nil)
+		a := gpu.Access{Size: 4, Kind: gpu.KindUint}
+		run := func() int {
+			fa.Reset()
+			for e := 0; e < elems; e++ {
+				a.Addr, a.Raw = uint64(4*e), uint64(e)
+				fa.Add(1, a)
+			}
+			return elems
+		}
+		benchPerElement(b, run)
+	})
+}
+
+// benchPerElement runs one warm-up round of run, then b.N timed rounds,
+// reporting nanoseconds per element ingested.
+func benchPerElement(b *testing.B, run func() int) {
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/elem")
 }

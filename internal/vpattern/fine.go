@@ -2,6 +2,7 @@ package vpattern
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sort"
 
 	"valueexpert/gpu"
@@ -80,15 +81,25 @@ const histMinSlots = 16 // power of two
 // slots plus the entry itself — no per-value heap boxes — and a reset
 // keeps both allocations, so a reused histogram adds values without
 // allocating at all.
+//
+// near is a direct-mapped hint over element indices, as long as slots:
+// near[elem mod len] holds the entry index + 1 of the value last added
+// at that element (0 = none). Kernels reload the same elements, so most
+// adds find their entry there (hit) without a probe. hit verifies every
+// hint against the entry's value, so any element-to-hint mapping is
+// exact; only the hit rate depends on it. addAt writes the hint; a
+// histogram that only ever adds (the relaxed one) never allocates it.
 type valueHist struct {
 	entries []ValueCount
 	slots   []int32
+	near    []int32
 }
 
 // add counts n occurrences of v, admitting at most maxTracked distinct
-// values. It reports whether v is tracked; untracked occurrences are the
-// caller's to account (overflow or silent drop).
-func (h *valueHist) add(v Value, n uint64, maxTracked int) bool {
+// values. It returns v's entry index, or -1 when v is untracked;
+// untracked occurrences are the caller's to account (overflow or silent
+// drop).
+func (h *valueHist) add(v Value, n uint64, maxTracked int) int {
 	if len(h.slots) == 0 {
 		h.grow(histMinSlots)
 	}
@@ -101,12 +112,12 @@ func (h *valueHist) add(v Value, n uint64, maxTracked int) bool {
 		}
 		if e := &h.entries[s-1]; e.Value == v {
 			e.Count += n
-			return true
+			return int(s - 1)
 		}
 		i = (i + 1) & mask
 	}
 	if len(h.entries) >= maxTracked {
-		return false
+		return -1
 	}
 	h.entries = append(h.entries, ValueCount{Value: v, Count: n})
 	h.slots[i] = int32(len(h.entries))
@@ -114,6 +125,40 @@ func (h *valueHist) add(v Value, n uint64, maxTracked int) bool {
 	if 4*len(h.entries) >= 3*len(h.slots) {
 		h.grow(2 * len(h.slots))
 	}
+	return len(h.entries) - 1
+}
+
+// hit counts one occurrence of v at element index elem if elem's hint
+// names v's entry, reporting whether it did. A hinted entry holding v is
+// v's unique entry, so counting it leaves exactly the state add(v, 1, …)
+// would — saturated or not, since add counts a tracked value before its
+// cap check.
+func (h *valueHist) hit(v Value, elem uint64) bool {
+	k := elem & uint64(len(h.near)-1)
+	if k >= uint64(len(h.near)) { // near is empty until the first addAt
+		return false
+	}
+	s := h.near[k]
+	if s == 0 || h.entries[s-1].Value != v {
+		return false
+	}
+	h.entries[s-1].Count++
+	return true
+}
+
+// addAt is add(v, 1, maxTracked) for a value at element index elem, the
+// path after a failed hit: it probes for v and points elem's hint at the
+// entry found or admitted, first resizing near to slots, empty.
+func (h *valueHist) addAt(v Value, elem uint64, maxTracked int) bool {
+	idx := h.add(v, 1, maxTracked)
+	if idx < 0 {
+		return false
+	}
+	if len(h.near) != len(h.slots) {
+		// slots only grow, so this runs once per growth (reset keeps both).
+		h.near = make([]int32, len(h.slots))
+	}
+	h.near[elem&uint64(len(h.near)-1)] = int32(idx + 1)
 	return true
 }
 
@@ -136,11 +181,12 @@ func (h *valueHist) grow(n int) {
 	}
 }
 
-// reset empties the histogram keeping both allocations, so the next use
+// reset empties the histogram keeping every allocation, so the next use
 // adds values without growing.
 func (h *valueHist) reset() {
 	h.entries = h.entries[:0]
 	clear(h.slots)
+	clear(h.near)
 }
 
 func (h *valueHist) len() int { return len(h.entries) }
@@ -492,9 +538,10 @@ func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
 	}
 	sh.Bytes += uint64(a.Size)
 
-	// Exact histogram (capped).
+	// Exact histogram (capped), hinted by element index.
 	v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
-	if !sh.exact.add(v, 1, fa.cfg.MaxTrackedValues) {
+	elem := a.Addr >> bits.TrailingZeros8(a.Size)
+	if !sh.exact.hit(v, elem) && !sh.exact.addAt(v, elem, fa.cfg.MaxTrackedValues) {
 		sh.overflow(v, 1, &fa.cfg)
 	}
 }
@@ -512,11 +559,13 @@ func (fa *FineAccumulator) addSharedRange(objID int, a gpu.Access, raws []uint64
 	sh.Bytes += n * uint64(a.Size)
 
 	v := Value{Size: a.Size, Kind: a.Kind}
+	elem := a.Addr >> bits.TrailingZeros8(a.Size)
 	for _, raw := range raws {
 		v.Raw = raw
-		if !sh.exact.add(v, 1, fa.cfg.MaxTrackedValues) {
+		if !sh.exact.hit(v, elem) && !sh.exact.addAt(v, elem, fa.cfg.MaxTrackedValues) {
 			sh.overflow(v, 1, &fa.cfg)
 		}
+		elem++
 	}
 }
 

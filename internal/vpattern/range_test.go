@@ -2,8 +2,10 @@ package vpattern
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"valueexpert/gpu"
@@ -77,18 +79,85 @@ func builtinFine() []Registration {
 		HeavyType: true, StructuredValues: true, ApproximateValues: true})
 }
 
-// checkRangeIngestion asserts that the bulk path finalizes exactly like
-// the per-element oracle over recs.
-func checkRangeIngestion(t *testing.T, cfg FineConfig, recs []rec) {
+// ingestProbeOnly builds the shared observation context of recs without
+// the element hint: every element, ranges expanded, goes through plain
+// valueHist.add, and every refused value through the same overflow
+// accounting.
+func ingestProbeOnly(cfg FineConfig, recs []rec) map[int]*ObjectShared {
+	cfg = cfg.withDefaults()
+	objs := map[int]*ObjectShared{}
+	for _, r := range recs {
+		each := func(a gpu.Access) {
+			sh := objs[r.obj]
+			if sh == nil {
+				sh = &ObjectShared{}
+				objs[r.obj] = sh
+			}
+			if a.Store {
+				sh.Stores++
+			} else {
+				sh.Loads++
+			}
+			sh.Bytes += uint64(a.Size)
+			v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
+			if sh.exact.add(v, 1, cfg.MaxTrackedValues) < 0 {
+				sh.overflow(v, 1, &cfg)
+			}
+		}
+		if r.a.Count <= 1 {
+			each(r.a)
+		} else {
+			expandRange(r.a, r.vals, each)
+		}
+	}
+	return objs
+}
+
+// checkShared asserts that fa's shared observation context equals the
+// probe-only reference: the same objects, counters, overflow count, and
+// exact and relaxed entries in first-occurrence order.
+func checkShared(t *testing.T, path string, fa *FineAccumulator, ref map[int]*ObjectShared) {
+	t.Helper()
+	if len(fa.objs.ids) != len(ref) {
+		t.Fatalf("%s: %d objects, probe-only reference %d", path, len(fa.objs.ids), len(ref))
+	}
+	for id, want := range ref {
+		got := fa.objs.get(id)
+		switch {
+		case got == nil:
+			t.Fatalf("%s: object %d missing", path, id)
+		case got.Loads != want.Loads || got.Stores != want.Stores || got.Bytes != want.Bytes || got.Overflow != want.Overflow:
+			t.Fatalf("%s: object %d counters loads/stores/bytes/overflow %d/%d/%d/%d, probe-only %d/%d/%d/%d", path, id,
+				got.Loads, got.Stores, got.Bytes, got.Overflow, want.Loads, want.Stores, want.Bytes, want.Overflow)
+		case !slices.Equal(got.exact.entries, want.exact.entries):
+			t.Fatalf("%s: object %d exact entries\n got %+v\nwant %+v", path, id, got.exact.entries, want.exact.entries)
+		case !slices.Equal(got.relaxed.entries, want.relaxed.entries):
+			t.Fatalf("%s: object %d relaxed entries\n got %+v\nwant %+v", path, id, got.relaxed.entries, want.relaxed.entries)
+		}
+	}
+}
+
+// checkRangeIngestion asserts, for each round of records in turn, that
+// the bulk path finalizes exactly like the per-element oracle, and that
+// both keep exactly the probe-only reference's shared context. One
+// accumulator of each kind takes every round, Reset in between, so
+// later rounds run on reused histograms and hints.
+func checkRangeIngestion(t *testing.T, cfg FineConfig, rounds ...[]rec) {
 	t.Helper()
 	regs := builtinFine()
 	oracle := NewFineAccumulatorWith(cfg, regs)
-	ingestOracle(oracle, recs)
-	want := oracle.Finalize()
 	fa := NewFineAccumulatorWith(cfg, regs)
-	ingestBulk(fa, recs)
-	if got := fa.Finalize(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("bulk ingestion diverged from per-element expansion:\n got %+v\nwant %+v", got, want)
+	for round, recs := range rounds {
+		oracle.Reset()
+		fa.Reset()
+		ingestOracle(oracle, recs)
+		ingestBulk(fa, recs)
+		ref := ingestProbeOnly(cfg, recs)
+		checkShared(t, fmt.Sprintf("round %d per-element", round), oracle, ref)
+		checkShared(t, fmt.Sprintf("round %d bulk", round), fa, ref)
+		if want, got := oracle.Finalize(), fa.Finalize(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("round %d: bulk ingestion diverged from per-element expansion:\n got %+v\nwant %+v", round, got, want)
+		}
 	}
 }
 
@@ -130,11 +199,7 @@ func seqRaws(n int, lo, step int64) []uint64 {
 
 func TestRangeIngestionMatchesPerElement(t *testing.T) {
 	nan := float32(math.NaN())
-	cases := []struct {
-		name string
-		cfg  FineConfig
-		recs []rec
-	}{
+	cases := []rangeCase{
 		{"widths and kinds", FineConfig{}, []rec{
 			loadRange(1, 0x100, 1, gpu.KindUint, seqRaws(20, 250, 1)),
 			loadRange(1, 0x200, 1, gpu.KindUint, seqRaws(20, 0, 3)),
@@ -177,9 +242,103 @@ func TestRangeIngestionMatchesPerElement(t *testing.T) {
 			loadRange(2, 0x1000, 8, gpu.KindInt, seqRaws(9, 0, 8)),
 		}},
 	}
-	for _, tc := range cases {
+	for _, tc := range append(cases, hintCases...) {
 		t.Run(tc.name, func(t *testing.T) { checkRangeIngestion(t, tc.cfg, tc.recs) })
 	}
+
+	// An accumulator reused across Reset meets new values, and fewer of
+	// them, at the addresses whose hints the earlier round set.
+	t.Run("reused across Reset", func(t *testing.T) {
+		checkRangeIngestion(t, FineConfig{MaxTrackedValues: 8},
+			[]rec{
+				loadRange(1, 0, 4, gpu.KindFloat, f32Raws(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+				loadRange(1, 0, 4, gpu.KindFloat, f32Raws(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+				{obj: 2, a: gpu.Access{Addr: 0x40, Size: 8, Kind: gpu.KindUint, Raw: 3}},
+			},
+			[]rec{
+				loadRange(1, 0, 4, gpu.KindFloat, f32Raws(10, 10, 9, 9)),
+				loadRange(1, 0, 4, gpu.KindFloat, f32Raws(10, 9, 8, 7, 6, 5, 4, 3, 2, 1)),
+				{obj: 2, a: gpu.Access{Addr: 0x40, Size: 8, Kind: gpu.KindUint, Raw: 4}},
+			},
+			nil,
+			[]rec{loadRange(1, 0, 4, gpu.KindFloat, f32Raws(1, 1, 1))},
+		)
+	})
+}
+
+// rangeCase is one record stream checked by checkRangeIngestion.
+type rangeCase struct {
+	name string
+	cfg  FineConfig
+	recs []rec
+}
+
+// hintCases aim at the exact histogram's element hint. FuzzAddRange
+// seeds its corpus with them, so they stay within rangeRecs' input
+// format: objects below 4, addresses multiples of 4 below 1 KiB, ranges
+// under 48 elements, caps below 32.
+var hintCases = []rangeCase{
+	{"reloaded elements whose values changed", FineConfig{}, []rec{
+		loadRange(1, 0x100, 4, gpu.KindFloat, f32Raws(1, 2, 3, 4, 5, 6, 7, 8)),
+		loadRange(1, 0x100, 4, gpu.KindFloat, f32Raws(1, 9, 3, 10, 5, 2, 7, 1)),
+		{obj: 1, a: gpu.Access{Addr: 0x104, Size: 4, Kind: gpu.KindFloat, Raw: gpu.RawFromFloat32(2)}},
+		{obj: 1, a: gpu.Access{Addr: 0x100, Size: 4, Kind: gpu.KindFloat, Store: true, Raw: gpu.RawFromFloat32(0), Count: 8}},
+		loadRange(1, 0x100, 4, gpu.KindFloat, f32Raws(0, 0, 0, 1, 0, 0, 0, 0)),
+		loadRange(1, 0x104, 4, gpu.KindFloat, f32Raws(9, 3, 10)),
+	}},
+	{"element indices a multiple of the hint length apart", FineConfig{}, slices.Concat(
+		strideRecs(1, 8, 16, 1), strideRecs(1, 8, 16, 2), strideRecs(1, 4, 32, 1),
+		[]rec{loadRange(1, 0x300, 4, gpu.KindFloat, f32Raws(20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
+			36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59))},
+		strideRecs(1, 4, 64, 3), strideRecs(1, 4, 64, 1), strideRecs(1, 2, 128, 2),
+	)},
+	{"one address under several widths and kinds", FineConfig{}, slices.Concat(
+		kindsAt(1, 0x40), kindsAt(1, 0x40), kindsAt(1, 0x80),
+		[]rec{
+			// Element index 16 under three widths: one hint slot, three values.
+			{obj: 1, a: gpu.Access{Addr: 0x20, Size: 2, Kind: gpu.KindInt, Raw: 7}},
+			{obj: 1, a: gpu.Access{Addr: 0x80, Size: 8, Kind: gpu.KindUint, Raw: 7}},
+			{obj: 1, a: gpu.Access{Addr: 0x40, Size: 4, Kind: gpu.KindInt, Raw: 7}},
+			loadRange(1, 0x40, 2, gpu.KindInt, seqRaws(4, 7, 0)),
+		},
+	)},
+	{"saturated at one value, then hits", FineConfig{MaxTrackedValues: 1}, []rec{
+		loadRange(1, 0, 4, gpu.KindFloat, f32Raws(1, 2, 1, 3, 1)),
+		loadRange(1, 0, 4, gpu.KindFloat, f32Raws(1, 1, 1, 2, 1)),
+		{obj: 1, a: gpu.Access{Addr: 4, Size: 4, Kind: gpu.KindFloat, Raw: gpu.RawFromFloat32(1)}},
+		{obj: 1, a: gpu.Access{Addr: 4, Size: 4, Kind: gpu.KindFloat, Raw: gpu.RawFromFloat32(2)}},
+	}},
+	{"saturated at eight values, then hits", FineConfig{MaxTrackedValues: 8}, []rec{
+		loadRange(1, 0, 4, gpu.KindFloat, f32Raws(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+		loadRange(1, 0, 4, gpu.KindFloat, f32Raws(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+		loadRange(1, 8, 4, gpu.KindFloat, f32Raws(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
+		{obj: 1, a: gpu.Access{Addr: 0x30, Size: 4, Kind: gpu.KindFloat, Store: true, Raw: gpu.RawFromFloat32(8), Count: 6}},
+		loadRange(1, 0x28, 4, gpu.KindFloat, f32Raws(11, 12, 8, 8, 8)),
+	}},
+}
+
+// strideRecs is scalar loads of float32 value v at the elements 0,
+// stride, 2·stride, … below n·stride: elements whose hints share a slot
+// whenever the hint length divides stride.
+func strideRecs(obj, n int, stride uint64, v float32) []rec {
+	out := make([]rec, n)
+	for i := range out {
+		out[i] = rec{obj: obj, a: gpu.Access{Addr: 4 * stride * uint64(i), Size: 4, Kind: gpu.KindFloat, Raw: gpu.RawFromFloat32(v)}}
+	}
+	return out
+}
+
+// kindsAt is scalar loads of raw 7 at addr under each width and kind:
+// one address, several distinct values.
+func kindsAt(obj int, addr uint64) []rec {
+	var out []rec
+	for _, w := range []struct {
+		size uint8
+		kind gpu.ValueKind
+	}{{4, gpu.KindInt}, {4, gpu.KindUint}, {8, gpu.KindUint}, {2, gpu.KindInt}, {1, gpu.KindUint}, {4, gpu.KindFloat}, {8, gpu.KindFloat}} {
+		out = append(out, rec{obj: obj, a: gpu.Access{Addr: addr, Size: w.size, Kind: w.kind, Raw: 7}})
+	}
+	return out
 }
 
 // recordingObserver implements only Observe, so ranges reach it through
@@ -261,13 +420,64 @@ func rangeRecs(data []byte) []rec {
 	return recs
 }
 
+// fuzzInput encodes recs in rangeRecs' input format.
+func fuzzInput(recs []rec) []byte {
+	var out []byte
+	for _, r := range recs {
+		h := 0
+		for ; h < 256; h++ {
+			if []uint8{1, 2, 3, 4, 8}[h%5] == r.a.Size && gpu.ValueKind(h/5%4) == r.a.Kind && (h&0x80 != 0) == r.a.Store {
+				break
+			}
+		}
+		out = append(out, byte(h), byte(r.a.Count), byte(r.obj), byte(r.a.Addr/4))
+		if r.a.Count <= 1 || r.a.Store {
+			out = binary.LittleEndian.AppendUint64(out, r.a.Raw)
+		} else {
+			out = append(out, r.vals...)
+		}
+	}
+	return out
+}
+
+// bumped is recs with every value changed at the same addresses: each
+// raw plus one within its width, each captured byte plus one.
+func bumped(recs []rec) []rec {
+	out := make([]rec, len(recs))
+	for i, r := range recs {
+		r.a.Raw++
+		if r.a.Size < 8 {
+			r.a.Raw &= 1<<(8*r.a.Size) - 1
+		}
+		if r.vals != nil {
+			vals := make([]byte, len(r.vals))
+			for j, b := range r.vals {
+				vals[j] = b + 1
+			}
+			r.vals = vals
+		}
+		out[i] = r
+	}
+	return out
+}
+
 // FuzzAddRange: any stream of scalars, fills and captured or uncaptured
 // load ranges finalizes identically through the bulk path and the
-// per-element oracle, under a histogram cap the input chooses.
+// per-element oracle, and keeps the probe-only reference's shared
+// context, under a histogram cap the input chooses; so does the same
+// stream with every value changed, fed to the same accumulators after
+// a Reset.
 func FuzzAddRange(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{18, 8, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32})
 	f.Add(uint8(1), []byte{0x80 | 17, 30, 2, 1, 0, 0, 128, 63, 0, 0, 0, 0, 2, 5, 2, 0, 9, 9})
+	for _, tc := range hintCases {
+		in := fuzzInput(tc.recs)
+		if !reflect.DeepEqual(rangeRecs(in), tc.recs) {
+			f.Fatalf("%s: seed does not decode to its records", tc.name)
+		}
+		f.Add(uint8(tc.cfg.MaxTrackedValues), in)
+	}
 	f.Fuzz(func(t *testing.T, maxTracked uint8, data []byte) {
 		cfg := FineConfig{StructuredMinCount: 4}
 		if maxTracked > 0 {
@@ -276,6 +486,7 @@ func FuzzAddRange(f *testing.F) {
 				cfg.MaxTrackedValues = 1
 			}
 		}
-		checkRangeIngestion(t, cfg, rangeRecs(data))
+		recs := rangeRecs(data)
+		checkRangeIngestion(t, cfg, recs, bumped(recs))
 	})
 }
