@@ -33,7 +33,7 @@ vet:
 	$(GO) vet ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # race also repeats the async-vs-synchronous oracle and the barrier tests
 # 20 times (about a minute; the Darknet oracle runs once, in the first

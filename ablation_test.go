@@ -17,13 +17,10 @@ import (
 
 func runWorkload(b *testing.B, name string, scale int, cfg *core.Config) {
 	b.Helper()
-	w, err := workloads.ByName(name)
+	w, err := workloads.Lookup(name, scale)
 	if err != nil {
 		b.Fatal(err)
 	}
-	old := workloads.Scale
-	workloads.Scale = scale
-	defer func() { workloads.Scale = old }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)

@@ -51,7 +51,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, w := range workloads.All() {
+		for _, w := range workloads.All(o.Scale) {
 			fmt.Println(w.Name())
 		}
 		return
@@ -88,7 +88,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*workload, o, o.Scale, *optimized); err != nil {
+	if err := run(*workload, o, *optimized); err != nil {
 		fmt.Fprintln(os.Stderr, "vxprof:", err)
 		os.Exit(1)
 	}
@@ -199,16 +199,13 @@ func writeTelemetry(tel *valueexpert.Telemetry, traceBuf *valueexpert.TraceBuffe
 // recordRun captures a workload's API+access trace for later analysis,
 // streaming the container to the output file.
 func recordRun(workload string, o *options, out string, optimized bool) error {
-	w, err := workloads.ByName(workload)
+	w, err := workloads.Lookup(workload, o.Scale)
 	if err != nil {
 		return err
 	}
 	prof, err := gpu.ProfileByName(o.device)
 	if err != nil {
 		return err
-	}
-	if o.Scale > 0 {
-		workloads.Scale = o.Scale
 	}
 	f, err := os.Create(out)
 	if err != nil {
@@ -260,16 +257,13 @@ func remoteRun(target, workload string, o *options, optimized bool) error {
 	if o.Faults != "" {
 		return fmt.Errorf("-faults cannot be combined with -remote (the daemon cannot inject faults into a streamed run)")
 	}
-	w, err := workloads.ByName(workload)
+	w, err := workloads.Lookup(workload, o.Scale)
 	if err != nil {
 		return err
 	}
 	prof, err := gpu.ProfileByName(o.device)
 	if err != nil {
 		return err
-	}
-	if o.Scale > 0 {
-		workloads.Scale = o.Scale
 	}
 	network := "unix"
 	if strings.Contains(target, ":") {
@@ -325,17 +319,14 @@ func remoteRun(target, workload string, o *options, optimized bool) error {
 }
 
 // run profiles a live workload execution.
-func run(workload string, o *options, scale int, optimized bool) error {
-	w, err := workloads.ByName(workload)
+func run(workload string, o *options, optimized bool) error {
+	w, err := workloads.Lookup(workload, o.Scale)
 	if err != nil {
 		return err
 	}
 	prof, err := gpu.ProfileByName(o.device)
 	if err != nil {
 		return err
-	}
-	if scale > 0 {
-		workloads.Scale = scale
 	}
 	variant := workloads.Original
 	if optimized {

@@ -15,13 +15,14 @@ import (
 )
 
 // opts builds test options: engine settings in the embedded shared
-// Options, artifacts in vxprof's own fields.
+// Options (scale 64 unless set, for fast runs), artifacts in vxprof's
+// own fields.
 func opts(device string, eng cliconfig.Options) *options {
 	if eng.Sample == 0 {
 		eng.Sample = 1
 	}
 	if eng.Scale == 0 {
-		eng.Scale = 8
+		eng.Scale = 64
 	}
 	return &options{Options: eng, device: device}
 }
@@ -69,7 +70,7 @@ func TestRunProducesAllArtifacts(t *testing.T) {
 		Kernels: "fill_kernel,gemm_kernel",
 	})
 	o.jsonOut, o.dotOut, o.htmlOut = jsonOut, dotOut, htmlOut
-	if err := run("Darknet", o, 64, false); err != nil {
+	if err := run("Darknet", o, false); err != nil {
 		t.Fatal(err)
 	}
 	js, err := os.ReadFile(jsonOut)
@@ -88,7 +89,7 @@ func TestRunProducesAllArtifacts(t *testing.T) {
 
 func TestRunOptimizedVariant(t *testing.T) {
 	o := opts("A100", cliconfig.Options{Coarse: true})
-	if err := run("PyTorch-Deepwave", o, 64, true); err != nil {
+	if err := run("PyTorch-Deepwave", o, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +97,7 @@ func TestRunOptimizedVariant(t *testing.T) {
 func TestRecordAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	traceOut := filepath.Join(dir, "run.trace")
-	ro := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Scale: 64})
+	ro := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true})
 	if err := recordRun("PyTorch-Bert", ro, traceOut, false); err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +122,11 @@ func TestRecordAndReplay(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	o := opts("A100", cliconfig.Options{Coarse: true, Fine: true})
-	if err := run("NoSuchApp", o, 64, false); err == nil {
+	if err := run("NoSuchApp", o, false); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 	bad := opts("H100", cliconfig.Options{Coarse: true, Fine: true})
-	if err := run("Darknet", bad, 64, false); err == nil {
+	if err := run("Darknet", bad, false); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -197,7 +198,7 @@ func TestRunWithFaults(t *testing.T) {
 	jsonOut := filepath.Join(dir, "p.json")
 	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true, Faults: "malloc@1"})
 	o.jsonOut = jsonOut
-	if err := run("Darknet", o, 64, false); err == nil {
+	if err := run("Darknet", o, false); err == nil {
 		t.Fatal("injected malloc fault did not surface")
 	}
 	js, err := os.ReadFile(jsonOut)
@@ -218,7 +219,7 @@ func TestTelemetryArtifacts(t *testing.T) {
 	selftraceOut := filepath.Join(dir, "t.json")
 	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true})
 	o.metricsOut, o.selftraceOut, o.overhead = metricsOut, selftraceOut, true
-	if err := run("Darknet", o, 64, false); err != nil {
+	if err := run("Darknet", o, false); err != nil {
 		t.Fatal(err)
 	}
 	var m struct {
@@ -268,7 +269,7 @@ func TestRunWithPatternSubset(t *testing.T) {
 		Coarse: true, Fine: true, Patterns: "redundant values,single zero",
 	})
 	o.jsonOut = jsonOut
-	if err := run("Darknet", o, 64, false); err != nil {
+	if err := run("Darknet", o, false); err != nil {
 		t.Fatal(err)
 	}
 	js, err := os.ReadFile(jsonOut)

@@ -12,10 +12,9 @@
 //	        [-max-running 8] [-queue 16] [-store /var/lib/vxprofd]
 //	        [-attach /run/vxprofd.sock]
 //
-// The engine flags are the shared vxprof surface; they seed each POSTed
-// session's defaults, overridable per session through the request's
-// "options" object (except -scale, which sizes the bundled workloads
-// process-wide and is fixed at startup). The fleet flags:
+// The engine flags are the shared vxprof surface, -scale included; they
+// seed each POSTed session's defaults, overridable per session through
+// the request's "options" object. The fleet flags:
 //
 //	-max-running  cap on concurrently running streams (0 = unlimited);
 //	              admissions past the cap queue FIFO, up to -queue deep,
@@ -57,7 +56,6 @@ import (
 
 	"valueexpert/internal/cliconfig"
 	"valueexpert/internal/daemon"
-	"valueexpert/internal/workloads"
 )
 
 func main() {
@@ -77,12 +75,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vxprofd:", err)
 		os.Exit(2)
 	}
-	// Workload problem size is process-global; fix it before any session
-	// can run so concurrent sessions never race on it.
-	if opts.Scale > 0 {
-		workloads.Scale = opts.Scale
-	}
-
 	var svcOpts []daemon.Option
 	if *maxRunning > 0 {
 		svcOpts = append(svcOpts, daemon.WithLimits(daemon.Limits{
@@ -136,7 +128,7 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "vxprofd: serving on %s (device %q, scale %d)\n",
-		*addr, *device, workloads.Scale)
+		*addr, *device, opts.Scale)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "vxprofd:", err)
 		os.Exit(1)

@@ -45,13 +45,12 @@ func smokeDefaults() cliconfig.Options {
 // oneShotReport profiles a workload through the classic one-shot
 // lifecycle with the exact configuration the daemon derives from the
 // same options.
-func oneShotReport(t *testing.T, name string) *profile.Report {
+func oneShotReport(t *testing.T, name string, opts cliconfig.Options) *profile.Report {
 	t.Helper()
-	w, err := workloads.ByName(name)
+	w, err := workloads.Lookup(name, opts.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := smokeDefaults()
 	cfg, err := opts.EngineConfig(w.Name())
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +86,7 @@ func normalize(t *testing.T, rep *profile.Report) []byte {
 // /metrics, and diff each per-session report against the equivalent
 // one-shot run.
 func TestDaemonSmoke(t *testing.T) {
-	workloads.Scale = 64
-	defer func() { workloads.Scale = 1 }()
+	t.Parallel()
 
 	svc := daemon.NewService()
 	defer svc.Shutdown()
@@ -131,7 +129,7 @@ func TestDaemonSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("served report %s does not round-trip: %v", id, err)
 		}
-		got, want := normalize(t, served), normalize(t, oneShotReport(t, names[i]))
+		got, want := normalize(t, served), normalize(t, oneShotReport(t, names[i], smokeDefaults()))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: daemon report (%d bytes) differs from one-shot vxprof-equivalent run (%d bytes)",
 				names[i], len(got), len(want))
@@ -173,6 +171,51 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
+// TestPerSessionScale: scale is an ordinary per-session option. A
+// session POSTed at scale 32 to a daemon whose default is 16 serves the
+// report of a one-shot run at scale 32.
+func TestPerSessionScale(t *testing.T) {
+	t.Parallel()
+	defaults := smokeDefaults()
+	defaults.Scale = 16
+	svc := daemon.NewService()
+	defer svc.Shutdown()
+	ts := httptest.NewServer(svc.Handler(daemon.HandlerConfig{
+		Defaults: defaults, Device: "RTX 2080 Ti",
+	}))
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"workload": "Rodinia/bfs", "options": {"scale": 32}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info daemon.Info
+	json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /v1/sessions = %d (%+v)", resp.StatusCode, info)
+	}
+	resp, err = http.Get(ts.URL + "/v1/sessions/" + info.ID + "/report?wait=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := profile.ReadJSON(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at32 := defaults
+	at32.Scale = 32
+	got := normalize(t, served)
+	if !bytes.Equal(got, normalize(t, oneShotReport(t, "Rodinia/bfs", at32))) {
+		t.Fatal("scale-32 session differs from a one-shot run at scale 32")
+	}
+	if bytes.Equal(got, normalize(t, oneShotReport(t, "Rodinia/bfs", defaults))) {
+		t.Fatal("scale-32 session matches the daemon's default scale 16")
+	}
+}
+
 // apiError is the typed error envelope every /v1 endpoint speaks.
 type apiError struct {
 	Error struct {
@@ -186,6 +229,7 @@ type apiError struct {
 // to its stable code in the shared envelope, with the canonical option
 // name in "field" when one option is to blame.
 func TestBadRequests(t *testing.T) {
+	t.Parallel()
 	svc := daemon.NewService()
 	defer svc.Shutdown()
 	ts := httptest.NewServer(svc.Handler(daemon.HandlerConfig{
@@ -210,7 +254,9 @@ func TestBadRequests(t *testing.T) {
 		{"missing workload", `{}`, "workload is required", "invalid_request", "workload"},
 		{"unknown workload", `{"workload": "nope"}`, "unknown workload", "unknown_workload", "workload"},
 		{"unknown device", `{"workload": "Darknet", "device": "TPU"}`, "unknown device", "unknown_device", "device"},
-		{"per-session scale", `{"workload": "Darknet", "options": {"scale": 2}}`, "-scale is fixed at daemon startup", "invalid_option", "scale"},
+		{"zero scale", `{"workload": "Darknet", "options": {"scale": 0}}`, "-scale must be >= 1", "invalid_option", "scale"},
+		// An unknown workload outranks an option error.
+		{"unknown workload, bad option", `{"workload": "nope", "options": {"scale": 0}}`, "unknown workload", "unknown_workload", "workload"},
 		{"invalid sample", `{"workload": "Darknet", "options": {"sample": 0}}`, "-sample must be >= 1", "invalid_option", "sample"},
 		{"unknown pattern", `{"workload": "Darknet", "options": {"patterns": "bogus"}}`, "-patterns", "invalid_option", "patterns"},
 		{"bad fault spec", `{"workload": "Darknet", "options": {"faults": "zzz@1"}}`, "-faults", "invalid_option", "faults"},
@@ -248,6 +294,7 @@ func TestBadRequests(t *testing.T) {
 // TestBarePathsGone pins the unversioned surface: bare API paths answer
 // 404, while /healthz stays live for load-balancer probes.
 func TestBarePathsGone(t *testing.T) {
+	t.Parallel()
 	svc := daemon.NewService()
 	defer svc.Shutdown()
 	ts := httptest.NewServer(svc.Handler(daemon.HandlerConfig{
@@ -290,8 +337,7 @@ func TestBarePathsGone(t *testing.T) {
 // queue position) and the second is rejected 429 with the typed
 // quota_exceeded envelope; releasing the stall drains the queue.
 func TestDaemonQuota(t *testing.T) {
-	workloads.Scale = 64
-	defer func() { workloads.Scale = 1 }()
+	t.Parallel()
 
 	svc := daemon.NewService(daemon.WithLimits(daemon.Limits{MaxRunning: 1, MaxQueued: 1}))
 	defer svc.Shutdown()
@@ -358,8 +404,7 @@ func TestDaemonQuota(t *testing.T) {
 // service restart: a session's report served before shutdown is served
 // byte-identically by a fresh service opened on the same store.
 func TestDaemonRestartRecovery(t *testing.T) {
-	workloads.Scale = 64
-	defer func() { workloads.Scale = 1 }()
+	t.Parallel()
 	dir := t.TempDir()
 
 	get := func(ts *httptest.Server, path string) (int, []byte) {
@@ -448,6 +493,7 @@ func TestDaemonRestartRecovery(t *testing.T) {
 // The listen port is retried over a small range because main prints the
 // requested address, not the kernel-bound one, so ":0" is unusable here.
 func TestGracefulSIGTERM(t *testing.T) {
+	t.Parallel()
 	var proc *exec.Cmd
 	var base string
 	var errBuf bytes.Buffer
@@ -523,8 +569,7 @@ func waitHealthy(base string) bool {
 // through the one-shot engine reproduces the served report byte for
 // byte. Sessions created without tracing 404 on the same endpoint.
 func TestTraceEndpoint(t *testing.T) {
-	workloads.Scale = 64
-	defer func() { workloads.Scale = 1 }()
+	t.Parallel()
 
 	svc := daemon.NewService()
 	defer svc.Shutdown()

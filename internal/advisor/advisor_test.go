@@ -13,10 +13,7 @@ import (
 // analyzeDarknet profiles the Darknet miniature and runs the advisor.
 func analyzeDarknet(t *testing.T) []Suggestion {
 	t.Helper()
-	old := workloads.Scale
-	workloads.Scale = 64
-	defer func() { workloads.Scale = old }()
-	w, err := workloads.ByName("Darknet")
+	w, err := workloads.Lookup("Darknet", 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,7 +260,6 @@ func Reprofile(data []byte, cfg core.Config) (*profile.Report, *trace.CapsuleInf
 	// Wall-clock and whole-run statistics are meaningless for a
 	// one-launch replay; zero them so reports compare structurally.
 	rep.Stats = profile.RunStats{}
-	rep.Overhead = nil
 	return rep, info, nil
 }
 

@@ -25,10 +25,7 @@ func capsuleCfg() core.Config {
 // recordDarknet records the Darknet workload into a binary container.
 func recordDarknet(t *testing.T) []byte {
 	t.Helper()
-	old := workloads.Scale
-	workloads.Scale = 64
-	defer func() { workloads.Scale = old }()
-	w, err := workloads.ByName("Darknet")
+	w, err := workloads.Lookup("Darknet", 64)
 	if err != nil {
 		t.Fatal(err)
 	}

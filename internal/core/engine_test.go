@@ -106,10 +106,6 @@ func TestCustomAnalysisStage(t *testing.T) {
 // must still emit a report byte-identical to its solo run. Run under
 // -race this also proves the engines share no mutable state.
 func TestConcurrentSessionsByteIdentical(t *testing.T) {
-	oldScale := workloads.Scale
-	workloads.Scale = 64
-	defer func() { workloads.Scale = oldScale }()
-
 	cfg := Config{
 		Coarse: true, Fine: true,
 		BufferRecords: 512,
@@ -118,7 +114,7 @@ func TestConcurrentSessionsByteIdentical(t *testing.T) {
 	// captured allocation call paths identical between solo and
 	// concurrent runs.
 	profileWorkload := func(t *testing.T, name string) []byte {
-		w, err := workloads.ByName(name)
+		w, err := workloads.Lookup(name, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -138,14 +138,10 @@ func TestPipelineMatchesSynchronous(t *testing.T) {
 // bundled Darknet reproduction, whose layers mix memsets, uniform
 // copies, gemm-style kernels and activation sweeps.
 func TestPipelineMatchesSynchronousDarknet(t *testing.T) {
-	w, err := workloads.ByName("Darknet")
+	w, err := workloads.Lookup("Darknet", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldScale := workloads.Scale
-	workloads.Scale = 16
-	defer func() { workloads.Scale = oldScale }()
-
 	matchesSynchronous(t, func(inline bool) []byte {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := attachMode(rt, Config{

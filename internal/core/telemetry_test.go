@@ -226,14 +226,10 @@ func keys[V any](m map[string]V) []string {
 // APIEnd, and counting it in both places once put Darknet's analysis
 // time at 1.7x its wall time.
 func TestAnalysisTimeWithinWall(t *testing.T) {
-	w, err := workloads.ByName("Darknet")
+	w, err := workloads.Lookup("Darknet", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldScale := workloads.Scale
-	workloads.Scale = 32
-	defer func() { workloads.Scale = oldScale }()
-
 	src := cuda.NewLiveSource(cuda.NewRuntime(gpu.RTX2080Ti), func(rt *cuda.Runtime) error {
 		return w.Run(rt, workloads.Original)
 	})

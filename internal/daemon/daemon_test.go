@@ -74,6 +74,7 @@ func normBytes(t *testing.T, rep *profile.Report) []byte {
 // workload and configuration, and the daemon's aggregate is
 // byte-identical to sequentially folding those one-shot profiles.
 func TestConcurrentSessionsMatchOneShot(t *testing.T) {
+	t.Parallel()
 	seeds := []int64{1, 2, 3, 4}
 
 	var oneShotReps []*profile.Report
@@ -155,6 +156,7 @@ func TestConcurrentSessionsMatchOneShot(t *testing.T) {
 // TestFoldOrderIndependent: the aggregate is a pure function of the
 // (id, report) set, not of completion order.
 func TestFoldOrderIndependent(t *testing.T) {
+	t.Parallel()
 	reps := []*profile.Report{oneShot(t, 5), oneShot(t, 6), oneShot(t, 7)}
 	ids := []string{"s-1", "s-2", "s-3"}
 	fwd, err := json.Marshal(Fold(ids, reps))
@@ -206,6 +208,7 @@ func spinSession(t *testing.T, svc *Service) (*Session, chan struct{}) {
 // executes yields a canceled session whose report is present and marked
 // Degraded — not a hung or lost stream.
 func TestShutdownMidKernelDegraded(t *testing.T) {
+	t.Parallel()
 	svc := NewService()
 	sess, started := spinSession(t, svc)
 	<-started
@@ -247,6 +250,7 @@ func TestShutdownMidKernelDegraded(t *testing.T) {
 // same cached typed error — the pipeline is drained exactly once, at
 // finalization, never re-walked.
 func TestDrainCloseIdempotent(t *testing.T) {
+	t.Parallel()
 	svc := NewService()
 	sess, err := svc.Attach(SessionConfig{
 		Program: "faulted",
@@ -295,6 +299,7 @@ func TestDrainCloseIdempotent(t *testing.T) {
 // the next call at the boundary; the session still finalizes with a
 // report.
 func TestCancelBeforeKernel(t *testing.T) {
+	t.Parallel()
 	svc := NewService()
 	gate := make(chan struct{})
 	sess, err := svc.Attach(SessionConfig{
@@ -325,6 +330,7 @@ func TestCancelBeforeKernel(t *testing.T) {
 // engine configuration is rejected with the typed error before any
 // session machinery spins up.
 func TestAttachValidates(t *testing.T) {
+	t.Parallel()
 	svc := NewService()
 	cfg := engineCfg()
 	cfg.BufferRecords = -1
@@ -345,6 +351,7 @@ func TestAttachValidates(t *testing.T) {
 // its trace events land in the shared buffer under the session's own
 // PID.
 func TestSessionMetricsAndTrace(t *testing.T) {
+	t.Parallel()
 	svc := NewService()
 	var sessions []*Session
 	for _, seed := range []int64{21, 22} {
@@ -395,6 +402,7 @@ func TestSessionMetricsAndTrace(t *testing.T) {
 // the cached container through the one-shot engine reproduces the
 // session's report byte for byte.
 func TestSessionTraceReplayMatchesReport(t *testing.T) {
+	t.Parallel()
 	svc := NewService()
 	defer svc.Shutdown()
 
@@ -454,6 +462,7 @@ func TestSessionTraceReplayMatchesReport(t *testing.T) {
 // those keys — and the classification from the engine's native error
 // types to stable codes and HTTP statuses.
 func TestErrorEnvelopeSchema(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name   string
 		err    error

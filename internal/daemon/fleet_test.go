@@ -52,6 +52,7 @@ func waitState(t *testing.T, sess *Session, want State) {
 // queue in FIFO order with 1-based positions, overflow is a typed
 // *QuotaError, and queued sessions start in order as slots free up.
 func TestAdmissionQueueFIFO(t *testing.T) {
+	t.Parallel()
 	svc := NewService(WithLimits(Limits{MaxRunning: 1, MaxQueued: 2}))
 	defer svc.Shutdown()
 
@@ -125,6 +126,7 @@ func TestAdmissionQueueFIFO(t *testing.T) {
 // finalizes immediately, and the queue position of sessions behind it
 // shifts down.
 func TestCancelQueuedSession(t *testing.T) {
+	t.Parallel()
 	svc := NewService(WithLimits(Limits{MaxRunning: 1, MaxQueued: 2}))
 	defer svc.Shutdown()
 
@@ -151,6 +153,7 @@ func TestCancelQueuedSession(t *testing.T) {
 // queued session behind it terminates both — the queued session must
 // not be stranded waiting for a slot that will never free.
 func TestShutdownDrainsQueued(t *testing.T) {
+	t.Parallel()
 	svc := NewService(WithLimits(Limits{MaxRunning: 1, MaxQueued: 2}))
 	blocker, started := spinSession(t, svc)
 	<-started
@@ -185,6 +188,7 @@ func TestShutdownDrainsQueued(t *testing.T) {
 // soon as its previous session is done is never refused — even with no
 // queue to absorb the overlap.
 func TestDoneFreesRunningSlot(t *testing.T) {
+	t.Parallel()
 	svc := NewService(WithLimits(Limits{MaxRunning: 1, MaxQueued: 0}))
 	defer svc.Shutdown()
 	for i := 0; i < 200; i++ {
@@ -207,6 +211,7 @@ func TestDoneFreesRunningSlot(t *testing.T) {
 // the content-addressed store and a fresh Service over the same
 // directory serves both byte-identically, marked Restored.
 func TestStoreSpillRestore(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -276,6 +281,7 @@ func TestStoreSpillRestore(t *testing.T) {
 // final report byte-identical to a one-shot profile of the same
 // program — the streaming path must not perturb the aggregate.
 func TestPartialReportNonPerturbing(t *testing.T) {
+	t.Parallel()
 	composite := func(gate, phase1 chan struct{}) func(rt *cuda.Runtime) error {
 		return func(rt *cuda.Runtime) error {
 			if err := randomRun(13)(rt); err != nil {
@@ -377,8 +383,10 @@ func remoteOpts() cliconfig.Options {
 // TestRemoteAttachByteIdentity: a program streamed over the attach
 // socket from the "client" process yields a session report
 // byte-identical to profiling the same program in-process with the
-// same options.
+// same options. The handshake's scale is ignored, even an invalid one:
+// the client sized and ran the program.
 func TestRemoteAttachByteIdentity(t *testing.T) {
+	t.Parallel()
 	opts := remoteOpts()
 	if err := opts.Validate(); err != nil {
 		t.Fatal(err)
@@ -404,7 +412,9 @@ func TestRemoteAttachByteIdentity(t *testing.T) {
 	as := svc.ServeAttach(ln, HandlerConfig{Defaults: opts, Device: "RTX 2080 Ti"})
 	defer as.Close()
 
-	rs, err := DialAttach("tcp", ln.Addr().String(), AttachRequest{Program: "rnd-21", Trace: true})
+	rs, err := DialAttach("tcp", ln.Addr().String(), AttachRequest{
+		Program: "rnd-21", Trace: true, Options: []byte(`{"scale": 0}`),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +465,7 @@ func TestRemoteAttachByteIdentity(t *testing.T) {
 // buffer, and once the slot frees the stream replays to the exact
 // in-process report — the acceptance property at unit scope.
 func TestRemoteAttachQueuedThenAdmitted(t *testing.T) {
+	t.Parallel()
 	opts := remoteOpts()
 	cfg, err := opts.EngineConfig("rnd-23")
 	if err != nil {
@@ -527,6 +538,7 @@ func TestRemoteAttachQueuedThenAdmitted(t *testing.T) {
 // partial report rather than hanging — the same degradation contract as
 // fault injection.
 func TestRemoteAttachDisconnect(t *testing.T) {
+	t.Parallel()
 	opts := remoteOpts()
 	svc := NewService()
 	defer svc.Shutdown()
@@ -573,6 +585,7 @@ func TestRemoteAttachDisconnect(t *testing.T) {
 // non-empty faults spec is rejected, because the faults would have to
 // arm the client's runtime, which the daemon never sees.
 func TestRemoteAttachRejectsOptions(t *testing.T) {
+	t.Parallel()
 	svc := NewService()
 	defer svc.Shutdown()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

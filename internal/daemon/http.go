@@ -47,9 +47,7 @@ import (
 type HandlerConfig struct {
 	// Defaults seeds each POSTed session's engine options; a request's
 	// "options" object overrides individual fields (JSON-merge
-	// semantics, canonical option names = flag names). Scale is
-	// process-global (workloads.Scale) and fixed at daemon startup —
-	// requests naming a different scale are rejected.
+	// semantics, canonical option names = flag names).
 	Defaults cliconfig.Options
 	// Device is the device profile name sessions run on when the request
 	// names none.
@@ -147,7 +145,10 @@ func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc Handl
 		})
 		return
 	}
-	wl, err := workloads.ByName(req.Workload)
+	// The workload binds at the session's scale, so options decode
+	// first; an unknown workload still outranks an option error.
+	opts, optErr := decodeOptions(hc.Defaults, req.Options)
+	wl, err := workloads.Lookup(req.Workload, opts.Scale)
 	if err != nil {
 		writeAPIError(w, &APIError{
 			Code: CodeUnknownWorkload, Message: err.Error(), Field: "workload",
@@ -166,16 +167,8 @@ func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc Handl
 		return
 	}
 
-	opts, ae := decodeOptions(hc.Defaults, req.Options)
-	if ae != nil {
-		writeAPIError(w, ae)
-		return
-	}
-	if opts.Scale != hc.Defaults.Scale {
-		writeAPIError(w, &APIError{
-			Code: CodeInvalidOption, Field: "scale",
-			Message: fmt.Sprintf("-scale is fixed at daemon startup (%d); per-session scale is not supported", hc.Defaults.Scale),
-		})
+	if optErr != nil {
+		writeAPIError(w, optErr)
 		return
 	}
 	if err := opts.Validate(); err != nil {

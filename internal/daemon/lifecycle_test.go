@@ -49,6 +49,7 @@ func forEachStoreMode(t *testing.T, f func(t *testing.T, withStore bool)) {
 // runtime (and the simulated device memory behind it) and its profiler
 // are garbage, while the session still serves its report.
 func TestFinishedSessionReleasesEngine(t *testing.T) {
+	t.Parallel()
 	forEachStoreMode(t, func(t *testing.T, withStore bool) {
 		svc := newTestService(t, withStore)
 		defer svc.Shutdown()
@@ -108,7 +109,7 @@ func liveHeap() uint64 {
 // TestRetainedHeapPerSession: after a warm-up, serving many sessions
 // grows the live heap by at most a few kilobytes per finished session —
 // the session's manifest and summary with a store, its report, bytes and
-// graph without one.
+// graph without one. It stays serial: the live heap is process-wide.
 func TestRetainedHeapPerSession(t *testing.T) {
 	const (
 		warmup   = 20
@@ -160,6 +161,7 @@ func TestRetainedHeapPerSession(t *testing.T) {
 // ?partial=1 request on a finished session serves the final bytes,
 // not marked partial.
 func TestCancelShutdownRaceFinalize(t *testing.T) {
+	t.Parallel()
 	forEachStoreMode(t, func(t *testing.T, withStore bool) {
 		svc := newTestService(t, withStore, WithLimits(Limits{MaxRunning: 2, MaxQueued: 8}))
 		var sessions []*Session
@@ -284,6 +286,7 @@ func waiters(sess *Session) int {
 // folds the restored sessions' summaries (reduced once from the stored
 // reports) to exactly the bytes of Fold over the one-shot reports.
 func TestRestoredAggregateMatchesOneShot(t *testing.T) {
+	t.Parallel()
 	seeds := []int64{1, 2, 3, 4}
 	var want []*profile.Report
 	for _, seed := range seeds {

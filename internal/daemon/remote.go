@@ -37,7 +37,6 @@ import (
 	"valueexpert/cuda"
 	"valueexpert/gpu"
 	"valueexpert/internal/trace"
-	"valueexpert/internal/workloads"
 )
 
 // AttachRequest is the remote-attach handshake: which program the
@@ -208,13 +207,10 @@ func (as *AttachServer) handle(conn net.Conn) {
 		enc.Encode(attachReply{Error: ae})
 		return
 	}
-	// Scale sizes the *client's* program; the daemon neither runs the
-	// workload nor can honor a different scale, so the handshake value is
-	// discarded before validation.
-	opts.Scale = as.hc.Defaults.Scale
-	if opts.Scale < 1 {
-		opts.Scale = workloads.Scale
-	}
+	// Scale sizes the *client's* program, which the daemon never runs:
+	// the handshake value is discarded, and any valid scale passes
+	// validation.
+	opts.Scale = 1
 	if err := opts.Validate(); err != nil {
 		enc.Encode(attachReply{Error: apiError(err, CodeInvalidOption)})
 		return

@@ -41,14 +41,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// withScale runs fn with the workload scale temporarily set.
-func withScale(scale int, fn func()) {
-	old := workloads.Scale
-	workloads.Scale = scale
-	defer func() { workloads.Scale = old }()
-	fn()
-}
-
 // ---------------------------------------------------------------------------
 // Table 1 — value patterns per application.
 // ---------------------------------------------------------------------------
@@ -70,23 +62,16 @@ type Table1Result struct {
 func Table1(opts Options) (*Table1Result, error) {
 	opts = opts.withDefaults()
 	res := &Table1Result{}
-	var err error
-	withScale(opts.Scale, func() {
-		for _, w := range workloads.All() {
-			rt := cuda.NewRuntime(opts.Devices[0])
-			p := core.Attach(rt, core.Config{Coarse: true, Fine: true, Program: w.Name()})
-			if e := w.Run(rt, workloads.Original); e != nil {
-				err = fmt.Errorf("table 1: %s: %w", w.Name(), e)
-				return
-			}
-			res.Rows = append(res.Rows, Table1Row{
-				App: w.Name(), Expected: w.ExpectedPatterns(),
-				Detected: p.Report().PatternSet(),
-			})
+	for _, w := range workloads.All(opts.Scale) {
+		rt := cuda.NewRuntime(opts.Devices[0])
+		p := core.Attach(rt, core.Config{Coarse: true, Fine: true, Program: w.Name()})
+		if err := w.Run(rt, workloads.Original); err != nil {
+			return nil, fmt.Errorf("table 1: %s: %w", w.Name(), err)
 		}
-	})
-	if err != nil {
-		return nil, err
+		res.Rows = append(res.Rows, Table1Row{
+			App: w.Name(), Expected: w.ExpectedPatterns(),
+			Detected: p.Report().PatternSet(),
+		})
 	}
 	return res, nil
 }
@@ -197,38 +182,31 @@ func Table3(opts Options) (*Table3Result, error) {
 	for _, d := range opts.Devices {
 		res.DeviceNames = append(res.DeviceNames, d.Name)
 	}
-	var err error
-	withScale(opts.Scale, func() {
-		for _, w := range workloads.All() {
-			row := Table3Row{App: w.Name(), Kernel: strings.Join(w.HotKernels(), "+"),
-				Patterns: w.OptimizedPatterns()}
-			for _, prof := range opts.Devices {
-				ds := DeviceSpeedup{Device: prof.Name, HasKernel: len(w.HotKernels()) > 0}
-				for _, variant := range []workloads.Variant{workloads.Original, workloads.Optimized} {
-					rt := cuda.NewRuntime(prof)
-					tc := cuda.NewTimeCollector()
-					rt.SetInterceptor(tc)
-					if e := w.Run(rt, variant); e != nil {
-						err = fmt.Errorf("table 3: %s on %s: %w", w.Name(), prof.Name, e)
-						return
-					}
-					var kt time.Duration
-					for _, k := range w.HotKernels() {
-						kt += tc.KernelTime(k)
-					}
-					if variant == workloads.Original {
-						ds.KernelTimeOrig, ds.MemoryTimeOrig = kt, tc.MemoryTime()
-					} else {
-						ds.KernelTimeOpt, ds.MemoryTimeOpt = kt, tc.MemoryTime()
-					}
+	for _, w := range workloads.All(opts.Scale) {
+		row := Table3Row{App: w.Name(), Kernel: strings.Join(w.HotKernels(), "+"),
+			Patterns: w.OptimizedPatterns()}
+		for _, prof := range opts.Devices {
+			ds := DeviceSpeedup{Device: prof.Name, HasKernel: len(w.HotKernels()) > 0}
+			for _, variant := range []workloads.Variant{workloads.Original, workloads.Optimized} {
+				rt := cuda.NewRuntime(prof)
+				tc := cuda.NewTimeCollector()
+				rt.SetInterceptor(tc)
+				if err := w.Run(rt, variant); err != nil {
+					return nil, fmt.Errorf("table 3: %s on %s: %w", w.Name(), prof.Name, err)
 				}
-				row.Devices = append(row.Devices, ds)
+				var kt time.Duration
+				for _, k := range w.HotKernels() {
+					kt += tc.KernelTime(k)
+				}
+				if variant == workloads.Original {
+					ds.KernelTimeOrig, ds.MemoryTimeOrig = kt, tc.MemoryTime()
+				} else {
+					ds.KernelTimeOpt, ds.MemoryTimeOpt = kt, tc.MemoryTime()
+				}
 			}
-			res.Rows = append(res.Rows, row)
+			row.Devices = append(row.Devices, ds)
 		}
-	})
-	if err != nil {
-		return nil, err
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -423,65 +401,56 @@ func isRealApp(name string) bool { return !strings.HasPrefix(name, "Rodinia/") }
 func Figure6(opts Options) (*Figure6Result, error) {
 	opts = opts.withDefaults()
 	res := &Figure6Result{}
-	var err error
-	withScale(opts.Scale, func() {
-		for _, w := range workloads.All() {
-			for _, prof := range opts.Devices {
-				row := OverheadRow{App: w.Name(), Device: prof.Name}
+	for _, w := range workloads.All(opts.Scale) {
+		for _, prof := range opts.Devices {
+			row := OverheadRow{App: w.Name(), Device: prof.Name}
 
-				run := func(attach func(rt *cuda.Runtime)) (time.Duration, error) {
-					rt := cuda.NewRuntime(prof)
-					if attach != nil {
-						attach(rt)
-					}
-					start := time.Now()
-					if e := w.Run(rt, workloads.Original); e != nil {
-						return 0, e
-					}
-					return time.Since(start), nil
+			run := func(attach func(rt *cuda.Runtime)) (time.Duration, error) {
+				rt := cuda.NewRuntime(prof)
+				if attach != nil {
+					attach(rt)
 				}
-
-				var e error
-				if row.Native, e = run(nil); e != nil {
-					err = fmt.Errorf("figure 6: %s native: %w", w.Name(), e)
-					return
+				start := time.Now()
+				if err := w.Run(rt, workloads.Original); err != nil {
+					return 0, err
 				}
-				if row.Coarse, e = run(func(rt *cuda.Runtime) {
-					core.Attach(rt, core.Config{Coarse: true, Program: w.Name()})
-				}); e != nil {
-					err = fmt.Errorf("figure 6: %s coarse: %w", w.Name(), e)
-					return
-				}
-				period := 20
-				var filter func(string) bool
-				if isRealApp(w.Name()) {
-					period = 100
-					hot := map[string]bool{}
-					for _, k := range w.HotKernels() {
-						hot[k] = true
-					}
-					if len(hot) > 0 {
-						filter = func(name string) bool { return hot[name] }
-					}
-				}
-				if row.Fine, e = run(func(rt *cuda.Runtime) {
-					core.Attach(rt, core.Config{
-						Fine:                 true,
-						KernelSamplingPeriod: period,
-						BlockSamplingPeriod:  period,
-						KernelFilter:         filter,
-						Program:              w.Name(),
-					})
-				}); e != nil {
-					err = fmt.Errorf("figure 6: %s fine: %w", w.Name(), e)
-					return
-				}
-				res.Rows = append(res.Rows, row)
+				return time.Since(start), nil
 			}
+
+			var err error
+			if row.Native, err = run(nil); err != nil {
+				return nil, fmt.Errorf("figure 6: %s native: %w", w.Name(), err)
+			}
+			if row.Coarse, err = run(func(rt *cuda.Runtime) {
+				core.Attach(rt, core.Config{Coarse: true, Program: w.Name()})
+			}); err != nil {
+				return nil, fmt.Errorf("figure 6: %s coarse: %w", w.Name(), err)
+			}
+			period := 20
+			var filter func(string) bool
+			if isRealApp(w.Name()) {
+				period = 100
+				hot := map[string]bool{}
+				for _, k := range w.HotKernels() {
+					hot[k] = true
+				}
+				if len(hot) > 0 {
+					filter = func(name string) bool { return hot[name] }
+				}
+			}
+			if row.Fine, err = run(func(rt *cuda.Runtime) {
+				core.Attach(rt, core.Config{
+					Fine:                 true,
+					KernelSamplingPeriod: period,
+					BlockSamplingPeriod:  period,
+					KernelFilter:         filter,
+					Program:              w.Name(),
+				})
+			}); err != nil {
+				return nil, fmt.Errorf("figure 6: %s fine: %w", w.Name(), err)
+			}
+			res.Rows = append(res.Rows, row)
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }
@@ -563,68 +532,58 @@ type Table5Result struct {
 func Table5(opts Options) (*Table5Result, error) {
 	opts = opts.withDefaults()
 	var veTotals, gvTotals []float64
-	var err error
-	withScale(opts.Scale, func() {
-		for _, w := range workloads.All() {
-			if isRealApp(w.Name()) {
-				continue // bound measurement to the benchmark suite
-			}
-			prof := opts.Devices[0]
-
-			run := func(attach func(rt *cuda.Runtime) func()) (time.Duration, error) {
-				rt := cuda.NewRuntime(prof)
-				var done func()
-				if attach != nil {
-					done = attach(rt)
-				}
-				start := time.Now()
-				if e := w.Run(rt, workloads.Original); e != nil {
-					return 0, e
-				}
-				d := time.Since(start)
-				if done != nil {
-					done()
-				}
-				return d, nil
-			}
-
-			native, e := run(nil)
-			if e != nil {
-				err = e
-				return
-			}
-			coarse, e := run(func(rt *cuda.Runtime) func() {
-				core.Attach(rt, core.Config{Coarse: true, Program: w.Name()})
-				return nil
-			})
-			if e != nil {
-				err = e
-				return
-			}
-			fine, e := run(func(rt *cuda.Runtime) func() {
-				core.Attach(rt, core.Config{Fine: true, KernelSamplingPeriod: 20,
-					BlockSamplingPeriod: 20, Program: w.Name()})
-				return nil
-			})
-			if e != nil {
-				err = e
-				return
-			}
-			veTotals = append(veTotals, ratio(coarse, native)+ratio(fine, native))
-
-			gv, e := run(func(rt *cuda.Runtime) func() {
-				gvprof.Attach(rt)
-				return nil
-			})
-			if e != nil {
-				err = e
-				return
-			}
-			gvTotals = append(gvTotals, ratio(gv, native))
+	for _, w := range workloads.All(opts.Scale) {
+		if isRealApp(w.Name()) {
+			continue // bound measurement to the benchmark suite
 		}
-	})
-	if err != nil {
-		return nil, err
+		prof := opts.Devices[0]
+
+		run := func(attach func(rt *cuda.Runtime) func()) (time.Duration, error) {
+			rt := cuda.NewRuntime(prof)
+			var done func()
+			if attach != nil {
+				done = attach(rt)
+			}
+			start := time.Now()
+			if err := w.Run(rt, workloads.Original); err != nil {
+				return 0, err
+			}
+			d := time.Since(start)
+			if done != nil {
+				done()
+			}
+			return d, nil
+		}
+
+		native, err := run(nil)
+		if err != nil {
+			return nil, err
+		}
+		coarse, err := run(func(rt *cuda.Runtime) func() {
+			core.Attach(rt, core.Config{Coarse: true, Program: w.Name()})
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		fine, err := run(func(rt *cuda.Runtime) func() {
+			core.Attach(rt, core.Config{Fine: true, KernelSamplingPeriod: 20,
+				BlockSamplingPeriod: 20, Program: w.Name()})
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		veTotals = append(veTotals, ratio(coarse, native)+ratio(fine, native))
+
+		gv, err := run(func(rt *cuda.Runtime) func() {
+			gvprof.Attach(rt)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		gvTotals = append(gvTotals, ratio(gv, native))
 	}
 
 	return &Table5Result{Rows: []ToolRow{

@@ -11,6 +11,7 @@ import (
 var testOpts = Options{Scale: 64}
 
 func TestTable1FullAgreement(t *testing.T) {
+	t.Parallel()
 	res, err := Table1(testOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +31,7 @@ func TestTable1FullAgreement(t *testing.T) {
 }
 
 func TestTable3SpeedupShape(t *testing.T) {
+	t.Parallel()
 	// Near full scale: kernel times must sit well above launch latency
 	// for the speedup shapes to be visible, as in the paper's inputs.
 	res, err := Table3(Options{Scale: 2})
@@ -152,6 +154,8 @@ func TestTable3SpeedupShape(t *testing.T) {
 	}
 }
 
+// TestFigure6OverheadShape and TestTable5Comparison stay serial: they
+// assert wall-clock ratios, which concurrent tests would skew.
 func TestFigure6OverheadShape(t *testing.T) {
 	res, err := Figure6(Options{Scale: 32, Devices: []gpu.Profile{gpu.RTX2080Ti}})
 	if err != nil {
@@ -219,6 +223,7 @@ func TestTable5Comparison(t *testing.T) {
 }
 
 func TestFigure2DarknetGraph(t *testing.T) {
+	t.Parallel()
 	res, err := Figure2(testOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +244,7 @@ func TestFigure2DarknetGraph(t *testing.T) {
 }
 
 func TestFigure3Graphs(t *testing.T) {
+	t.Parallel()
 	res, err := Figure3(testOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +270,7 @@ func TestFigure3Graphs(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
+	t.Parallel()
 	o := Options{}.withDefaults()
 	if o.Scale != 1 || len(o.Devices) != 2 {
 		t.Fatalf("defaults = %+v", o)

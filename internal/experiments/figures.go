@@ -25,42 +25,32 @@ type Figure2Result struct {
 // value flow graph.
 func Figure2(opts Options) (*Figure2Result, error) {
 	opts = opts.withDefaults()
-	var res *Figure2Result
-	var err error
-	withScale(opts.Scale, func() {
-		w, e := workloads.ByName("Darknet")
-		if e != nil {
-			err = e
-			return
-		}
-		rt := cuda.NewRuntime(opts.Devices[0])
-		p := core.Attach(rt, core.Config{Coarse: true, Program: "Darknet"})
-		if e := w.Run(rt, workloads.Original); e != nil {
-			err = fmt.Errorf("figure 2: %w", e)
-			return
-		}
-		g := p.Graph()
-		red := 0
-		for _, edge := range g.Edges() {
-			if edge.RedundantFraction() >= 1.0/3.0 {
-				red++
-			}
-		}
-		res = &Figure2Result{
-			Graph: g,
-			DOT: g.DOT(vflow.DOTOptions{
-				Title:        "Darknet value flow graph (ValueExpert)",
-				WithContexts: true,
-			}),
-			Nodes:    len(g.ActiveVertices()),
-			Edges:    g.NumEdges(),
-			RedEdges: red,
-		}
-	})
+	w, err := workloads.Lookup("Darknet", opts.Scale)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	rt := cuda.NewRuntime(opts.Devices[0])
+	p := core.Attach(rt, core.Config{Coarse: true, Program: "Darknet"})
+	if err := w.Run(rt, workloads.Original); err != nil {
+		return nil, fmt.Errorf("figure 2: %w", err)
+	}
+	g := p.Graph()
+	red := 0
+	for _, edge := range g.Edges() {
+		if edge.RedundantFraction() >= 1.0/3.0 {
+			red++
+		}
+	}
+	return &Figure2Result{
+		Graph: g,
+		DOT: g.DOT(vflow.DOTOptions{
+			Title:        "Darknet value flow graph (ValueExpert)",
+			WithContexts: true,
+		}),
+		Nodes:    len(g.ActiveVertices()),
+		Edges:    g.NumEdges(),
+		RedEdges: red,
+	}, nil
 }
 
 // Figure3Result is the worked construction example of paper Figure 3: the

@@ -16,14 +16,12 @@ import (
 // detect every fine-grained pattern the unsampled run finds on the
 // workloads whose kernels iterate homogeneously.
 func TestSamplingPreservesPatterns(t *testing.T) {
+	t.Parallel()
 	finePatterns := func(name string, period int) map[string]bool {
-		w, err := workloads.ByName(name)
+		w, err := workloads.Lookup(name, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := workloads.Scale
-		workloads.Scale = 32
-		defer func() { workloads.Scale = old }()
 
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := core.Attach(rt, core.Config{

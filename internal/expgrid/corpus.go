@@ -142,13 +142,10 @@ func BuildCorpus(dir string) ([]string, error) {
 
 // record produces one binary-container recording of a workload.
 func record(workload string, scale int) ([]byte, error) {
-	w, err := workloads.ByName(workload)
+	w, err := workloads.Lookup(workload, scale)
 	if err != nil {
 		return nil, err
 	}
-	oldScale := workloads.Scale
-	workloads.Scale = scale
-	defer func() { workloads.Scale = oldScale }()
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	var buf bytes.Buffer
 	rec := trace.Record(rt, &buf, trace.FormatBinary)

@@ -28,12 +28,8 @@ func reportBytes(t *testing.T, p *core.Profiler) []byte {
 // both event sources — live execution and trace replay — and requires
 // byte-identical reports: the unified stream contract.
 func TestSourcesByteIdentical(t *testing.T) {
-	old := workloads.Scale
-	workloads.Scale = 64
-	defer func() { workloads.Scale = old }()
-
 	for _, name := range []string{"Darknet", "PyTorch-Bert"} {
-		w, err := workloads.ByName(name)
+		w, err := workloads.Lookup(name, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

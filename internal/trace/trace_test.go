@@ -18,10 +18,7 @@ import (
 // trace.
 func recordDarknet(t *testing.T) []byte {
 	t.Helper()
-	old := workloads.Scale
-	workloads.Scale = 64
-	defer func() { workloads.Scale = old }()
-	w, err := workloads.ByName("Darknet")
+	w, err := workloads.Lookup("Darknet", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +40,7 @@ func recordDarknet(t *testing.T) []byte {
 // profileLive profiles the workload directly for comparison.
 func profileLive(t *testing.T) *profile.Report {
 	t.Helper()
-	old := workloads.Scale
-	workloads.Scale = 64
-	defer func() { workloads.Scale = old }()
-	w, _ := workloads.ByName("Darknet")
+	w, _ := workloads.Lookup("Darknet", 64)
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	p := core.Attach(rt, core.Config{Coarse: true, Fine: true, Program: "Darknet"})
 	if err := w.Run(rt, workloads.Original); err != nil {

@@ -8,10 +8,10 @@ import (
 )
 
 func init() {
-	register(&darknet{})
-	register(&qmcpack{})
-	register(&castro{})
-	register(&barracuda{})
+	register(func(z size) Workload { return &darknet{z} })
+	register(func(z size) Workload { return &qmcpack{z} })
+	register(func(z size) Workload { return &castro{z} })
+	register(func(z size) Workload { return &barracuda{z} })
 }
 
 // ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ func init() {
 // host array l.output into l.output_gpu and l.x_gpu (duplicate values;
 // uniform H2D copies). Fix: cudaMemset on the device.
 // ---------------------------------------------------------------------------
-type darknet struct{}
+type darknet struct{ size }
 
 func (*darknet) Name() string         { return "Darknet" }
 func (*darknet) HotKernels() []string { return []string{"gemm_kernel", "fill_kernel"} }
@@ -57,7 +57,7 @@ type darknetLayer struct {
 
 func (w *darknet) Run(rt *cuda.Runtime, v Variant) error {
 	const layersN = 4
-	outputs := scaled(256 << 10)
+	outputs := w.scaled(256 << 10)
 	nWeights := 4096
 
 	var layers []darknetLayer
@@ -301,7 +301,7 @@ func (w *darknet) Run(rt *cuda.Runtime, v Variant) error {
 // reproduction has a small redundant re-initialization next to a dominant
 // spline-evaluation loop.
 // ---------------------------------------------------------------------------
-type qmcpack struct{}
+type qmcpack struct{ size }
 
 func (*qmcpack) Name() string         { return "QMCPACK" }
 func (*qmcpack) HotKernels() []string { return nil }
@@ -313,7 +313,7 @@ func (*qmcpack) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *qmcpack) Run(rt *cuda.Runtime, v Variant) error {
-	n := scaled(512 << 10)
+	n := w.scaled(512 << 10)
 	small := 1024
 
 	rt.PushFrame(callpath.Frame{Func: "einspline_spo", File: "EinsplineSPODeviceImpCUDA.cu", Line: 77})
@@ -387,7 +387,7 @@ func (w *qmcpack) Run(rt *cuda.Runtime, v Variant) error {
 // slopes *= a is identity computation leaving values unchanged (redundant
 // values). Fix: conditionally bypass when a == 1.0 (1.27× / 1.24×).
 // ---------------------------------------------------------------------------
-type castro struct{}
+type castro struct{ size }
 
 func (*castro) Name() string         { return "Castro" }
 func (*castro) HotKernels() []string { return []string{"cellconslin_slopes_mmlim"} }
@@ -399,7 +399,7 @@ func (*castro) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *castro) Run(rt *cuda.Runtime, v Variant) error {
-	cells := scaled(128 << 10)
+	cells := w.scaled(128 << 10)
 	const ncomp = 4
 
 	rt.PushFrame(callpath.Frame{Func: "MLNodeLaplacian::prepareForSolve", File: "AMReX_MLNodeLap_K.H", Line: 1})
@@ -477,7 +477,7 @@ func (w *castro) Run(rt *cuda.Runtime, v Variant) error {
 // result array is 99.6% zeros (frequent values; fix: record hit positions
 // and download only those). Paper: kernel 1.06×, memory 1.13×.
 // ---------------------------------------------------------------------------
-type barracuda struct{}
+type barracuda struct{ size }
 
 func (*barracuda) Name() string         { return "BarraCUDA" }
 func (*barracuda) HotKernels() []string { return []string{"cuda_inexact_match_caller"} }
@@ -489,7 +489,7 @@ func (*barracuda) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *barracuda) Run(rt *cuda.Runtime, v Variant) error {
-	reads := scaled(128 << 10)
+	reads := w.scaled(128 << 10)
 	const batches = 4
 
 	rt.PushFrame(callpath.Frame{Func: "cuda_alignment_core", File: "barracuda.cu", Line: 1120})

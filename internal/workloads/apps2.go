@@ -8,11 +8,11 @@ import (
 )
 
 func init() {
-	register(&deepwave{})
-	register(&bert{})
-	register(&resnet50{})
-	register(&namd{})
-	register(&lammps{})
+	register(func(z size) Workload { return &deepwave{z} })
+	register(func(z size) Workload { return &bert{z} })
+	register(func(z size) Workload { return &resnet50{z} })
+	register(func(z size) Workload { return &namd{z} })
+	register(func(z size) Workload { return &lammps{z} })
 }
 
 // ---------------------------------------------------------------------------
@@ -22,7 +22,7 @@ func init() {
 // redundant writes and the single zero pattern. Fix: empty_like + drop
 // the extra zero_() (upstreamed to PyTorch). Paper: 1.07× / 1.04×.
 // ---------------------------------------------------------------------------
-type deepwave struct{}
+type deepwave struct{ size }
 
 func (*deepwave) Name() string         { return "PyTorch-Deepwave" }
 func (*deepwave) HotKernels() []string { return []string{"replication_pad3d_backward"} }
@@ -34,7 +34,7 @@ func (*deepwave) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *deepwave) Run(rt *cuda.Runtime, v Variant) error {
-	n := scaled(512 << 10)
+	n := w.scaled(512 << 10)
 	pad := 8
 
 	rt.PushFrame(callpath.Frame{Func: "replication_pad3d_backward_cuda", File: "ReplicationPadding.cu", Line: 317})
@@ -123,7 +123,7 @@ func (w *deepwave) Run(rt *cuda.Runtime, v Variant) error {
 // (redundant values). Fix: drop the per-iteration re-initialization.
 // Paper: 1.57× / 1.59× for the embedding operator.
 // ---------------------------------------------------------------------------
-type bert struct{}
+type bert struct{ size }
 
 func (*bert) Name() string         { return "PyTorch-Bert" }
 func (*bert) HotKernels() []string { return []string{"embedding", "masked_fill_"} }
@@ -135,7 +135,7 @@ func (*bert) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *bert) Run(rt *cuda.Runtime, v Variant) error {
-	vocab := scaled(32 << 10)
+	vocab := w.scaled(32 << 10)
 	const dim = 64
 	seq := 512
 	padRows := seq / 4 // attention-mask padding
@@ -264,7 +264,7 @@ func (w *bert) Run(rt *cuda.Runtime, v Variant) error {
 // pattern). Fix: skip the ones tensor when bias is absent.
 // Paper: 1.02× / 1.03×.
 // ---------------------------------------------------------------------------
-type resnet50 struct{}
+type resnet50 struct{ size }
 
 func (*resnet50) Name() string         { return "PyTorch-Resnet50" }
 func (*resnet50) HotKernels() []string { return []string{"conv_forward", "fill_ones"} }
@@ -276,7 +276,7 @@ func (*resnet50) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *resnet50) Run(rt *cuda.Runtime, v Variant) error {
-	spatial := scaled(128 << 10) // output spatial elements per layer
+	spatial := w.scaled(128 << 10) // output spatial elements per layer
 	const layersN = 3
 
 	for l := 0; l < layersN; l++ {
@@ -393,7 +393,7 @@ func (w *resnet50) Run(rt *cuda.Runtime, v Variant) error {
 // reproduction puts the patterns in a tiny exclusion-correction kernel
 // next to the dominant force kernel.
 // ---------------------------------------------------------------------------
-type namd struct{}
+type namd struct{ size }
 
 func (*namd) Name() string         { return "NAMD" }
 func (*namd) HotKernels() []string { return []string{"nonbondedForceKernel"} }
@@ -405,7 +405,7 @@ func (*namd) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *namd) Run(rt *cuda.Runtime, v Variant) error {
-	atoms := scaled(256 << 10)
+	atoms := w.scaled(256 << 10)
 	small := 2048
 
 	rt.PushFrame(callpath.Frame{Func: "CudaComputeNonbondedKernel::nonbondedForce", File: "CudaComputeNonbondedKernel.cu", Line: 910})
@@ -495,7 +495,7 @@ func (w *namd) Run(rt *cuda.Runtime, v Variant) error {
 // the upload is the frequent (unchanged) portion. The fix uploads them
 // only when rebuilt.
 // ---------------------------------------------------------------------------
-type lammps struct{}
+type lammps struct{ size }
 
 func (*lammps) Name() string         { return "LAMMPS" }
 func (*lammps) HotKernels() []string { return nil }
@@ -507,7 +507,7 @@ func (*lammps) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *lammps) Run(rt *cuda.Runtime, v Variant) error {
-	atoms := scaled(128 << 10)
+	atoms := w.scaled(128 << 10)
 	const neigh = 64
 	const steps = 6
 

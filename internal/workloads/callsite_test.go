@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"valueexpert/cuda"
@@ -9,11 +11,10 @@ import (
 	"valueexpert/internal/core"
 )
 
-// callSiteRun profiles one workload either directly from the test
+// profileJSON profiles one workload either directly from the calling
 // goroutine or from a spawned goroutine with a different stack, and
 // returns the normalized report bytes.
-func callSiteRun(t *testing.T, w Workload, indirect bool) []byte {
-	t.Helper()
+func profileJSON(w Workload, indirect bool) ([]byte, error) {
 	cfg := core.Config{Coarse: true, Fine: true, Program: w.Name()}
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	run := func(rt *cuda.Runtime) error { return w.Run(rt, Original) }
@@ -30,16 +31,16 @@ func callSiteRun(t *testing.T, w Workload, indirect bool) []byte {
 		p, err = core.Profile(cuda.NewLiveSource(rt, run), cfg)
 	}
 	if err != nil {
-		t.Fatalf("%s: %v", w.Name(), err)
+		return nil, fmt.Errorf("%s: %w", w.Name(), err)
 	}
 	p.Detach()
 	rep := *p.Report()
 	rep.Stats.AnalysisTime = 0
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
 
 // TestReportsCallSiteIndependent: every bundled workload's report must
@@ -50,14 +51,70 @@ func callSiteRun(t *testing.T, w Workload, indirect bool) []byte {
 // goroutine) must produce bytes identical to a one-shot vxprof run of
 // the same workload.
 func TestReportsCallSiteIndependent(t *testing.T) {
-	old := Scale
-	Scale = 64
-	defer func() { Scale = old }()
-	for _, w := range All() {
-		direct := callSiteRun(t, w, false)
-		indirect := callSiteRun(t, w, true)
+	t.Parallel()
+	for _, w := range All(testScale) {
+		direct, err := profileJSON(w, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indirect, err := profileJSON(w, true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(direct, indirect) {
 			t.Errorf("%s: report depends on the call site (an API call is missing its synthetic frame)", w.Name())
+		}
+	}
+}
+
+// TestConcurrentScalesMatchSerial: workloads bound to different scales,
+// including one application at two scales, run at the same time and
+// each reports exactly what it reports alone. The size belongs to the
+// workload value, so concurrent runs cannot resize each other.
+func TestConcurrentScalesMatchSerial(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name  string
+		scale int
+	}{{"Darknet", 64}, {"Rodinia/bfs", 32}, {"Rodinia/bfs", 64}}
+	serial := make([][]byte, len(cases))
+	for i, c := range cases {
+		w, err := Lookup(c.name, c.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial[i], err = profileJSON(w, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(serial[1], serial[2]) {
+		t.Fatal("Rodinia/bfs reports the same bytes at scales 32 and 64")
+	}
+
+	concurrent := make([][]byte, len(cases))
+	errs := make([]error, len(cases))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, c := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := Lookup(c.name, c.scale)
+			if err == nil {
+				<-start
+				concurrent[i], err = profileJSON(w, false)
+			}
+			errs[i] = err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range cases {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(concurrent[i], serial[i]) {
+			t.Errorf("%s at scale %d: concurrent report differs from its serial run", c.name, c.scale)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 )
 
 func TestRandomScheduleIsPureFunctionOfSeed(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{0, 1, 7, 12345} {
 		p := &RandomProgram{Seed: seed}
 		a, b := p.schedule(), p.schedule()
@@ -33,6 +34,7 @@ func TestRandomScheduleIsPureFunctionOfSeed(t *testing.T) {
 }
 
 func TestRandomProgramRunsCleanWithoutFaults(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{0, 1, 2, 3, 4, 5, 42, 99} {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := &RandomProgram{Seed: seed, Tolerant: true}
@@ -43,6 +45,7 @@ func TestRandomProgramRunsCleanWithoutFaults(t *testing.T) {
 }
 
 func TestRandomProgramTolerantSurvivesFaults(t *testing.T) {
+	t.Parallel()
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	plan := faultinject.New()
 	plan.FailNth(faultinject.Malloc, 1)
@@ -63,6 +66,7 @@ func TestRandomProgramTolerantSurvivesFaults(t *testing.T) {
 }
 
 func TestRandomProgramIntolerantStopsAtFirstError(t *testing.T) {
+	t.Parallel()
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	plan := faultinject.New()
 	plan.FailNth(faultinject.Malloc, 1)

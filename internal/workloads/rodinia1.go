@@ -10,11 +10,11 @@ import (
 )
 
 func init() {
-	register(&bfs{})
-	register(&backprop{})
-	register(&sradv1{})
-	register(&hotspot{})
-	register(&pathfinder{})
+	register(func(z size) Workload { return &bfs{z} })
+	register(func(z size) Workload { return &backprop{z} })
+	register(func(z size) Workload { return &sradv1{z} })
+	register(func(z size) Workload { return &hotspot{z} })
+	register(func(z size) Workload { return &pathfinder{z} })
 }
 
 // ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ func init() {
 // almost entirely a single value (0). The optimized variant demotes cost
 // and mask arrays to int8, cutting the kernel's memory traffic 4×.
 // ---------------------------------------------------------------------------
-type bfs struct{}
+type bfs struct{ size }
 
 func (*bfs) Name() string         { return "Rodinia/bfs" }
 func (*bfs) HotKernels() []string { return []string{"Kernel"} }
@@ -40,7 +40,7 @@ func (*bfs) OptimizedPatterns() []vpattern.Kind {
 
 func (w *bfs) Run(rt *cuda.Runtime, v Variant) error {
 	r := rng(1)
-	nodes := scaled(64 << 10)
+	nodes := w.scaled(64 << 10)
 	degree := 4
 	// CSR: offsets + edges.
 	offs := make([]int32, nodes+1)
@@ -204,7 +204,7 @@ func (w *bfs) Run(rt *cuda.Runtime, v Variant) error {
 // kernel is memory-bound and the gain is modest — exactly the asymmetry
 // Table 3 reports (8.18× vs 1.67×).
 // ---------------------------------------------------------------------------
-type backprop struct{}
+type backprop struct{ size }
 
 func (*backprop) Name() string         { return "Rodinia/backprop" }
 func (*backprop) HotKernels() []string { return []string{"bpnn_adjust_weights_cuda"} }
@@ -216,7 +216,7 @@ func (*backprop) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *backprop) Run(rt *cuda.Runtime, v Variant) error {
-	n := scaled(256 << 10)
+	n := w.scaled(256 << 10)
 	weights := make([]float64, n)
 	for i := range weights {
 		weights[i] = 0.5 + float64(i%7)*0.01
@@ -328,7 +328,7 @@ func (w *backprop) Run(rt *cuda.Runtime, v Variant) error {
 // of loaded (structured values), and image-bounded integers travel as
 // int16 (heavy type).
 // ---------------------------------------------------------------------------
-type sradv1 struct{}
+type sradv1 struct{ size }
 
 func (*sradv1) Name() string         { return "Rodinia/sradv1" }
 func (*sradv1) HotKernels() []string { return []string{"srad"} }
@@ -341,7 +341,7 @@ func (*sradv1) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *sradv1) Run(rt *cuda.Runtime, v Variant) error {
-	rows := scaled(256)
+	rows := w.scaled(256)
 	cols := 256
 	n := rows * cols
 
@@ -512,7 +512,7 @@ func (w *sradv1) Run(rt *cuda.Runtime, v Variant) error {
 // Optimized: when a cell and its neighbors agree to K mantissa bits the
 // expensive update is bypassed (paper: 1.31× / 1.10×, within 2% RMSE).
 // ---------------------------------------------------------------------------
-type hotspot struct{}
+type hotspot struct{ size }
 
 func (*hotspot) Name() string         { return "Rodinia/hotspot" }
 func (*hotspot) HotKernels() []string { return []string{"calculate_temp"} }
@@ -524,7 +524,7 @@ func (*hotspot) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *hotspot) Run(rt *cuda.Runtime, v Variant) error {
-	side := scaled(384)
+	side := w.scaled(384)
 	n := side * side
 
 	rt.PushFrame(callpath.Frame{Func: "compute_tran_temp", File: "hotspot.cu", Line: 270})
@@ -635,7 +635,7 @@ func (w *hotspot) Run(rt *cuda.Runtime, v Variant) error {
 // the heavy type pattern whose fix is dominated by memory-time savings
 // (Table 3: 4.21× / 3.27× memory speedup).
 // ---------------------------------------------------------------------------
-type pathfinder struct{}
+type pathfinder struct{ size }
 
 func (*pathfinder) Name() string         { return "Rodinia/pathfinder" }
 func (*pathfinder) HotKernels() []string { return []string{"dynproc_kernel"} }
@@ -647,7 +647,7 @@ func (*pathfinder) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *pathfinder) Run(rt *cuda.Runtime, v Variant) error {
-	cols := scaled(256 << 10)
+	cols := w.scaled(256 << 10)
 	const rowsN = 6
 
 	rt.PushFrame(callpath.Frame{Func: "run", File: "pathfinder.cu", Line: 120})

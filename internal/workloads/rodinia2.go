@@ -8,11 +8,11 @@ import (
 )
 
 func init() {
-	register(&cfd{})
-	register(&huffman{})
-	register(&lavaMD{})
-	register(&hotspot3D{})
-	register(&streamcluster{})
+	register(func(z size) Workload { return &cfd{z} })
+	register(func(z size) Workload { return &huffman{z} })
+	register(func(z size) Workload { return &lavaMD{z} })
+	register(func(z size) Workload { return &hotspot3D{z} })
+	register(func(z size) Workload { return &streamcluster{z} })
 }
 
 // ---------------------------------------------------------------------------
@@ -23,7 +23,7 @@ func init() {
 // flux contribution is the precomputed free-stream flux, bypassing the
 // expensive per-face computation (paper §8.5: 8.28× / 6.05×).
 // ---------------------------------------------------------------------------
-type cfd struct{}
+type cfd struct{ size }
 
 func (*cfd) Name() string         { return "Rodinia/cfd" }
 func (*cfd) HotKernels() []string { return []string{"cuda_compute_flux"} }
@@ -35,7 +35,7 @@ func (*cfd) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *cfd) Run(rt *cuda.Runtime, v Variant) error {
-	nelr := scaled(64 << 10)
+	nelr := w.scaled(64 << 10)
 	const nnb = 8
 
 	rt.PushFrame(callpath.Frame{Func: "main", File: "euler3d.cu", Line: 570})
@@ -172,7 +172,7 @@ func (w *cfd) Run(rt *cuda.Runtime, v Variant) error {
 // written to the array histo are zeros"). The optimization bypasses
 // identity updates (adding zero), saving stores and atomics.
 // ---------------------------------------------------------------------------
-type huffman struct{}
+type huffman struct{ size }
 
 func (*huffman) Name() string         { return "Rodinia/huffman" }
 func (*huffman) HotKernels() []string { return []string{"histo_kernel"} }
@@ -185,7 +185,7 @@ func (*huffman) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *huffman) Run(rt *cuda.Runtime, v Variant) error {
-	nSymbols := scaled(256 << 10)
+	nSymbols := w.scaled(256 << 10)
 	const bins = 256
 
 	rt.PushFrame(callpath.Frame{Func: "runVLCTest", File: "main_test_cu.cu", Line: 140})
@@ -290,7 +290,7 @@ func (w *huffman) Run(rt *cuda.Runtime, v Variant) error {
 // transfer) and decodes on device — memory time improves ~1.5×, kernel
 // time pays a small decode cost (paper: 0.99× kernel, 1.49× memory).
 // ---------------------------------------------------------------------------
-type lavaMD struct{}
+type lavaMD struct{ size }
 
 func (*lavaMD) Name() string         { return "Rodinia/lavaMD" }
 func (*lavaMD) HotKernels() []string { return []string{"kernel_gpu_cuda"} }
@@ -302,7 +302,7 @@ func (*lavaMD) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *lavaMD) Run(rt *cuda.Runtime, v Variant) error {
-	n := scaled(512 << 10)
+	n := w.scaled(512 << 10)
 
 	rt.PushFrame(callpath.Frame{Func: "main", File: "lavaMD/main.c", Line: 386})
 	defer rt.PopFrame()
@@ -395,7 +395,7 @@ func (w *lavaMD) Run(rt *cuda.Runtime, v Variant) error {
 // the stencil on uniform regions halves the kernel (paper: 2.00×/1.99×,
 // within 2% RMSE).
 // ---------------------------------------------------------------------------
-type hotspot3D struct{}
+type hotspot3D struct{ size }
 
 func (*hotspot3D) Name() string         { return "Rodinia/hotspot3D" }
 func (*hotspot3D) HotKernels() []string { return []string{"hotspotOpt1"} }
@@ -407,7 +407,7 @@ func (*hotspot3D) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *hotspot3D) Run(rt *cuda.Runtime, v Variant) error {
-	side := scaled(192)
+	side := w.scaled(192)
 	layers := 4
 	n := side * side * layers
 
@@ -527,7 +527,7 @@ func (w *hotspot3D) Run(rt *cuda.Runtime, v Variant) error {
 // uploads them once and only re-sends the small assignment buffer.
 // Paper: 2.39× / 1.81× memory speedup.
 // ---------------------------------------------------------------------------
-type streamcluster struct{}
+type streamcluster struct{ size }
 
 func (*streamcluster) Name() string         { return "Rodinia/streamcluster" }
 func (*streamcluster) HotKernels() []string { return nil } // memory-only optimization
@@ -539,7 +539,7 @@ func (*streamcluster) OptimizedPatterns() []vpattern.Kind {
 }
 
 func (w *streamcluster) Run(rt *cuda.Runtime, v Variant) error {
-	points := scaled(256 << 10)
+	points := w.scaled(256 << 10)
 	const dims = 8
 	const iters = 6
 

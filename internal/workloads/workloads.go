@@ -56,43 +56,53 @@ type Workload interface {
 	OptimizedPatterns() []vpattern.Kind
 }
 
-// registry holds all workloads in Table 1 order.
-var registry []Workload
+// registry holds one constructor per workload, in Table 1 order.
+var registry []func(size) Workload
 
-func register(w Workload) { registry = append(registry, w) }
+func register(ctor func(size) Workload) { registry = append(registry, ctor) }
 
-// All returns every workload in Table 1 order.
-func All() []Workload {
+// All returns every workload in Table 1 order, sized at scale.
+func All(scale int) []Workload {
 	out := make([]Workload, len(registry))
-	copy(out, registry)
+	for i, ctor := range registry {
+		out[i] = ctor(size{scale})
+	}
 	return out
 }
 
-// ByName finds a workload.
-func ByName(name string) (Workload, error) {
-	for _, w := range registry {
+// Lookup finds a workload by name, sized at scale.
+func Lookup(name string, scale int) (Workload, error) {
+	var names []string
+	for _, w := range All(scale) {
 		if w.Name() == name {
 			return w, nil
 		}
-	}
-	var names []string
-	for _, w := range registry {
 		names = append(names, w.Name())
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, names)
 }
 
+// Scale and ByName exist only for the bench/ module, whose harness sets
+// Scale and then looks a workload up by name; everything else passes
+// its scale to All or Lookup.
+var Scale = 1
+
+// ByName is Lookup at Scale; it exists only for bench/.
+func ByName(name string) (Workload, error) { return Lookup(name, Scale) }
+
 // rng returns a deterministic source per workload so value behaviour is
 // reproducible run to run.
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// Scale shrinks problem sizes uniformly for fast tests; benchmarks use 1.
-// It must be ≥ 1.
-var Scale = 1
+// size is a workload's problem-size divisor: 1 is full size, larger
+// values shrink the problem uniformly for fast runs. It must be ≥ 1.
+// Every workload embeds it, so its size travels with the value.
+type size struct{ scale int }
 
-func scaled(n int) int {
-	s := n / Scale
+// scaled divides n by the workload's scale, never below 32.
+func (z size) scaled(n int) int {
+	s := n / z.scale
 	if s < 32 {
 		s = 32
 	}

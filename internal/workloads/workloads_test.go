@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"os"
 	"testing"
 
 	"valueexpert/cuda"
@@ -10,15 +9,14 @@ import (
 	"valueexpert/internal/vpattern"
 )
 
-func TestMain(m *testing.M) {
-	// Shrink problem sizes for unit tests; benchmarks use full scale.
-	Scale = 64
-	os.Exit(m.Run())
-}
+// testScale shrinks problem sizes for unit tests; benchmarks use full
+// scale.
+const testScale = 64
 
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	names := map[string]bool{}
-	for _, w := range All() {
+	for _, w := range All(testScale) {
 		if names[w.Name()] {
 			t.Fatalf("duplicate workload %q", w.Name())
 		}
@@ -42,18 +40,25 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	w, err := ByName("Darknet")
+	t.Parallel()
+	w, err := Lookup("Darknet", testScale)
 	if err != nil || w.Name() != "Darknet" {
-		t.Fatalf("ByName: %v, %v", w, err)
+		t.Fatalf("Lookup: %v, %v", w, err)
 	}
-	if _, err := ByName("nope"); err == nil {
+	if _, err := Lookup("nope", testScale); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+	// ByName binds bench/'s Scale, which nothing here sets from its
+	// default of 1.
+	if w, err := ByName("Darknet"); err != nil || w.(*darknet).scale != 1 {
+		t.Fatalf("ByName: %v, %v", w, err)
 	}
 }
 
 // Every workload must run cleanly in both variants on both devices.
 func TestAllWorkloadsRunBothVariants(t *testing.T) {
-	for _, w := range All() {
+	t.Parallel()
+	for _, w := range All(testScale) {
 		for _, v := range []Variant{Original, Optimized} {
 			for _, prof := range gpu.Profiles() {
 				rt := cuda.NewRuntime(prof)
@@ -76,7 +81,8 @@ func TestAllWorkloadsRunBothVariants(t *testing.T) {
 // paper reports for that application (extras are allowed — our miniatures
 // sometimes expose more than the paper's table records).
 func TestTable1ExpectedPatternsDetected(t *testing.T) {
-	for _, w := range All() {
+	t.Parallel()
+	for _, w := range All(testScale) {
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		p := core.Attach(rt, core.Config{
 			Coarse: true, Fine: true, Program: w.Name(),
@@ -95,7 +101,8 @@ func TestTable1ExpectedPatternsDetected(t *testing.T) {
 
 // The optimization must target patterns the tool actually reports.
 func TestOptimizedPatternsAreDetected(t *testing.T) {
-	for _, w := range All() {
+	t.Parallel()
+	for _, w := range All(testScale) {
 		expected := map[vpattern.Kind]bool{}
 		for _, k := range w.ExpectedPatterns() {
 			expected[k] = true
@@ -115,7 +122,8 @@ func TestOptimizedPatternsAreDetected(t *testing.T) {
 // original: kernel time and memory time may only shrink or stay flat
 // (small tolerance for bookkeeping differences).
 func TestOptimizedNeverSlower(t *testing.T) {
-	for _, w := range All() {
+	t.Parallel()
+	for _, w := range All(testScale) {
 		for _, prof := range gpu.Profiles() {
 			times := func(v Variant) (kernel, memory float64) {
 				rt := cuda.NewRuntime(prof)
@@ -149,13 +157,18 @@ func TestOptimizedNeverSlower(t *testing.T) {
 }
 
 func TestVariantString(t *testing.T) {
+	t.Parallel()
 	if Original.String() != "original" || Optimized.String() != "optimized" {
 		t.Fatal("Variant.String")
 	}
 }
 
 func TestScaledFloor(t *testing.T) {
-	if scaled(1) < 32 {
+	t.Parallel()
+	if (size{1}).scaled(1) != 32 || (size{testScale}).scaled(1<<10) != 32 {
 		t.Fatal("scaled floor violated")
+	}
+	if got := (size{4}).scaled(1 << 10); got != 256 {
+		t.Fatalf("size{4}.scaled(1024) = %d, want 256", got)
 	}
 }
