@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"valueexpert"
 	"valueexpert/internal/cliconfig"
@@ -211,6 +212,56 @@ func TestRunWithFaults(t *testing.T) {
 	if !strings.Contains(string(js), "malloc@1") {
 		t.Fatal("degraded section does not record the injection")
 	}
+}
+
+// TestOverheadWithoutTelemetry: -overhead alone builds no telemetry
+// recorder, and the section it prints partitions the wall: the layer
+// lines sum to the printed wall, beside the analysis goroutine's busy
+// line.
+func TestOverheadWithoutTelemetry(t *testing.T) {
+	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true})
+	o.overhead = true
+	if tel, buf := o.recorder(); tel != nil || buf != nil {
+		t.Fatal("-overhead alone built a telemetry recorder")
+	}
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "VXPROF_RUN_MAIN=1", "VXPROF_ARGS=-workload Darknet -scale 32 -overhead")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(out), "\n")
+	i := 0
+	for i < len(lines) && !strings.HasPrefix(lines[i], "  wall ") {
+		i++
+	}
+	if i == len(lines) {
+		t.Fatalf("no wall line in:\n%s", out)
+	}
+	wall := parseDuration(t, strings.TrimSuffix(strings.TrimPrefix(lines[i], "  wall "), ", as exclusive layers:"))
+	var sum time.Duration
+	var layers int
+	// Each layer line: "    <name> <duration> (<share>%)".
+	for i++; i < len(lines) && strings.HasPrefix(lines[i], "    "); i++ {
+		f := strings.Fields(lines[i])
+		sum += parseDuration(t, f[len(f)-2])
+		layers++
+	}
+	if layers != 6 || wall <= 0 || sum != wall {
+		t.Errorf("%d layer lines sum to %v, printed wall %v", layers, sum, wall)
+	}
+	if i == len(lines) || !strings.HasPrefix(lines[i], "  analysis goroutine busy ") {
+		t.Errorf("no analysis goroutine busy line after the layers:\n%s", out)
+	}
+}
+
+func parseDuration(t *testing.T, s string) time.Duration {
+	t.Helper()
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		t.Fatalf("printed duration %q: %v", s, err)
+	}
+	return d
 }
 
 func TestTelemetryArtifacts(t *testing.T) {

@@ -62,6 +62,8 @@ type analyzer struct {
 	// inline makes submit drain the queue on the calling goroutine. Only
 	// the synchronous reference driver of the tests sets it.
 	inline bool
+	// busy sums the goroutine's runs, start to empty queue (Overhead).
+	busy time.Duration
 }
 
 func newAnalyzer(p *Profiler) *analyzer {
@@ -72,6 +74,7 @@ func newAnalyzer(p *Profiler) *analyzer {
 	}
 	a.idle.L = &a.mu
 	a.run = func() {
+		start := time.Now()
 		a.mu.Lock()
 		for a.head < len(a.queue) {
 			t := a.queue[a.head]
@@ -82,6 +85,7 @@ func newAnalyzer(p *Profiler) *analyzer {
 			a.mu.Lock()
 		}
 		a.queue, a.head = a.queue[:0], 0
+		a.busy += time.Since(start)
 		a.running = false
 		a.idle.Broadcast()
 		a.mu.Unlock()
@@ -204,20 +208,19 @@ func (a *analyzer) dropSpares() {
 }
 
 // barrier waits for the analysis goroutine to empty its queue; every
-// launch it finalized is then owned by the caller. The wait is analysis
-// the pipeline failed to hide, so it counts as analysis time.
+// launch it finalized is then owned by the caller. The wait, analysis
+// the pipeline failed to hide, is the drain-wait layer.
 func (p *Profiler) barrier() {
-	start := time.Now()
-	sw := p.probes.drainWait.Start()
+	defer p.clock.enter(p.clock.enter(layerDrainWait))
 	p.an.wait()
-	sw.Stop()
-	p.analysisTime += time.Since(start)
 }
 
 // flush is the kernel goroutine's share of one flushed buffer of launch
-// ls: object resolution, value capture and the stages that may read the
-// device, then the hand-off of the batch-only stages' work.
+// ls, the flush layer: object resolution, value capture and the stages
+// that may read the device, then the hand-off of the batch-only stages'
+// work.
 func (p *Profiler) flush(ls *launchState, recs []gpu.Access) {
+	defer p.clock.enter(p.clock.enter(layerFlush))
 	b := p.an.newBatch(recs)
 	p.resolveObjects(b)
 	if ls.needVals {

@@ -129,9 +129,7 @@ type Profiler struct {
 	deadIDs        []int
 	evictedObjects int
 
-	// analysisTime is the kernel goroutine's analysis time (see
-	// AnalysisTime).
-	analysisTime time.Duration
+	clock *clock // the kernel goroutine's layer clock (telemetry.go)
 
 	// an runs the stages, here and on the analysis goroutine
 	// (pipeline.go).
@@ -176,6 +174,7 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 		rt:          rt,
 		tree:        callpath.NewTree(),
 		pendingFree: -1,
+		clock:       &clock{},
 	}
 	p.graph = vflow.New(p.tree)
 
@@ -209,6 +208,7 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 		Faults: rt.Faults(),
 	})
 	p.an = newAnalyzer(p)
+	p.clock.reset(time.Now)
 	rt.SetInterceptor(p)
 	return p
 }
@@ -242,13 +242,6 @@ func (p *Profiler) Graph() *vflow.Graph { return p.graph }
 // Tree returns the calling-context tree.
 func (p *Profiler) Tree() *callpath.Tree { return p.tree }
 
-// AnalysisTime reports the analysis time the kernel-execution goroutine
-// spent (overhead accounting for Figure 6): flush-time capture, the
-// stages run there, the hand-off, launch finalization and waits for the
-// analysis goroutine. Work the analysis goroutine overlaps with the
-// program adds nothing to wall time and is not counted.
-func (p *Profiler) AnalysisTime() time.Duration { return p.analysisTime }
-
 // instrumenting reports whether any registered stage consumes per-access
 // records.
 func (p *Profiler) instrumenting() bool {
@@ -263,6 +256,7 @@ func (p *Profiler) instrumenting() bool {
 // APIBegin implements cuda.Interceptor: stages observe the event before
 // its device effect (frees are still addressable).
 func (p *Profiler) APIBegin(ev *cuda.APIEvent) {
+	defer p.clock.enter(p.clock.enter(layerAPI))
 	// An API still pending from the previous Begin never ended: it failed.
 	if p.pending != "" {
 		p.failedAPIs = append(p.failedAPIs, p.pending)
@@ -292,6 +286,7 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 	if !p.instrumenting() {
 		return nil, nil
 	}
+	defer p.clock.enter(p.clock.enter(layerAPI))
 	// A leftover launch means the previous kernel failed mid-execution
 	// (its APIEnd never fired); discard its state before reusing buffers.
 	if p.launch != nil {
@@ -308,12 +303,8 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 		}
 	}
 	hook, filter, finish := p.san.Instrument(kernelName, func(recs []gpu.Access) {
-		start := time.Now()
-		sw := p.probes.flushCapture.Start()
 		p.tel.Instant(telemetry.LaneKernel, "sanitizer", "flush")
 		p.flush(ls, recs)
-		sw.Stop()
-		p.analysisTime += time.Since(start)
 	})
 	if hook == nil {
 		p.launch = nil
@@ -352,12 +343,7 @@ func (p *Profiler) Drain() {
 // APIEnd implements cuda.Interceptor: launches are finalized through the
 // stages' LaunchEnd, every other event is forwarded to their APIEnd.
 func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
-	// All of APIEnd is analysis, including a launch's final flush, whose
-	// closure adds its own time as it runs: restoring the total from
-	// before the call counts that nested time once.
-	start, before := time.Now(), p.analysisTime
-	defer func() { p.analysisTime = before + time.Since(start) }()
-
+	defer p.clock.enter(p.clock.enter(layerAPI))
 	p.pending = "" // the API completed
 	if ev.Kind == cuda.APILaunch {
 		p.onLaunch(ev)
@@ -411,6 +397,7 @@ func (p *Profiler) onLaunch(ev *cuda.APIEvent) {
 // table, and collection statistics; each stage contributes its findings.
 func (p *Profiler) Report() *profile.Report {
 	p.barrier()
+	prev := p.clock.enter(layerReport)
 	dev := p.rt.Device()
 	st := dev.Stats()
 	sanSt := p.san.Stats()
@@ -427,7 +414,6 @@ func (p *Profiler) Report() *profile.Report {
 			BufferFlushes:    sanSt.Flushes,
 			KernelTime:       st.KernelTime,
 			MemoryTime:       st.MemoryTime(),
-			AnalysisTime:     p.analysisTime,
 		},
 	}
 	// Record a non-default detector selection so report consumers know
@@ -440,6 +426,9 @@ func (p *Profiler) Report() *profile.Report {
 		stg.Finish(rep)
 	}
 	rep.Degraded = p.degradedSection()
+	p.clock.enter(prev)
+	// The layers sum to the wall: all but the program is the profiler's.
+	rep.Stats.AnalysisTime = p.clock.last.Sub(p.clock.start) - p.clock.spent[layerProgram]
 	return rep
 }
 
@@ -466,15 +455,6 @@ func (p *Profiler) degradedSection() *profile.Degraded {
 		return nil
 	}
 	return d
-}
-
-// SnapshotCopyTime reports the simulated cost of snapshot maintenance
-// under the configured copy strategy (the Figure 5 metric).
-func (p *Profiler) SnapshotCopyTime() time.Duration {
-	if p.coarse == nil {
-		return 0
-	}
-	return p.coarse.snapshotTime
 }
 
 // String summarizes the profiler configuration.

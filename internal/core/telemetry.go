@@ -1,14 +1,13 @@
-// Engine self-observability: when Config.Telemetry carries a recorder,
-// Attach threads probes through every layer — sanitizer flush volume and
-// buffer-wait stalls, per-stage analyze/finalize timers, waits for the
-// analysis goroutine, interval-merge volumes, and the coarse stage's
-// snapshot diff/apply timers with per-strategy copy traffic — and
-// declares the two self-trace lanes (kernel execution and the analysis
-// goroutine). With a nil recorder every probe is nil and the engine's hot
-// paths pay only pointer tests.
+// Engine self-observability: the always-on layer clock behind Overhead
+// and, when Config.Telemetry carries a recorder, probes in every layer
+// (sanitizer volume, the clock's layer timers, per-stage, merge and
+// snapshot timers and counters) plus the two self-trace lanes. With a
+// nil recorder every probe is nil and hot paths pay only pointer tests.
 package core
 
 import (
+	"time"
+
 	"valueexpert/internal/faultinject"
 	"valueexpert/internal/profile"
 	"valueexpert/internal/sanitizer"
@@ -20,14 +19,6 @@ import (
 // hot paths index without branching; entries are nil when telemetry is
 // off.
 type engineProbes struct {
-	// flushCapture times the kernel-goroutine share of each flush:
-	// object resolution, value capture, the stages run there and the
-	// hand-off.
-	flushCapture *telemetry.Timer
-	// drainWait times waits for the analysis goroutine to empty its
-	// queue — the analysis the pipeline failed to hide.
-	drainWait *telemetry.Timer
-
 	// analyze/finalize/batches instrument each stage's work: per-batch
 	// analysis and launch-end finalization.
 	analyze  []*telemetry.Timer
@@ -61,8 +52,9 @@ func (p *Profiler) initTelemetry() {
 		return
 	}
 	tel.SetProgram(p.cfg.Program)
-	p.probes.flushCapture = tel.Timer("collector.flush_capture")
-	p.probes.drainWait = tel.Timer("pipeline.drain_wait")
+	p.clock.timers[layerFlush] = tel.Timer("collector.flush_capture")
+	p.clock.timers[layerBufferWait] = tel.Timer("sanitizer.buffer_wait")
+	p.clock.timers[layerDrainWait] = tel.Timer("pipeline.drain_wait")
 	p.probes.failedAPIs = tel.Counter("engine.failed_apis")
 	p.probes.skippedLaunches = tel.Counter("engine.skipped_launches")
 	p.probes.evictedObjects = tel.Counter("engine.evicted_objects")
@@ -82,13 +74,13 @@ func (p *Profiler) initTelemetry() {
 	tel.DeclareLane(telemetry.LaneAnalysis, "analysis")
 }
 
-// sanitizerProbes builds the sanitizer's probe set from the recorder
-// (all nil with telemetry off — sanitizer probes no-op on nil).
+// sanitizerProbes builds the sanitizer's probe set: the clock's stall
+// hook, and counters that are nil (no-ops) with telemetry off.
 func (p *Profiler) sanitizerProbes() sanitizer.Probes {
 	return sanitizer.Probes{
 		Flushes:        p.tel.Counter("sanitizer.flushes"),
 		Records:        p.tel.Counter("sanitizer.records"),
-		BufferWait:     p.tel.Timer("sanitizer.buffer_wait"),
+		Wait:           p.clock.stall,
 		DroppedFlushes: p.tel.Counter("sanitizer.dropped_flushes"),
 		DroppedRecords: p.tel.Counter("sanitizer.dropped_records"),
 	}
@@ -98,21 +90,76 @@ func (p *Profiler) sanitizerProbes() sanitizer.Probes {
 // self-observation is off).
 func (p *Profiler) Telemetry() *telemetry.Recorder { return p.tel }
 
-// Overhead assembles the profiler's own cost breakdown — the §6-style
-// attribution of where tool time went. Analysis and snapshot times come
-// from the engine's always-on accounting; the collection-side split
-// (flush capture, buffer-wait stalls, drain waits) needs Config.Telemetry
-// and reports zero without it.
+// Overhead waits for the analysis goroutine and returns the profiler's
+// own cost breakdown (profile.Overhead); it needs no Config.Telemetry.
 func (p *Profiler) Overhead() *profile.Overhead {
-	o := &profile.Overhead{
-		AnalysisTime: p.analysisTime,
-		SnapshotTime: p.SnapshotCopyTime(),
+	p.barrier()
+	c := p.clock
+	o := &profile.Overhead{Wall: c.last.Sub(c.start)}
+	if p.coarse != nil {
+		o.SnapshotTime = p.coarse.snapshotTime
 	}
-	if p.tel != nil {
-		o.FlushCaptureTime = p.tel.Timer("collector.flush_capture").Total()
-		o.BufferWaitTime = p.tel.Timer("sanitizer.buffer_wait").Total()
-		o.DrainWaitTime = p.tel.Timer("pipeline.drain_wait").Total()
-		o.CollectionTime = o.FlushCaptureTime + o.BufferWaitTime
+	for l, d := range c.spent {
+		o.Layers = append(o.Layers, profile.Layer{Name: layerNames[l], Time: d})
 	}
+	o.AnalysisBusy = p.an.busy // the barrier ordered its last write before this
 	return o
+}
+
+// A layer is one exclusive part of the kernel goroutine's wall time; the
+// profiler is in exactly one at any moment (DESIGN.md §7).
+type layer uint8
+
+const (
+	layerProgram    layer = iota // the residual: the simulated program and the per-access hook
+	layerFlush                   // object resolution, range capture, coarse/custom stages, hand-off
+	layerBufferWait              // the sanitizer blocked on a free flush buffer
+	layerAPI                     // stage API hooks, Instrumentation, launch finalization
+	layerDrainWait               // barrier: waiting for the analysis goroutine
+	layerReport                  // Report's assembly and the stages' Finish
+	numLayers
+)
+
+var layerNames = [numLayers]string{"program", "flush", "buffer wait", "API", "drain wait", "report"}
+
+// clock partitions the kernel goroutine's wall time into layers. Each
+// switch reads the time once and charges the span since the previous
+// switch to the layer being left, so nested work, such as a launch's
+// final flush inside APIEnd, is counted once by construction.
+type clock struct {
+	now         func() time.Time // time.Now; only tests replace it
+	start, last time.Time
+	cur         layer
+	spent       [numLayers]time.Duration
+	// timers receive each span of the layer left; nil (a no-op) with
+	// telemetry off and for layers without a metric.
+	timers [numLayers]*telemetry.Timer
+	resume layer // the layer a buffer wait returns to (stall)
+}
+
+// reset starts the clock at now() in the program layer, nothing charged.
+func (c *clock) reset(now func() time.Time) {
+	c.now, c.start, c.cur, c.spent = now, now(), layerProgram, [numLayers]time.Duration{}
+	c.last = c.start
+}
+
+// enter switches to layer l and returns the layer left, so that
+// `defer c.enter(c.enter(l))` charges the rest of a function to l.
+func (c *clock) enter(l layer) layer {
+	t := c.now()
+	d := t.Sub(c.last)
+	c.spent[c.cur] += d
+	c.timers[c.cur].Observe(d)
+	prev := c.cur
+	c.last, c.cur = t, l
+	return prev
+}
+
+// stall is the sanitizer's buffer-wait hook (sanitizer.Probes.Wait).
+func (c *clock) stall(blocked bool) {
+	if blocked {
+		c.resume = c.enter(layerBufferWait)
+	} else {
+		c.enter(c.resume)
+	}
 }

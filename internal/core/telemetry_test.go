@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,39 +177,58 @@ func TestSelfTraceLanes(t *testing.T) {
 	}
 }
 
-// TestOverheadSection: Overhead() attributes time only when asked, and
-// the report renders it; default reports never carry the section.
+// TestOverheadSection: Overhead() partitions the wall into the named
+// layers with or without telemetry, reports the analysis goroutine's
+// busy time beside them, and feeds the telemetry timers when a recorder
+// is attached; the report renders the section only when asked.
 func TestOverheadSection(t *testing.T) {
-	rt := cuda.NewRuntime(gpu.RTX2080Ti)
-	tel := telemetry.New()
-	p := Attach(rt, Config{Coarse: true, Fine: true, Telemetry: tel, Program: "quickstart"})
-	runQuickstart(t, rt)
-	p.Detach()
+	for _, tel := range []*telemetry.Recorder{nil, telemetry.New()} {
+		rt := cuda.NewRuntime(gpu.RTX2080Ti)
+		p := Attach(rt, Config{Coarse: true, Fine: true, Telemetry: tel, Program: "quickstart"})
+		runQuickstart(t, rt)
+		p.Detach()
 
-	rep := p.Report()
-	if rep.Overhead != nil {
-		t.Fatal("default report carries an overhead section")
-	}
-	ov := p.Overhead()
-	if ov.AnalysisTime <= 0 {
-		t.Errorf("analysis time = %v", ov.AnalysisTime)
-	}
-	if ov.FlushCaptureTime <= 0 {
-		t.Errorf("flush capture time = %v (telemetry attached)", ov.FlushCaptureTime)
-	}
-	rep.Overhead = ov
-	text := rep.Text()
-	if !bytes.Contains([]byte(text), []byte("profiler overhead")) {
-		t.Error("text report missing overhead section")
-	}
-
-	// Without telemetry the coarse attribution still works.
-	rt2 := cuda.NewRuntime(gpu.RTX2080Ti)
-	p2 := Attach(rt2, Config{Coarse: true, Program: "quickstart"})
-	runQuickstart(t, rt2)
-	p2.Detach()
-	if ov2 := p2.Overhead(); ov2.AnalysisTime <= 0 {
-		t.Errorf("untelemetered analysis time = %v", ov2.AnalysisTime)
+		rep := p.Report()
+		if rep.Overhead != nil {
+			t.Fatal("default report carries an overhead section")
+		}
+		ov := p.Overhead()
+		var sum time.Duration
+		byName := map[string]time.Duration{}
+		for i, l := range ov.Layers {
+			if l.Name != layerNames[i] {
+				t.Errorf("layer %d = %q, want %q", i, l.Name, layerNames[i])
+			}
+			sum += l.Time
+			byName[l.Name] = l.Time
+		}
+		if ov.Wall <= 0 || sum != ov.Wall {
+			t.Errorf("telemetry %v: layers sum to %v, wall %v", tel != nil, sum, ov.Wall)
+		}
+		if byName["flush"] <= 0 || byName["API"] <= 0 || byName["report"] <= 0 {
+			t.Errorf("telemetry %v: flush/API/report layers empty: %v", tel != nil, ov.Layers)
+		}
+		if ov.AnalysisBusy <= 0 {
+			t.Errorf("telemetry %v: analysis goroutine busy = %v", tel != nil, ov.AnalysisBusy)
+		}
+		if ov.SnapshotTime <= 0 {
+			t.Errorf("telemetry %v: snapshot time = %v", tel != nil, ov.SnapshotTime)
+		}
+		if tel != nil {
+			if got := tel.Timer("collector.flush_capture").Total(); got != byName["flush"] {
+				t.Errorf("flush capture timer %v, flush layer %v", got, byName["flush"])
+			}
+			if got := tel.Timer("pipeline.drain_wait").Total(); got != byName["drain wait"] {
+				t.Errorf("drain wait timer %v, drain wait layer %v", got, byName["drain wait"])
+			}
+		}
+		rep.Overhead = ov
+		text := rep.Text()
+		for _, want := range []string{"profiler overhead", "    buffer wait ", "analysis goroutine busy"} {
+			if !strings.Contains(text, want) {
+				t.Errorf("text report lacks %q", want)
+			}
+		}
 	}
 }
 
@@ -235,12 +255,13 @@ func TestAnalysisTimeWithinWall(t *testing.T) {
 	})
 	start := time.Now()
 	p, err := Profile(src, Config{Coarse: true, Fine: true})
-	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Detach()
-	if got := p.AnalysisTime(); got <= 0 || got > wall {
+	got := p.Report().Stats.AnalysisTime
+	wall := time.Since(start)
+	if got <= 0 || got > wall {
 		t.Errorf("analysis time %v outside (0, wall %v]", got, wall)
 	}
 }

@@ -214,35 +214,28 @@ func Table3(opts Options) (*Table3Result, error) {
 // GeomeanKernelSpeedup aggregates kernel speedups for device index di
 // over rows with kernels (paper bottom row: 1.58× / 1.39×).
 func (r *Table3Result) GeomeanKernelSpeedup(di int) float64 {
-	var vals []float64
-	for _, row := range r.Rows {
-		if s := row.Devices[di].KernelSpeedup(); s > 0 {
-			vals = append(vals, s)
-		}
-	}
-	return geomean(vals)
+	return geomean(r.speedups(di, DeviceSpeedup.KernelSpeedup))
 }
 
 // GeomeanMemorySpeedup aggregates memory speedups for device index di.
 func (r *Table3Result) GeomeanMemorySpeedup(di int) float64 {
-	var vals []float64
-	for _, row := range r.Rows {
-		if s := row.Devices[di].MemorySpeedup(); s > 0 {
-			vals = append(vals, s)
-		}
-	}
-	return geomean(vals)
+	return geomean(r.speedups(di, DeviceSpeedup.MemorySpeedup))
 }
 
 // MedianKernelSpeedup is the paper's median row.
 func (r *Table3Result) MedianKernelSpeedup(di int) float64 {
+	return median(r.speedups(di, DeviceSpeedup.KernelSpeedup))
+}
+
+// speedups lists device di's measured (positive) speedups under f.
+func (r *Table3Result) speedups(di int, f func(DeviceSpeedup) float64) []float64 {
 	var vals []float64
 	for _, row := range r.Rows {
-		if s := row.Devices[di].KernelSpeedup(); s > 0 {
+		if s := f(row.Devices[di]); s > 0 {
 			vals = append(vals, s)
 		}
 	}
-	return median(vals)
+	return vals
 }
 
 // Row returns the named application's row.
@@ -405,24 +398,12 @@ func Figure6(opts Options) (*Figure6Result, error) {
 		for _, prof := range opts.Devices {
 			row := OverheadRow{App: w.Name(), Device: prof.Name}
 
-			run := func(attach func(rt *cuda.Runtime)) (time.Duration, error) {
-				rt := cuda.NewRuntime(prof)
-				if attach != nil {
-					attach(rt)
-				}
-				start := time.Now()
-				if err := w.Run(rt, workloads.Original); err != nil {
-					return 0, err
-				}
-				return time.Since(start), nil
-			}
-
 			var err error
-			if row.Native, err = run(nil); err != nil {
+			if row.Native, err = timeRun(w, prof, nil); err != nil {
 				return nil, fmt.Errorf("figure 6: %s native: %w", w.Name(), err)
 			}
-			if row.Coarse, err = run(func(rt *cuda.Runtime) {
-				core.Attach(rt, core.Config{Coarse: true, Program: w.Name()})
+			if row.Coarse, err = timeRun(w, prof, func(rt *cuda.Runtime) func() {
+				return core.Attach(rt, core.Config{Coarse: true, Program: w.Name()}).Detach
 			}); err != nil {
 				return nil, fmt.Errorf("figure 6: %s coarse: %w", w.Name(), err)
 			}
@@ -438,14 +419,14 @@ func Figure6(opts Options) (*Figure6Result, error) {
 					filter = func(name string) bool { return hot[name] }
 				}
 			}
-			if row.Fine, err = run(func(rt *cuda.Runtime) {
-				core.Attach(rt, core.Config{
+			if row.Fine, err = timeRun(w, prof, func(rt *cuda.Runtime) func() {
+				return core.Attach(rt, core.Config{
 					Fine:                 true,
 					KernelSamplingPeriod: period,
 					BlockSamplingPeriod:  period,
 					KernelFilter:         filter,
 					Program:              w.Name(),
-				})
+				}).Detach
 			}); err != nil {
 				return nil, fmt.Errorf("figure 6: %s fine: %w", w.Name(), err)
 			}
@@ -453,6 +434,23 @@ func Figure6(opts Options) (*Figure6Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// timeRun runs w once on a fresh runtime of prof and returns its wall
+// time. attach, when non-nil, installs a profiler and returns its detach
+// function; the timed region ends after detach, so analysis still queued
+// when the program returns is charged to this run and cannot spill into
+// the next one.
+func timeRun(w workloads.Workload, prof gpu.Profile, attach func(*cuda.Runtime) func()) (time.Duration, error) {
+	rt := cuda.NewRuntime(prof)
+	detach := func() {}
+	if attach != nil {
+		detach = attach(rt)
+	}
+	start := time.Now()
+	err := w.Run(rt, workloads.Original)
+	detach()
+	return time.Since(start), err
 }
 
 // Aggregates for device name d ("" = all rows).
@@ -536,54 +534,26 @@ func Table5(opts Options) (*Table5Result, error) {
 		if isRealApp(w.Name()) {
 			continue // bound measurement to the benchmark suite
 		}
-		prof := opts.Devices[0]
-
-		run := func(attach func(rt *cuda.Runtime) func()) (time.Duration, error) {
-			rt := cuda.NewRuntime(prof)
-			var done func()
-			if attach != nil {
-				done = attach(rt)
+		// Native, ValueExpert coarse and fine, then GVProf.
+		var t [4]time.Duration
+		for i, attach := range []func(*cuda.Runtime) func(){
+			nil,
+			func(rt *cuda.Runtime) func() {
+				return core.Attach(rt, core.Config{Coarse: true, Program: w.Name()}).Detach
+			},
+			func(rt *cuda.Runtime) func() {
+				return core.Attach(rt, core.Config{Fine: true, KernelSamplingPeriod: 20,
+					BlockSamplingPeriod: 20, Program: w.Name()}).Detach
+			},
+			func(rt *cuda.Runtime) func() { return gvprof.Attach(rt).Detach },
+		} {
+			var err error
+			if t[i], err = timeRun(w, opts.Devices[0], attach); err != nil {
+				return nil, err
 			}
-			start := time.Now()
-			if err := w.Run(rt, workloads.Original); err != nil {
-				return 0, err
-			}
-			d := time.Since(start)
-			if done != nil {
-				done()
-			}
-			return d, nil
 		}
-
-		native, err := run(nil)
-		if err != nil {
-			return nil, err
-		}
-		coarse, err := run(func(rt *cuda.Runtime) func() {
-			core.Attach(rt, core.Config{Coarse: true, Program: w.Name()})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		fine, err := run(func(rt *cuda.Runtime) func() {
-			core.Attach(rt, core.Config{Fine: true, KernelSamplingPeriod: 20,
-				BlockSamplingPeriod: 20, Program: w.Name()})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		veTotals = append(veTotals, ratio(coarse, native)+ratio(fine, native))
-
-		gv, err := run(func(rt *cuda.Runtime) func() {
-			gvprof.Attach(rt)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		gvTotals = append(gvTotals, ratio(gv, native))
+		veTotals = append(veTotals, ratio(t[1], t[0])+ratio(t[2], t[0]))
+		gvTotals = append(gvTotals, ratio(t[3], t[0]))
 	}
 
 	return &Table5Result{Rows: []ToolRow{

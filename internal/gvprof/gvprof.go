@@ -17,7 +17,6 @@ package gvprof
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
@@ -62,8 +61,7 @@ type Profiler struct {
 	prevStoreRaw uint64
 	prevStoreOK  bool
 
-	analysisTime time.Duration
-	copiedBytes  uint64
+	copiedBytes uint64
 }
 
 // Attach installs GVProf on the runtime.
@@ -92,7 +90,6 @@ func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
 	if ev.Kind != cuda.APILaunch {
 		return
 	}
-	start := time.Now()
 	p.drain()
 	for _, a := range p.rt.Device().Mem.Live() {
 		buf := make([]byte, a.Size)
@@ -100,7 +97,6 @@ func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
 			p.copiedBytes += a.Size
 		}
 	}
-	p.analysisTime += time.Since(start)
 }
 
 // Instrumentation implements cuda.Interceptor: every kernel, every block,
@@ -110,9 +106,7 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 	return func(a gpu.Access) {
 		p.trace = append(p.trace, a)
 		if len(p.trace) >= traceBuffer {
-			start := time.Now()
 			p.drain()
-			p.analysisTime += time.Since(start)
 		}
 	}, nil
 }
@@ -190,10 +184,6 @@ func (p *Profiler) Results() []Redundancy {
 	})
 	return out
 }
-
-// AnalysisTime reports CPU time spent in per-access processing and
-// post-kernel copies.
-func (p *Profiler) AnalysisTime() time.Duration { return p.analysisTime }
 
 // CopiedBytes reports bytes moved GPU→CPU by the direct-copy policy.
 func (p *Profiler) CopiedBytes() uint64 { return p.copiedBytes }

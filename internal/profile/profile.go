@@ -104,31 +104,31 @@ type RunStats struct {
 	BufferFlushes    uint64        `json:"buffer_flushes"`
 	KernelTime       time.Duration `json:"kernel_time_ns"`
 	MemoryTime       time.Duration `json:"memory_time_ns"`
-	AnalysisTime     time.Duration `json:"analysis_time_ns"`
+	// AnalysisTime is every Overhead layer but the program, up to this
+	// report; it varies run to run, so byte comparisons zero it.
+	AnalysisTime time.Duration `json:"analysis_time_ns"`
 }
 
-// Overhead is the profiler's own cost breakdown — the §6-style
-// attribution of tool time to collection, analysis, and snapshot
-// maintenance. It is filled only on explicit request (Profiler.Overhead,
-// vxprof -overhead); Report never auto-populates it, so default reports
-// stay byte-identical whether or not telemetry runs.
+// Overhead is the profiler's own cost breakdown, the §6-style
+// attribution of tool time: the kernel goroutine's wall time since Attach
+// as exclusive Layers summing to Wall (program, the residual, then
+// flush, buffer wait, API, drain wait and report), the analysis
+// goroutine's busy time overlapping Wall, and the simulated device→host
+// copy cost of snapshot maintenance (Figure 5; model time, not wall
+// time). It is filled only on request (Profiler.Overhead, vxprof
+// -overhead); Report never sets it, so default reports stay
+// byte-identical.
 type Overhead struct {
-	// CollectionTime is kernel-goroutine time spent handing measurement
-	// data off: flush capture plus buffer-wait stalls. Requires the run
-	// to carry a telemetry recorder; zero otherwise.
-	CollectionTime time.Duration `json:"collection_ns"`
-	// AnalysisTime is wall time inside the analyzer (the engine's
-	// always-on accounting, same quantity as Stats.AnalysisTime).
-	AnalysisTime time.Duration `json:"analysis_ns"`
-	// SnapshotTime is the simulated device→host copy cost of snapshot
-	// maintenance under the configured strategy (Figure 5).
+	Wall         time.Duration `json:"wall_ns"`
+	Layers       []Layer       `json:"layers"`
+	AnalysisBusy time.Duration `json:"analysis_busy_ns"`
 	SnapshotTime time.Duration `json:"snapshot_ns"`
+}
 
-	// Telemetry-derived components of CollectionTime plus the pipeline's
-	// launch-end drain wait (analysis not hidden behind the kernel).
-	FlushCaptureTime time.Duration `json:"flush_capture_ns,omitempty"`
-	BufferWaitTime   time.Duration `json:"buffer_wait_ns,omitempty"`
-	DrainWaitTime    time.Duration `json:"drain_wait_ns,omitempty"`
+// Layer is one exclusive part of Overhead.Wall.
+type Layer struct {
+	Name string        `json:"name"`
+	Time time.Duration `json:"ns"`
 }
 
 // Report is the complete annotated profile.
@@ -397,11 +397,15 @@ func (r *Report) Text() string {
 
 	if r.Overhead != nil {
 		o := r.Overhead
+		pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(max(o.Wall, 1)) }
 		fmt.Fprintf(&b, "\n-- profiler overhead --\n")
-		fmt.Fprintf(&b, "  collection %v (flush capture %v, buffer wait %v)\n",
-			o.CollectionTime, o.FlushCaptureTime, o.BufferWaitTime)
-		fmt.Fprintf(&b, "  analysis   %v (drain wait %v)\n", o.AnalysisTime, o.DrainWaitTime)
-		fmt.Fprintf(&b, "  snapshots  %v (simulated copy cost)\n", o.SnapshotTime)
+		fmt.Fprintf(&b, "  wall %v, as exclusive layers:\n", o.Wall)
+		for _, l := range o.Layers {
+			fmt.Fprintf(&b, "    %-12s %v (%.1f%%)\n", l.Name, l.Time, pct(l.Time))
+		}
+		fmt.Fprintf(&b, "  analysis goroutine busy %v (%.1f%% of wall, overlapping it)\n",
+			o.AnalysisBusy, pct(o.AnalysisBusy))
+		fmt.Fprintf(&b, "  snapshots %v (simulated copy cost, model time)\n", o.SnapshotTime)
 	}
 
 	if len(r.Fine) > 0 {

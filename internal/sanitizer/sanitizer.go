@@ -48,7 +48,7 @@ type Config struct {
 	Faults *faultinject.Plan
 }
 
-// Probes are the sanitizer's telemetry hooks: instrumentation volume and
+// Probes are the sanitizer's observation hooks: instrumentation volume and
 // the pipeline stall the collector pays when every flush buffer is in
 // flight. Nil fields no-op, so the engine wires them unconditionally.
 type Probes struct {
@@ -56,10 +56,10 @@ type Probes struct {
 	Flushes *telemetry.Counter
 	// Records counts captured access records.
 	Records *telemetry.Counter
-	// BufferWait times how long the kernel-execution goroutine blocks
-	// waiting for a free flush buffer — the backpressure stall that
-	// bounds how far analysis can fall behind collection.
-	BufferWait *telemetry.Timer
+	// Wait, when non-nil, is told when the collector blocks for a free
+	// flush buffer (true) and when it has one (false): the backpressure
+	// stall that bounds how far analysis can fall behind collection.
+	Wait func(blocked bool)
 	// DroppedFlushes counts buffer deliveries lost to injected faults.
 	DroppedFlushes *telemetry.Counter
 	// DroppedRecords counts access records lost to injected faults.
@@ -135,10 +135,11 @@ func (e *Engine) take() []gpu.Access {
 		e.made++
 		return make([]gpu.Access, 0, e.cfg.BufferRecords)
 	}
-	sw := e.cfg.Probes.BufferWait.Start()
-	buf := <-e.free
-	sw.Stop()
-	return buf
+	if wait := e.cfg.Probes.Wait; wait != nil {
+		wait(true)
+		defer wait(false)
+	}
+	return <-e.free
 }
 
 // Buffers reports how many flush buffers the engine holds, idle or in
