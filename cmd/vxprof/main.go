@@ -104,26 +104,16 @@ type options struct {
 	jsonOut, dotOut string
 	htmlOut         string
 
-	// Self-observability outputs. -metrics and -selftrace attach a
-	// telemetry recorder to the run; -overhead reads the engine's
-	// always-on layer clock. The default report stays byte-identical.
+	// Self-observability outputs; only -metrics and -selftrace attach a
+	// telemetry recorder. The default report stays byte-identical.
 	metricsOut, selftraceOut string
 	overhead                 bool
 }
 
-// recorder builds the telemetry recorder that -metrics and -selftrace
-// need, with the self-trace buffer for -selftrace; nil without them.
-func (o *options) recorder() (*valueexpert.Telemetry, *valueexpert.TraceBuffer) {
-	if o.metricsOut == "" && o.selftraceOut == "" {
-		return nil, nil
-	}
-	tel := valueexpert.NewTelemetry()
-	if o.selftraceOut == "" {
-		return tel, nil
-	}
-	buf := valueexpert.NewTraceBuffer()
-	tel.AttachTrace(buf)
-	return tel, buf
+// telemetryEnabled reports whether any self-observability output needs a
+// recorder threaded through the engine.
+func (o *options) telemetryEnabled() bool {
+	return o.metricsOut != "" || o.selftraceOut != ""
 }
 
 // config builds the profiler configuration for the named program. The
@@ -145,8 +135,16 @@ func analyze(src valueexpert.EventSource, o *options, program string) error {
 		// and the fault telemetry are wired.
 		src.Runtime().ArmFaults(plan)
 	}
-	tel, traceBuf := o.recorder()
-	cfg.Telemetry = tel
+	var tel *valueexpert.Telemetry
+	var traceBuf *valueexpert.TraceBuffer
+	if o.telemetryEnabled() {
+		tel = valueexpert.NewTelemetry()
+		if o.selftraceOut != "" {
+			traceBuf = valueexpert.NewTraceBuffer()
+			tel.AttachTrace(traceBuf)
+		}
+		cfg.Telemetry = tel
+	}
 	p, runErr := valueexpert.Profile(src, cfg)
 	if p == nil {
 		return runErr

@@ -221,8 +221,8 @@ func TestRunWithFaults(t *testing.T) {
 func TestOverheadWithoutTelemetry(t *testing.T) {
 	o := opts("RTX 2080 Ti", cliconfig.Options{Coarse: true, Fine: true})
 	o.overhead = true
-	if tel, buf := o.recorder(); tel != nil || buf != nil {
-		t.Fatal("-overhead alone built a telemetry recorder")
+	if o.telemetryEnabled() {
+		t.Fatal("-overhead alone asks for a telemetry recorder")
 	}
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "VXPROF_RUN_MAIN=1", "VXPROF_ARGS=-workload Darknet -scale 32 -overhead")

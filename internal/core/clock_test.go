@@ -132,13 +132,19 @@ func TestLayerClockPartition(t *testing.T) {
 	f.tick(layerProgram, 3)
 	f.armed = 1 // Report's barrier: its first read enters the drain wait
 	rep := p.Report()
+	end := time.Duration(f.ns.Load())
+	// Time after the run belongs to no layer: the wall ends at Report.
+	f.ns.Add(1_000_000)
 	ov := p.Overhead()
+	if again := p.Overhead(); again.Wall != ov.Wall {
+		t.Errorf("second Overhead wall %v, first %v", again.Wall, ov.Wall)
+	}
 
 	if rep.Stats.BufferFlushes != 3 {
 		t.Fatalf("flushes = %d, want 3", rep.Stats.BufferFlushes)
 	}
-	if want := time.Duration(f.ns.Load()); ov.Wall != want {
-		t.Errorf("wall = %v, want %v", ov.Wall, want)
+	if ov.Wall != end {
+		t.Errorf("wall = %v, want %v", ov.Wall, end)
 	}
 	var sum, nonProgram time.Duration
 	for l, got := range ov.Layers {

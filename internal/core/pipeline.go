@@ -215,10 +215,9 @@ func (p *Profiler) barrier() {
 	p.an.wait()
 }
 
-// flush is the kernel goroutine's share of one flushed buffer of launch
-// ls, the flush layer: object resolution, value capture and the stages
-// that may read the device, then the hand-off of the batch-only stages'
-// work.
+// flush, the flush layer, is the kernel goroutine's share of one flushed
+// buffer of launch ls: object resolution, value capture, the stages that
+// may read the device, then the hand-off of the batch-only stages' work.
 func (p *Profiler) flush(ls *launchState, recs []gpu.Access) {
 	defer p.clock.enter(p.clock.enter(layerFlush))
 	b := p.an.newBatch(recs)

@@ -90,19 +90,20 @@ func (p *Profiler) sanitizerProbes() sanitizer.Probes {
 // self-observation is off).
 func (p *Profiler) Telemetry() *telemetry.Recorder { return p.tel }
 
-// Overhead waits for the analysis goroutine and returns the profiler's
-// own cost breakdown (profile.Overhead); it needs no Config.Telemetry.
+// Overhead returns the profiler's own cost breakdown (profile.Overhead)
+// without Config.Telemetry. It moves no clock, so the caller's time after
+// the run is in no layer; it waits for the analysis goroutine only to
+// read that goroutine's busy total.
 func (p *Profiler) Overhead() *profile.Overhead {
-	p.barrier()
+	p.an.wait()
 	c := p.clock
-	o := &profile.Overhead{Wall: c.last.Sub(c.start)}
+	o := &profile.Overhead{Wall: c.last.Sub(c.start), AnalysisBusy: p.an.busy}
 	if p.coarse != nil {
 		o.SnapshotTime = p.coarse.snapshotTime
 	}
 	for l, d := range c.spent {
 		o.Layers = append(o.Layers, profile.Layer{Name: layerNames[l], Time: d})
 	}
-	o.AnalysisBusy = p.an.busy // the barrier ordered its last write before this
 	return o
 }
 
@@ -147,10 +148,9 @@ func (c *clock) reset(now func() time.Time) {
 // `defer c.enter(c.enter(l))` charges the rest of a function to l.
 func (c *clock) enter(l layer) layer {
 	t := c.now()
-	d := t.Sub(c.last)
-	c.spent[c.cur] += d
-	c.timers[c.cur].Observe(d)
-	prev := c.cur
+	d, prev := t.Sub(c.last), c.cur
+	c.spent[prev] += d
+	c.timers[prev].Observe(d)
 	c.last, c.cur = t, l
 	return prev
 }

@@ -255,13 +255,12 @@ func TestAnalysisTimeWithinWall(t *testing.T) {
 	})
 	start := time.Now()
 	p, err := Profile(src, Config{Coarse: true, Fine: true})
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Detach()
-	got := p.Report().Stats.AnalysisTime
-	wall := time.Since(start)
-	if got <= 0 || got > wall {
+	if got := p.Report().Stats.AnalysisTime; got <= 0 || got > wall {
 		t.Errorf("analysis time %v outside (0, wall %v]", got, wall)
 	}
 }

@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -214,28 +215,35 @@ func Table3(opts Options) (*Table3Result, error) {
 // GeomeanKernelSpeedup aggregates kernel speedups for device index di
 // over rows with kernels (paper bottom row: 1.58× / 1.39×).
 func (r *Table3Result) GeomeanKernelSpeedup(di int) float64 {
-	return geomean(r.speedups(di, DeviceSpeedup.KernelSpeedup))
+	var vals []float64
+	for _, row := range r.Rows {
+		if s := row.Devices[di].KernelSpeedup(); s > 0 {
+			vals = append(vals, s)
+		}
+	}
+	return geomean(vals)
 }
 
 // GeomeanMemorySpeedup aggregates memory speedups for device index di.
 func (r *Table3Result) GeomeanMemorySpeedup(di int) float64 {
-	return geomean(r.speedups(di, DeviceSpeedup.MemorySpeedup))
+	var vals []float64
+	for _, row := range r.Rows {
+		if s := row.Devices[di].MemorySpeedup(); s > 0 {
+			vals = append(vals, s)
+		}
+	}
+	return geomean(vals)
 }
 
 // MedianKernelSpeedup is the paper's median row.
 func (r *Table3Result) MedianKernelSpeedup(di int) float64 {
-	return median(r.speedups(di, DeviceSpeedup.KernelSpeedup))
-}
-
-// speedups lists device di's measured (positive) speedups under f.
-func (r *Table3Result) speedups(di int, f func(DeviceSpeedup) float64) []float64 {
 	var vals []float64
 	for _, row := range r.Rows {
-		if s := f(row.Devices[di]); s > 0 {
+		if s := row.Devices[di].KernelSpeedup(); s > 0 {
 			vals = append(vals, s)
 		}
 	}
-	return vals
+	return median(vals)
 }
 
 // Row returns the named application's row.
@@ -388,52 +396,51 @@ type Figure6Result struct {
 func isRealApp(name string) bool { return !strings.HasPrefix(name, "Rodinia/") }
 
 // Figure6 measures native vs coarse vs fine wall time per workload and
-// device, using the paper's configuration: no sampling for coarse
-// analysis; kernel/block sampling of 20 for benchmarks and 100 for
-// applications, with hot-kernel filtering for applications.
+// device (overheadRow).
 func Figure6(opts Options) (*Figure6Result, error) {
 	opts = opts.withDefaults()
 	res := &Figure6Result{}
 	for _, w := range workloads.All(opts.Scale) {
 		for _, prof := range opts.Devices {
-			row := OverheadRow{App: w.Name(), Device: prof.Name}
-
-			var err error
-			if row.Native, err = timeRun(w, prof, nil); err != nil {
-				return nil, fmt.Errorf("figure 6: %s native: %w", w.Name(), err)
-			}
-			if row.Coarse, err = timeRun(w, prof, func(rt *cuda.Runtime) func() {
-				return core.Attach(rt, core.Config{Coarse: true, Program: w.Name()}).Detach
-			}); err != nil {
-				return nil, fmt.Errorf("figure 6: %s coarse: %w", w.Name(), err)
-			}
-			period := 20
-			var filter func(string) bool
-			if isRealApp(w.Name()) {
-				period = 100
-				hot := map[string]bool{}
-				for _, k := range w.HotKernels() {
-					hot[k] = true
-				}
-				if len(hot) > 0 {
-					filter = func(name string) bool { return hot[name] }
-				}
-			}
-			if row.Fine, err = timeRun(w, prof, func(rt *cuda.Runtime) func() {
-				return core.Attach(rt, core.Config{
-					Fine:                 true,
-					KernelSamplingPeriod: period,
-					BlockSamplingPeriod:  period,
-					KernelFilter:         filter,
-					Program:              w.Name(),
-				}).Detach
-			}); err != nil {
-				return nil, fmt.Errorf("figure 6: %s fine: %w", w.Name(), err)
+			row, err := overheadRow(w, prof)
+			if err != nil {
+				return nil, fmt.Errorf("figure 6: %w", err)
 			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
 	return res, nil
+}
+
+// overheadRow times w natively, under coarse analysis and under fine
+// analysis on prof, using the paper's configuration: no sampling for
+// coarse analysis; kernel/block sampling of 20 for benchmarks and 100 for
+// applications, with hot-kernel filtering for applications.
+func overheadRow(w workloads.Workload, prof gpu.Profile) (OverheadRow, error) {
+	row := OverheadRow{App: w.Name(), Device: prof.Name}
+	fine := core.Config{Fine: true, KernelSamplingPeriod: 20, BlockSamplingPeriod: 20, Program: w.Name()}
+	if isRealApp(w.Name()) {
+		fine.KernelSamplingPeriod, fine.BlockSamplingPeriod = 100, 100
+		if hot := w.HotKernels(); len(hot) > 0 {
+			fine.KernelFilter = func(name string) bool { return slices.Contains(hot, name) }
+		}
+	}
+	var err error
+	if row.Native, err = timeRun(w, prof, nil); err != nil {
+		return row, fmt.Errorf("%s native: %w", w.Name(), err)
+	}
+	if row.Coarse, err = timeRun(w, prof, profiled(core.Config{Coarse: true, Program: w.Name()})); err != nil {
+		return row, fmt.Errorf("%s coarse: %w", w.Name(), err)
+	}
+	if row.Fine, err = timeRun(w, prof, profiled(fine)); err != nil {
+		return row, fmt.Errorf("%s fine: %w", w.Name(), err)
+	}
+	return row, nil
+}
+
+// profiled is a timeRun attach that installs ValueExpert with cfg.
+func profiled(cfg core.Config) func(*cuda.Runtime) func() {
+	return func(rt *cuda.Runtime) func() { return core.Attach(rt, cfg).Detach }
 }
 
 // timeRun runs w once on a fresh runtime of prof and returns its wall
@@ -534,26 +541,17 @@ func Table5(opts Options) (*Table5Result, error) {
 		if isRealApp(w.Name()) {
 			continue // bound measurement to the benchmark suite
 		}
-		// Native, ValueExpert coarse and fine, then GVProf.
-		var t [4]time.Duration
-		for i, attach := range []func(*cuda.Runtime) func(){
-			nil,
-			func(rt *cuda.Runtime) func() {
-				return core.Attach(rt, core.Config{Coarse: true, Program: w.Name()}).Detach
-			},
-			func(rt *cuda.Runtime) func() {
-				return core.Attach(rt, core.Config{Fine: true, KernelSamplingPeriod: 20,
-					BlockSamplingPeriod: 20, Program: w.Name()}).Detach
-			},
-			func(rt *cuda.Runtime) func() { return gvprof.Attach(rt).Detach },
-		} {
-			var err error
-			if t[i], err = timeRun(w, opts.Devices[0], attach); err != nil {
-				return nil, err
-			}
+		// ValueExpert as in Figure 6 (benchmark configuration), then GVProf.
+		row, err := overheadRow(w, opts.Devices[0])
+		if err != nil {
+			return nil, err
 		}
-		veTotals = append(veTotals, ratio(t[1], t[0])+ratio(t[2], t[0]))
-		gvTotals = append(gvTotals, ratio(t[3], t[0]))
+		gv, err := timeRun(w, opts.Devices[0], func(rt *cuda.Runtime) func() { return gvprof.Attach(rt).Detach })
+		if err != nil {
+			return nil, err
+		}
+		veTotals = append(veTotals, row.TotalOverhead())
+		gvTotals = append(gvTotals, ratio(gv, row.Native))
 	}
 
 	return &Table5Result{Rows: []ToolRow{

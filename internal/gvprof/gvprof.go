@@ -17,6 +17,7 @@ package gvprof
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
@@ -61,7 +62,8 @@ type Profiler struct {
 	prevStoreRaw uint64
 	prevStoreOK  bool
 
-	copiedBytes uint64
+	analysisTime time.Duration
+	copiedBytes  uint64
 }
 
 // Attach installs GVProf on the runtime.
@@ -90,6 +92,7 @@ func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
 	if ev.Kind != cuda.APILaunch {
 		return
 	}
+	start := time.Now()
 	p.drain()
 	for _, a := range p.rt.Device().Mem.Live() {
 		buf := make([]byte, a.Size)
@@ -97,6 +100,7 @@ func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
 			p.copiedBytes += a.Size
 		}
 	}
+	p.analysisTime += time.Since(start)
 }
 
 // Instrumentation implements cuda.Interceptor: every kernel, every block,
@@ -106,7 +110,9 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 	return func(a gpu.Access) {
 		p.trace = append(p.trace, a)
 		if len(p.trace) >= traceBuffer {
+			start := time.Now()
 			p.drain()
+			p.analysisTime += time.Since(start)
 		}
 	}, nil
 }
@@ -184,6 +190,10 @@ func (p *Profiler) Results() []Redundancy {
 	})
 	return out
 }
+
+// AnalysisTime reports CPU time spent in per-access processing and
+// post-kernel copies.
+func (p *Profiler) AnalysisTime() time.Duration { return p.analysisTime }
 
 // CopiedBytes reports bytes moved GPU→CPU by the direct-copy policy.
 func (p *Profiler) CopiedBytes() uint64 { return p.copiedBytes }

@@ -43,6 +43,9 @@ func TestTemporalStoreRedundancy(t *testing.T) {
 	if r.SpatialStores == 0 {
 		t.Fatal("uniform stores should show spatial redundancy")
 	}
+	if p.AnalysisTime() <= 0 {
+		t.Fatal("no analysis time accounted")
+	}
 }
 
 func TestTemporalLoadRedundancy(t *testing.T) {

@@ -109,15 +109,12 @@ type RunStats struct {
 	AnalysisTime time.Duration `json:"analysis_time_ns"`
 }
 
-// Overhead is the profiler's own cost breakdown, the §6-style
-// attribution of tool time: the kernel goroutine's wall time since Attach
-// as exclusive Layers summing to Wall (program, the residual, then
-// flush, buffer wait, API, drain wait and report), the analysis
-// goroutine's busy time overlapping Wall, and the simulated device→host
-// copy cost of snapshot maintenance (Figure 5; model time, not wall
-// time). It is filled only on request (Profiler.Overhead, vxprof
-// -overhead); Report never sets it, so default reports stay
-// byte-identical.
+// Overhead is the profiler's own cost (§6): the kernel goroutine's wall
+// time from Attach to its last layer switch (after a run, the last Report
+// or Detach) as exclusive Layers summing to Wall, the analysis goroutine's
+// busy time overlapping Wall, and the simulated snapshot copy cost
+// (Figure 5; model time). Only Profiler.Overhead fills it, so default
+// reports stay byte-identical.
 type Overhead struct {
 	Wall         time.Duration `json:"wall_ns"`
 	Layers       []Layer       `json:"layers"`

@@ -89,10 +89,9 @@ type (
 // Report is the annotated profile produced by Profiler.Report.
 type Report = profile.Report
 
-// OverheadStats is the profiler's own cost breakdown (its wall time as
-// exclusive layers, the analysis goroutine's busy time, the simulated
-// snapshot cost), produced by Profiler.Overhead and attachable to a
-// report's optional Overhead section.
+// OverheadStats is the profiler's own cost breakdown (wall time as
+// exclusive layers, analysis goroutine busy time, snapshot cost) from
+// Profiler.Overhead, attachable to a report's optional Overhead section.
 type OverheadStats = profile.Overhead
 
 // ReadReport deserializes a profile written with Report.WriteJSON.
