@@ -61,7 +61,8 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz runs each fuzz target in sass, internal/trace and internal/vpattern
+# fuzz runs each fuzz target in sass, internal/trace, internal/vpattern and
+# internal/core
 # for FUZZTIME. Plain `go test` replays each target's seeds (its f.Add
 # calls, plus the corpora checked in under sass/testdata/fuzz/); this
 # target explores beyond them.
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzRefresh$$' -fuzztime=$(FUZZTIME) ./internal/vpattern
 	$(GO) test -run='^$$' -fuzz='^FuzzAddRange$$' -fuzztime=$(FUZZTIME) ./internal/vpattern
+	$(GO) test -run='^$$' -fuzz='^FuzzCoarseLaunch$$' -fuzztime=$(FUZZTIME) ./internal/core
 
 # proptest runs the property-based differential harness over
 # PROPTEST_SEEDS seeds under the race detector. A failure prints the

@@ -182,7 +182,7 @@ func BenchmarkFigure5CopyStrategies(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", shape, strat), func(b *testing.B) {
 				var cost time.Duration
 				for i := 0; i < b.N; i++ {
-					plan := interval.PlanCopy(strat, obj, merged)
+					plan, _ := interval.PlanCopy(strat, obj, merged)
 					cost = model.Cost(plan)
 				}
 				b.ReportMetric(float64(cost.Microseconds()), "simulated-us")

@@ -45,6 +45,10 @@ type coarseStage struct {
 
 	records []profile.CoarseRecord
 
+	// launch is the per-launch accumulator LaunchBegin resets and hands
+	// out; see coarseLaunch.
+	launch coarseLaunch
+
 	copyModel    interval.CopyCostModel
 	snapshotTime time.Duration
 
@@ -164,9 +168,8 @@ func (s *coarseStage) refreshSnapshot(objID int, written []interval.Interval) vp
 	}
 
 	obj := interval.Interval{Start: a.Addr, End: a.End()}
-	plan := interval.PlanCopy(s.cfg.CopyStrategy, obj, written)
+	plan, resolved := interval.PlanCopy(s.cfg.CopyStrategy, obj, written)
 	s.snapshotTime += s.copyModel.Cost(plan)
-	resolved := interval.ResolveStrategy(s.cfg.CopyStrategy, obj, written)
 	s.copyCalls[resolved].Add(uint64(len(plan)))
 	s.copyBytes[resolved].Add(interval.TotalBytes(plan))
 	sw := s.refreshTimer.Start()
@@ -251,22 +254,29 @@ func (s *coarseStage) onMemcpy(ev *cuda.APIEvent) {
 	s.appendRecord(ev, accesses)
 }
 
-// coarseLaunch accumulates one instrumented launch's access intervals and
-// byte counters per data object.
+// coarseLaunch accumulates one instrumented launch per data object. The
+// stage owns one and reuses it for every launch: coarse Analyze and
+// LaunchEnd run on the kernel goroutine and launches are serialized, so
+// LaunchBegin resets it in place and a warmed Analyze allocates nothing.
 type coarseLaunch struct {
-	readIvs  map[int][]interval.Interval
-	writeIvs map[int][]interval.Interval
-	readB    map[int]uint64
-	writeB   map[int]uint64
+	objs vpattern.Table[coarseObj]
 }
 
+// coarseObj is one object's share of a launch: its coalesced store runs,
+// merged at LaunchEnd, and the bytes its loads read. Load runs hold a run
+// slot while open (see Analyze) but their intervals are not kept: the
+// written bytes come from the merged store runs.
+type coarseObj struct {
+	writes []interval.Interval
+	readB  uint64
+}
+
+// clear empties the state keeping the write runs' allocation.
+func (o *coarseObj) clear() { *o = coarseObj{writes: o.writes[:0]} }
+
 func (s *coarseStage) LaunchBegin(string) LaunchAnalysis {
-	return &coarseLaunch{
-		readIvs:  make(map[int][]interval.Interval),
-		writeIvs: make(map[int][]interval.Interval),
-		readB:    make(map[int]uint64),
-		writeB:   make(map[int]uint64),
-	}
+	s.launch.objs.Reset((*coarseObj).clear)
+	return &s.launch
 }
 
 // activeRun is an open coalescing run for one (object, op) pair.
@@ -289,13 +299,9 @@ func (la *coarseLaunch) Analyze(b *Batch) {
 	// produce (a few operands per loop body).
 	var runs [6]activeRun
 	flush := func(r *activeRun) {
-		if !r.valid {
-			return
-		}
-		if r.store {
-			la.writeIvs[r.id] = append(la.writeIvs[r.id], r.iv)
-		} else {
-			la.readIvs[r.id] = append(la.readIvs[r.id], r.iv)
+		if r.valid && r.store {
+			o := la.objs.Get(r.id)
+			o.writes = append(o.writes, r.iv)
 		}
 		r.valid = false
 	}
@@ -306,10 +312,8 @@ func (la *coarseLaunch) Analyze(b *Batch) {
 			continue // defensive: racing frees
 		}
 		iv := interval.FromAccess(a)
-		if a.Store {
-			la.writeB[id] += a.Bytes()
-		} else {
-			la.readB[id] += a.Bytes()
+		if o, _ := la.objs.At(id); !a.Store {
+			o.readB += a.Bytes()
 		}
 
 		// Extend an open run if the access touches or overlaps it.
@@ -359,25 +363,25 @@ func (s *coarseStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
 		// Launch filtered or sampled out: record presence only.
 		return
 	}
-	cl := la.(*coarseLaunch)
+	objs := &la.(*coarseLaunch).objs
 	var accesses []profile.ObjectAccess
-	for _, id := range sortedKeys(cl.readIvs, cl.writeIvs) {
+	for _, id := range objs.IDs() {
 		if id == 0 {
 			continue // shared memory: per-kernel scratch, no global flow
 		}
-		readB := cl.readB[id]
-		if readB > 0 {
-			s.graph.RecordRead(v, id, readB)
+		o := objs.Get(id)
+		if o.readB > 0 {
+			s.graph.RecordRead(v, id, o.readB)
 		}
 		var diff vpattern.DiffResult
-		if len(cl.writeIvs[id]) > 0 {
-			merged := s.merger.MergeParallel(cl.writeIvs[id])
+		if len(o.writes) > 0 {
+			merged := s.merger.MergeParallel(o.writes)
 			diff = s.refreshSnapshot(id, merged)
 			s.graph.RecordWrite(v, id, diff.WrittenBytes, diff.UnchangedBytes)
 		}
-		if readB > 0 || diff.WrittenBytes > 0 {
+		if o.readB > 0 || diff.WrittenBytes > 0 {
 			accesses = append(accesses, profile.ObjectAccess{
-				ObjectID: id, ReadBytes: readB,
+				ObjectID: id, ReadBytes: o.readB,
 				WrittenBytes:   diff.WrittenBytes,
 				UnchangedBytes: diff.UnchangedBytes,
 				Redundant:      diff.Redundant(),
@@ -432,24 +436,4 @@ func (s *coarseStage) Finish(rep *profile.Report) {
 // one value: every byte equals its successor.
 func uniformBytes(b []byte) bool {
 	return len(b) > 0 && bytes.Equal(b[1:], b[:len(b)-1])
-}
-
-func sortedKeys(ms ...map[int][]interval.Interval) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, m := range ms {
-		for id := range m {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	// insertion sort: key counts are small
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -50,45 +50,26 @@ const (
 )
 
 // PlanCopy returns the byte ranges to copy for a data object spanning obj,
-// given the merged accessed intervals (sorted, disjoint). The returned
-// ranges are clipped to obj.
-func PlanCopy(strategy CopyStrategy, obj Interval, merged []Interval) []Interval {
+// given the merged accessed intervals (sorted, disjoint), and the concrete
+// strategy the plan executes under: AdaptiveCopy resolves to the
+// SegmentCopy/MinMaxCopy choice its policy makes for these intervals
+// (§6.1); every other strategy is itself. The returned ranges are clipped
+// to obj.
+func PlanCopy(strategy CopyStrategy, obj Interval, merged []Interval) ([]Interval, CopyStrategy) {
+	if strategy == DirectCopy {
+		return []Interval{obj}, DirectCopy
+	}
 	clipped := clip(obj, merged)
-	switch strategy {
-	case DirectCopy:
-		return []Interval{obj}
-	case MinMaxCopy:
-		if len(clipped) == 0 {
-			return nil
-		}
-		return []Interval{{Start: clipped[0].Start, End: clipped[len(clipped)-1].End}}
-	case SegmentCopy:
-		return clipped
-	case AdaptiveCopy:
-		if len(clipped) == 0 {
-			return nil
-		}
+	if strategy == AdaptiveCopy {
+		strategy = SegmentCopy
 		if len(clipped) > adaptiveMaxSegments || density(clipped) > adaptiveDensity {
-			return PlanCopy(MinMaxCopy, obj, clipped)
+			strategy = MinMaxCopy
 		}
-		return clipped
 	}
-	return clipped
-}
-
-// ResolveStrategy returns the concrete strategy a plan executes under:
-// AdaptiveCopy resolves to the SegmentCopy/MinMaxCopy choice its policy
-// makes for these intervals (§6.1); every other strategy is itself. The
-// overhead accounting uses this to attribute copy traffic per strategy.
-func ResolveStrategy(strategy CopyStrategy, obj Interval, merged []Interval) CopyStrategy {
-	if strategy != AdaptiveCopy {
-		return strategy
+	if strategy == MinMaxCopy && len(clipped) > 0 {
+		return []Interval{{Start: clipped[0].Start, End: clipped[len(clipped)-1].End}}, MinMaxCopy
 	}
-	clipped := clip(obj, merged)
-	if len(clipped) > adaptiveMaxSegments || density(clipped) > adaptiveDensity {
-		return MinMaxCopy
-	}
-	return SegmentCopy
+	return clipped, strategy
 }
 
 // density is coveredBytes / span over the merged intervals.

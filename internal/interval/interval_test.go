@@ -180,48 +180,54 @@ func TestCompactWarp(t *testing.T) {
 func TestPlanCopyStrategies(t *testing.T) {
 	obj := Interval{1000, 2000}
 	merged := []Interval{{1000, 1010}, {1500, 1510}, {1980, 1990}}
-
-	if got := PlanCopy(DirectCopy, obj, merged); !eq(got, []Interval{obj}) {
-		t.Fatalf("direct = %v", got)
-	}
-	if got := PlanCopy(MinMaxCopy, obj, merged); !eq(got, []Interval{{1000, 1990}}) {
-		t.Fatalf("min-max = %v", got)
-	}
-	if got := PlanCopy(SegmentCopy, obj, merged); !eq(got, merged) {
-		t.Fatalf("segment = %v", got)
-	}
-	// Sparse few intervals: adaptive picks segment.
-	if got := PlanCopy(AdaptiveCopy, obj, merged); !eq(got, merged) {
-		t.Fatalf("adaptive sparse = %v, want segment plan", got)
-	}
-	// Dense: adaptive picks min-max.
 	dense := []Interval{{1000, 1400}, {1410, 1800}}
-	if got := PlanCopy(AdaptiveCopy, obj, dense); !eq(got, []Interval{{1000, 1800}}) {
-		t.Fatalf("adaptive dense = %v, want min-max plan", got)
-	}
-	// Many intervals: adaptive picks min-max.
 	var many []Interval
 	for i := 0; i < 200; i++ {
 		s := uint64(1000 + 5*i)
 		many = append(many, Interval{s, s + 1})
 	}
-	if got := PlanCopy(AdaptiveCopy, obj, many); len(got) != 1 {
-		t.Fatalf("adaptive many = %d ranges, want 1", len(got))
+	for _, c := range []struct {
+		name     string
+		strategy CopyStrategy
+		merged   []Interval
+		want     []Interval
+		resolved CopyStrategy
+	}{
+		{"direct", DirectCopy, merged, []Interval{obj}, DirectCopy},
+		{"min-max", MinMaxCopy, merged, []Interval{{1000, 1990}}, MinMaxCopy},
+		{"segment", SegmentCopy, merged, merged, SegmentCopy},
+		// Sparse few intervals: adaptive picks segment.
+		{"adaptive sparse", AdaptiveCopy, merged, merged, SegmentCopy},
+		// Dense: adaptive picks min-max.
+		{"adaptive dense", AdaptiveCopy, dense, []Interval{{1000, 1800}}, MinMaxCopy},
+		// Many intervals: adaptive picks min-max.
+		{"adaptive many", AdaptiveCopy, many, []Interval{{1000, 1996}}, MinMaxCopy},
+	} {
+		got, resolved := PlanCopy(c.strategy, obj, c.merged)
+		if !eq(got, c.want) || resolved != c.resolved {
+			t.Errorf("%s = %v under %v, want %v under %v", c.name, got, resolved, c.want, c.resolved)
+		}
 	}
+}
+
+// plan is PlanCopy's plan alone.
+func plan(strategy CopyStrategy, obj Interval, merged []Interval) []Interval {
+	p, _ := PlanCopy(strategy, obj, merged)
+	return p
 }
 
 func TestPlanCopyClipsToObject(t *testing.T) {
 	obj := Interval{1000, 2000}
 	merged := []Interval{{900, 1100}, {1900, 2100}, {5000, 6000}}
-	got := PlanCopy(SegmentCopy, obj, merged)
+	got := plan(SegmentCopy, obj, merged)
 	want := []Interval{{1000, 1100}, {1900, 2000}}
 	if !eq(got, want) {
 		t.Fatalf("clipped plan = %v, want %v", got, want)
 	}
-	if got := PlanCopy(MinMaxCopy, obj, []Interval{{5000, 6000}}); got != nil {
+	if got := plan(MinMaxCopy, obj, []Interval{{5000, 6000}}); got != nil {
 		t.Fatalf("fully-outside plan = %v, want nil", got)
 	}
-	if got := PlanCopy(AdaptiveCopy, obj, nil); got != nil {
+	if got := plan(AdaptiveCopy, obj, nil); got != nil {
 		t.Fatalf("empty adaptive plan = %v, want nil", got)
 	}
 }
@@ -265,7 +271,7 @@ func TestCopyCostPrefersRightStrategy(t *testing.T) {
 	obj := Interval{0, 1 << 20}
 	// Sparse case: a handful of small accesses; segment must beat direct.
 	sparse := []Interval{{0, 64}, {1 << 19, 1<<19 + 64}}
-	if model.Cost(PlanCopy(SegmentCopy, obj, sparse)) >= model.Cost(PlanCopy(DirectCopy, obj, sparse)) {
+	if model.Cost(plan(SegmentCopy, obj, sparse)) >= model.Cost(plan(DirectCopy, obj, sparse)) {
 		t.Fatal("segment copy should win on sparse accesses")
 	}
 	// Many-fragment case: min-max must beat segment.
@@ -274,15 +280,15 @@ func TestCopyCostPrefersRightStrategy(t *testing.T) {
 		s := uint64(256 * i)
 		many = append(many, Interval{s, s + 8})
 	}
-	if model.Cost(PlanCopy(MinMaxCopy, obj, many)) >= model.Cost(PlanCopy(SegmentCopy, obj, many)) {
+	if model.Cost(plan(MinMaxCopy, obj, many)) >= model.Cost(plan(SegmentCopy, obj, many)) {
 		t.Fatal("min-max copy should win on fragmented accesses")
 	}
 	// Adaptive is never worse than the better of segment and min-max on
 	// these shapes.
 	for _, merged := range [][]Interval{sparse, many} {
-		ad := model.Cost(PlanCopy(AdaptiveCopy, obj, merged))
-		seg := model.Cost(PlanCopy(SegmentCopy, obj, merged))
-		mm := model.Cost(PlanCopy(MinMaxCopy, obj, merged))
+		ad := model.Cost(plan(AdaptiveCopy, obj, merged))
+		seg := model.Cost(plan(SegmentCopy, obj, merged))
+		mm := model.Cost(plan(MinMaxCopy, obj, merged))
 		best := seg
 		if mm < best {
 			best = mm

@@ -17,24 +17,24 @@ const refApproxKind Kind = 0xF0
 // every float access into its own capped per-object histogram.
 type refApproxDetector struct {
 	cfg  FineConfig
-	objs table[valueHist]
+	objs Table[valueHist]
 }
 
 func newRefApproxDetector(cfg FineConfig) Detector { return &refApproxDetector{cfg: cfg} }
 
-func (d *refApproxDetector) Reset() { d.objs.reset((*valueHist).reset) }
+func (d *refApproxDetector) Reset() { d.objs.Reset((*valueHist).reset) }
 
 func (d *refApproxDetector) Observe(objID int, a gpu.Access) {
 	if a.Kind != gpu.KindFloat {
 		return
 	}
-	h, _ := d.objs.at(objID)
+	h, _ := d.objs.At(objID)
 	v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
 	h.add(v.Truncate(d.cfg.ApproxMantissaBits), 1, d.cfg.MaxTrackedValues)
 }
 
 func (d *refApproxDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
-	h := d.objs.get(objID)
+	h := d.objs.Get(objID)
 	if h == nil || h.len() == 0 {
 		return Match{}, false
 	}

@@ -97,17 +97,17 @@ type heavyState struct {
 // heavyTypeDetector recognizes Def 3.6: values declared wide but
 // narrow-representable, from per-object min/max and flag folds.
 type heavyTypeDetector struct {
-	objs table[heavyState]
+	objs Table[heavyState]
 }
 
 func newHeavyTypeDetector(FineConfig) Detector { return &heavyTypeDetector{} }
 
-func (d *heavyTypeDetector) Reset() { d.objs.reset(nil) }
+func (d *heavyTypeDetector) Reset() { d.objs.Reset(nil) }
 
 // state returns objID's state after folding in a's declared access type.
 func (d *heavyTypeDetector) state(objID int, a gpu.Access) *heavyState {
 	at := gpu.AccessType{Kind: a.Kind, Size: a.Size}
-	st, created := d.objs.at(objID)
+	st, created := d.objs.At(objID)
 	if created {
 		st.at, st.atConsist, st.allF64AsF32 = at, true, true
 		st.minI, st.maxI = math.MaxInt64, math.MinInt64
@@ -184,7 +184,7 @@ func (d *heavyTypeDetector) ObserveRange(objID int, a gpu.Access, raws []uint64)
 }
 
 func (d *heavyTypeDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
-	st := d.objs.get(objID)
+	st := d.objs.Get(objID)
 	if st == nil || !st.atConsist {
 		return Match{}, false
 	}
@@ -263,17 +263,17 @@ type structState struct {
 // it each launch's accesses once, in order.
 type structuredDetector struct {
 	cfg  FineConfig
-	objs table[structState]
+	objs Table[structState]
 }
 
 func newStructuredDetector(cfg FineConfig) Detector {
 	return &structuredDetector{cfg: cfg}
 }
 
-func (d *structuredDetector) Reset() { d.objs.reset(nil) }
+func (d *structuredDetector) Reset() { d.objs.Reset(nil) }
 
 func (d *structuredDetector) Observe(objID int, a gpu.Access) {
-	st, _ := d.objs.at(objID)
+	st, _ := d.objs.At(objID)
 	if st.elemSize == 0 {
 		st.elemSize = uint64(a.Size)
 	}
@@ -297,7 +297,7 @@ func (d *structuredDetector) Observe(objID int, a gpu.Access) {
 // the sums in element order so they match per-element observation bit for
 // bit.
 func (d *structuredDetector) ObserveRange(objID int, a gpu.Access, raws []uint64) {
-	st, _ := d.objs.at(objID)
+	st, _ := d.objs.At(objID)
 	if st.elemSize == 0 {
 		st.elemSize = uint64(a.Size)
 	}
@@ -338,7 +338,7 @@ func (d *structuredDetector) ObserveRange(objID int, a gpu.Access, raws []uint64
 }
 
 func (d *structuredDetector) Finalize(objID int, _ *ObjectShared) (Match, bool) {
-	st := d.objs.get(objID)
+	st := d.objs.Get(objID)
 	if st == nil || st.n < float64(d.cfg.StructuredMinCount) {
 		return Match{}, false
 	}

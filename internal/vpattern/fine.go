@@ -3,7 +3,6 @@ package vpattern
 import (
 	"encoding/binary"
 	"math/bits"
-	"sort"
 
 	"valueexpert/gpu"
 )
@@ -190,83 +189,6 @@ func (h *valueHist) reset() {
 }
 
 func (h *valueHist) len() int { return len(h.entries) }
-
-// table is a dense arena keyed by allocation ID: index maps an ID to its
-// arena slot + 1 (0 = absent), arena stores the states by value in
-// first-touch order, and ids remembers which IDs are present so reset and
-// iteration never scan the full index. Allocation IDs are small and dense
-// (a counter), so the index is a flat slice rather than a map — at() in
-// the steady state is two slice loads.
-//
-// reset keeps every allocation: the index stays at length (only touched
-// IDs are zeroed), the arena truncates but retains its slots' interior
-// capacities, and at() revives truncated slots by re-extending the arena.
-// The invariant making revival safe: reset clears each live slot before
-// truncating, so everything between len(arena) and cap(arena) is always
-// in its cleared state.
-type table[T any] struct {
-	index []int32
-	ids   []int
-	arena []T
-}
-
-// get returns id's state, or nil when absent.
-func (t *table[T]) get(id int) *T {
-	if id < 0 || id >= len(t.index) {
-		return nil
-	}
-	s := t.index[id]
-	if s == 0 {
-		return nil
-	}
-	return &t.arena[s-1]
-}
-
-// at returns id's state, creating a cleared one if absent. The pointer is
-// valid until the next at() call (arena growth may move states).
-func (t *table[T]) at(id int) (p *T, created bool) {
-	if id >= len(t.index) {
-		n := id + 1
-		if n < 2*len(t.index) {
-			n = 2 * len(t.index)
-		}
-		if n < 16 {
-			n = 16
-		}
-		idx := make([]int32, n)
-		copy(idx, t.index)
-		t.index = idx
-	}
-	if s := t.index[id]; s != 0 {
-		return &t.arena[s-1], false
-	}
-	t.ids = append(t.ids, id)
-	if len(t.arena) < cap(t.arena) {
-		t.arena = t.arena[:len(t.arena)+1] // revive a cleared slot, keeping its capacities
-	} else {
-		var zero T
-		t.arena = append(t.arena, zero)
-	}
-	t.index[id] = int32(len(t.arena))
-	return &t.arena[len(t.arena)-1], true
-}
-
-// reset empties the table in place. clearSlot, when non-nil, clears one
-// state preserving its interior allocations; nil zeroes states outright.
-func (t *table[T]) reset(clearSlot func(*T)) {
-	for _, id := range t.ids {
-		t.index[id] = 0
-	}
-	if clearSlot != nil {
-		for i := range t.arena {
-			clearSlot(&t.arena[i])
-		}
-	} else {
-		clear(t.arena)
-	}
-	t.arena = t.arena[:0]
-	t.ids = t.ids[:0]
-}
 
 // ObjectShared is one data object's shared observation context: the
 // access counters and exact-value histogram the accumulator maintains
@@ -485,7 +407,7 @@ type FineAccumulator struct {
 	// ObserveRange is missing).
 	obs    []Observer
 	ranges []rangeObserver
-	objs   table[ObjectShared]
+	objs   Table[ObjectShared]
 
 	// raws is DecodeRange's scratch. It grows to the longest range
 	// decoded, which is bounded by that range's flush-time capture (loads)
@@ -530,7 +452,7 @@ func (fa *FineAccumulator) collectObservers() {
 
 // addShared folds one access into the object's shared observation context.
 func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
-	sh, _ := fa.objs.at(objID)
+	sh, _ := fa.objs.At(objID)
 	if a.Store {
 		sh.Stores++
 	} else {
@@ -549,7 +471,7 @@ func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
 // addSharedRange is addShared for every element of range a, valued raws,
 // in element order, after one object lookup.
 func (fa *FineAccumulator) addSharedRange(objID int, a gpu.Access, raws []uint64) {
-	sh, _ := fa.objs.at(objID)
+	sh, _ := fa.objs.At(objID)
 	n := uint64(len(raws))
 	if a.Store {
 		sh.Stores += n
@@ -633,19 +555,17 @@ func (fa *FineAccumulator) AddRange(objID int, a gpu.Access, raws []uint64) {
 	}
 }
 
-// Objects returns the IDs with accumulated accesses.
-func (fa *FineAccumulator) Objects() []int {
-	ids := append([]int(nil), fa.objs.ids...)
-	sort.Ints(ids)
-	return ids
-}
+// Objects returns the IDs with accumulated accesses, ascending. The
+// slice is shared: callers must not modify it, and it is valid until the
+// next Add, AddRange or Reset.
+func (fa *FineAccumulator) Objects() []int { return fa.objs.IDs() }
 
 // Reset clears all accumulated state for the next GPU API in place: the
 // object table, histograms, and observers that implement Resetter keep
 // their allocations, so a reused accumulator's Add path is
 // allocation-free in the steady state.
 func (fa *FineAccumulator) Reset() {
-	fa.objs.reset((*ObjectShared).clear)
+	fa.objs.Reset((*ObjectShared).clear)
 	rebuilt := false
 	for i, d := range fa.dets {
 		if _, ok := d.(Observer); !ok {
@@ -668,7 +588,7 @@ func (fa *FineAccumulator) Reset() {
 func (fa *FineAccumulator) Finalize() []FineReport {
 	var out []FineReport
 	for _, id := range fa.Objects() {
-		out = append(out, fa.finalizeObject(id, fa.objs.get(id)))
+		out = append(out, fa.finalizeObject(id, fa.objs.Get(id)))
 	}
 	return out
 }

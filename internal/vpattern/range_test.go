@@ -118,11 +118,11 @@ func ingestProbeOnly(cfg FineConfig, recs []rec) map[int]*ObjectShared {
 // exact and relaxed entries in first-occurrence order.
 func checkShared(t *testing.T, path string, fa *FineAccumulator, ref map[int]*ObjectShared) {
 	t.Helper()
-	if len(fa.objs.ids) != len(ref) {
-		t.Fatalf("%s: %d objects, probe-only reference %d", path, len(fa.objs.ids), len(ref))
+	if len(fa.objs.IDs()) != len(ref) {
+		t.Fatalf("%s: %d objects, probe-only reference %d", path, len(fa.objs.IDs()), len(ref))
 	}
 	for id, want := range ref {
-		got := fa.objs.get(id)
+		got := fa.objs.Get(id)
 		switch {
 		case got == nil:
 			t.Fatalf("%s: object %d missing", path, id)

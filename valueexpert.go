@@ -380,5 +380,6 @@ func RenderHTML(rep *Report, graph *Graph, opts HTMLOptions) string {
 // would transfer for a data object spanning object, given its merged
 // accessed intervals, under the chosen strategy (Figure 5).
 func PlanCopy(strategy CopyStrategy, object Interval, merged []Interval) []Interval {
-	return interval.PlanCopy(strategy, object, merged)
+	plan, _ := interval.PlanCopy(strategy, object, merged)
+	return plan
 }
