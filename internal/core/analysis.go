@@ -32,8 +32,8 @@ type Batch struct {
 	// reusable buffer instead of one heap slice per record: rangeOff[i]
 	// is record i's offset into rangeBytes (its length is the record's
 	// Bytes()), or -1 when record i has no capture; rangeOff stays empty
-	// while no record has one. Populated only when a participating stage
-	// reports NeedsValues; read through RangeVal.
+	// while the batch holds no load range. Populated only when a
+	// participating stage reports NeedsValues; read through RangeVal.
 	// Batches are recycled, so both keep their allocations across
 	// flushes.
 	rangeOff   []int32

@@ -125,11 +125,12 @@ func TestAnalysisBarriers(t *testing.T) {
 }
 
 // TestDetachReleasesFlushBuffers: a detached profiler holds no flush
-// buffer and no batch shell, and a profiler installed again allocates
-// them afresh and still collects.
+// buffer, no batch shell and no fine accumulator, and a profiler
+// installed again allocates them afresh and still collects.
 func TestDetachReleasesFlushBuffers(t *testing.T) {
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	p := Attach(rt, Config{Fine: true, BufferRecords: 128})
+	fine := p.stages[0].(*fineStage)
 	const n = 1024
 	x, err := rt.MallocF32(n, "x")
 	if err != nil {
@@ -141,15 +142,25 @@ func TestDetachReleasesFlushBuffers(t *testing.T) {
 		}
 	}
 	launch(1)
+	p.barrier()
+	first := fine.acc
+	if first == nil {
+		t.Fatal("a profiled launch created no fine accumulator")
+	}
 	p.Detach()
-	if b := p.san.Buffers(); b != 0 || len(p.an.spare) != 0 {
-		t.Fatalf("detached profiler holds %d flush buffers and %d batch shells", b, len(p.an.spare))
+	if b := p.san.Buffers(); b != 0 || len(p.an.spare) != 0 || fine.acc != nil {
+		t.Fatalf("detached profiler holds %d flush buffers, %d batch shells and fine accumulator %p",
+			b, len(p.an.spare), fine.acc)
 	}
 
 	rt.SetInterceptor(p)
 	launch(2)
 	if b := p.san.Buffers(); b == 0 {
 		t.Fatal("attached again, the profiler allocated no flush buffer")
+	}
+	p.barrier()
+	if fine.acc == nil || fine.acc == first {
+		t.Fatal("attached again, the profiler created no new fine accumulator")
 	}
 	p.Detach()
 	rep := p.Report()

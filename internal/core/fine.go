@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"valueexpert/cuda"
 	"valueexpert/internal/profile"
 	"valueexpert/internal/vpattern"
@@ -20,10 +18,16 @@ type fineStage struct {
 	regs    []vpattern.Registration
 	records []profile.FineRecord
 
-	// accs recycles launch accumulators: LaunchEnd resets one in place
-	// once finalized, so later launches reuse the histograms earlier ones
-	// grew. The pool empties itself across collections.
-	accs sync.Pool
+	// acc is the one launch accumulator, created by the first batch
+	// analyzed and kept until Detach, so every launch reuses the
+	// histograms earlier ones grew. Analyze and LaunchEnd run only on the
+	// analysis goroutine, in FIFO order: a launch finalizes before the
+	// next one's first batch arrives. launch is the launch whose batches
+	// acc holds, nil once finalized; a launch Drain discarded never
+	// reaches LaunchEnd, so the next launch's first batch resets what it
+	// left.
+	acc    *vpattern.FineAccumulator
+	launch *fineLaunch
 }
 
 func newFineStage(env Env) *fineStage {
@@ -41,24 +45,31 @@ func (s *fineStage) NeedsValues() bool { return true }
 func (s *fineStage) APIBegin(*cuda.APIEvent) {}
 func (s *fineStage) APIEnd(*cuda.APIEvent)   {}
 
-// fineLaunch accumulates one instrumented launch's values.
+// fineLaunch names one instrumented launch; its values accumulate in the
+// stage's accumulator.
 type fineLaunch struct {
-	acc *vpattern.FineAccumulator
+	s *fineStage
 }
 
 func (s *fineStage) LaunchBegin(string) LaunchAnalysis {
-	acc, _ := s.accs.Get().(*vpattern.FineAccumulator)
-	if acc == nil {
-		acc = vpattern.NewFineAccumulatorWith(s.cfg, s.regs)
-	}
-	return &fineLaunch{acc: acc}
+	return &fineLaunch{s: s}
 }
 
-// Analyze adds the batch straight into the launch accumulator: a scalar
+// Analyze adds the batch straight into the stage's accumulator: a scalar
 // record through Add, a compacted range record decoded once and ingested
 // whole.
 func (la *fineLaunch) Analyze(b *Batch) {
-	acc := la.acc
+	s := la.s
+	if s.launch != la {
+		switch {
+		case s.acc == nil:
+			s.acc = vpattern.NewFineAccumulatorWith(s.cfg, s.regs)
+		case s.launch != nil:
+			s.acc.Reset() // the state of a launch Drain discarded
+		}
+		s.launch = la
+	}
+	acc := s.acc
 	for i, a := range b.Recs {
 		id := b.IDs[i]
 		if id < 0 {
@@ -72,14 +83,14 @@ func (la *fineLaunch) Analyze(b *Batch) {
 	}
 }
 
-// LaunchEnd finalizes the launch's per-object pattern reports and
-// recycles the accumulator.
+// LaunchEnd finalizes the launch's per-object pattern reports and resets
+// the accumulator for the next launch. A launch no batch reached has
+// nothing to report.
 func (s *fineStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
-	if la == nil {
+	if la == nil || la.(*fineLaunch) != s.launch {
 		return
 	}
-	acc := la.(*fineLaunch).acc
-	for _, fr := range acc.Finalize() {
+	for _, fr := range s.acc.Finalize() {
 		rec := profile.FineRecord{
 			Seq: ev.Seq, Kernel: ev.Name, ObjectID: fr.ObjectID,
 			Accesses: fr.Accesses, Loads: fr.Loads, Stores: fr.Stores,
@@ -97,8 +108,14 @@ func (s *fineStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
 		}
 		s.records = append(s.records, rec)
 	}
-	acc.Reset()
-	s.accs.Put(acc)
+	s.acc.Reset()
+	s.launch = nil
+}
+
+// release drops the accumulator; a profiler attached again creates a new
+// one. Detach calls it once the analysis goroutine is idle.
+func (s *fineStage) release() {
+	s.acc, s.launch = nil, nil
 }
 
 // EvictObjects implements ObjectEvicter: fine records are per-object, so

@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
+	"valueexpert/internal/faultinject"
+	"valueexpert/internal/profile"
 	"valueexpert/internal/vpattern"
 )
 
@@ -115,28 +118,107 @@ func TestFineCompactAllocsFree(t *testing.T) {
 // records, histogram cap or not: the fine stage sees a launch's accesses
 // once, in order, whatever the flush boundaries, so even the
 // structured-values float sums, which depend on addition order, match.
+// Each chunking runs on a fresh stage: a stage's reports alias its one
+// accumulator.
 func TestChunkedCompactMatchesSequential(t *testing.T) {
 	b := withSweep(testFineBatch(rand.New(rand.NewSource(37)), 3*4096+123), 500)
 	n := len(b.Recs)
 	for _, fc := range []vpattern.FineConfig{{}, {MaxTrackedValues: 8}} {
-		st := newFineStage(Env{Cfg: &Config{FineConfig: fc}})
-		whole := st.LaunchBegin("k").(*fineLaunch)
-		whole.Analyze(b)
-		want := whole.acc.Finalize()
-		if !hasPattern(want, vpattern.StructuredValues) {
-			t.Fatalf("cap %d: the sweep shows no structured values", fc.MaxTrackedValues)
-		}
-		for _, chunk := range []int{1, 7, 128, 4096} {
-			la := st.LaunchBegin("k").(*fineLaunch)
+		launch := func(chunk int) []vpattern.FineReport {
+			st := newFineStage(Env{Cfg: &Config{FineConfig: fc}})
+			la := st.LaunchBegin("k")
 			for lo := 0; lo < n; lo += chunk {
 				hi := min(lo+chunk, n)
 				la.Analyze(&Batch{Recs: b.Recs[lo:hi], IDs: b.IDs[lo:hi],
 					rangeOff: b.rangeOff[lo:hi], rangeBytes: b.rangeBytes})
 			}
-			if got := la.acc.Finalize(); !reflect.DeepEqual(want, got) {
+			return st.acc.Finalize()
+		}
+		want := launch(n)
+		if !hasPattern(want, vpattern.StructuredValues) {
+			t.Fatalf("cap %d: the sweep shows no structured values", fc.MaxTrackedValues)
+		}
+		for _, chunk := range []int{1, 7, 128, 4096} {
+			if got := launch(chunk); !reflect.DeepEqual(want, got) {
 				t.Errorf("cap %d, %d-record batches: launch diverged from one batch", fc.MaxTrackedValues, chunk)
 			}
 		}
+	}
+}
+
+// accProbe is a batch-only stage registered after the fine stage, so it
+// runs on the analysis goroutine right behind it: it counts the batches
+// that went into each fine accumulator.
+type accProbe struct {
+	BaseStage
+	fine *fineStage
+	seen map[*vpattern.FineAccumulator]int
+}
+
+func (s *accProbe) Name() string                      { return "fine accumulator probe" }
+func (s *accProbe) NeedsAccesses() bool               { return true }
+func (s *accProbe) batchOnly()                        {}
+func (s *accProbe) LaunchBegin(string) LaunchAnalysis { return s }
+func (s *accProbe) Analyze(*Batch)                    { s.seen[s.fine.acc]++ }
+
+// TestFineLaunchReuse: the fine stage keeps one accumulator for every
+// launch, so a launch's records must not depend on what earlier launches
+// left behind. A kernel that faults mid-execution after a flush (Drain
+// discards its analysis, and its batches never reach LaunchEnd) and one
+// that is sampled out come before a clean launch, whose fine records
+// must equal a fresh profiler's, and every batch of both runs must go
+// into one accumulator. The kernel reads distinct values and writes the
+// same ones on every launch.
+func TestFineLaunchReuse(t *testing.T) {
+	const n = 2048
+	profileLaunches := func(launches int, plan *faultinject.Plan) []profile.FineRecord {
+		var rep *profile.Report
+		probe := &accProbe{seen: map[*vpattern.FineAccumulator]int{}}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { // a fresh goroutine, so both runs share call paths
+			defer wg.Done()
+			rt := cuda.NewRuntime(gpu.RTX2080Ti)
+			rt.ArmFaults(plan)
+			p := Attach(rt, Config{Fine: true, BufferRecords: 64, KernelSamplingPeriod: 2,
+				Analyses: []AnalysisFactory{func(Env) Analysis { return probe }}})
+			defer p.Detach()
+			probe.fine = p.stages[0].(*fineStage)
+			x, _ := rt.MallocF32(n, "x")
+			y, _ := rt.MallocF32(n, "y")
+			xs := make([]float32, n)
+			for i := range xs {
+				xs[i] = float32(i%700) * 0.5
+			}
+			if err := rt.CopyF32ToDevice(x, xs); err != nil {
+				t.Error(err)
+				return
+			}
+			k := &gpu.GoKernel{Name: "scale", Func: func(th *gpu.Thread) {
+				i := uint64(th.GlobalID())
+				th.StoreF32(1, uint64(y)+4*i, 2*th.LoadF32(0, uint64(x)+4*i)+1)
+			}}
+			for l := 0; l < launches; l++ {
+				_ = rt.Launch(k, gpu.Dim1(n/128), gpu.Dim1(128))
+			}
+			rep = p.Report()
+		}()
+		wg.Wait()
+		if rep == nil || len(rep.Fine) == 0 {
+			t.Fatalf("%d launches: no fine records", launches)
+		}
+		if len(probe.seen) != 1 {
+			t.Fatalf("%d launches went into %d fine accumulators, want 1", launches, len(probe.seen))
+		}
+		for i := range rep.Fine {
+			rep.Fine[i].Seq = 0 // the reused run's launch comes later in the stream
+		}
+		return rep.Fine
+	}
+	fresh := profileLaunches(1, nil)
+	reused := profileLaunches(3, faultinject.New().FailLaunchNth(1, 100))
+	if !reflect.DeepEqual(reused, fresh) {
+		t.Fatalf("clean launch after a faulted and a sampled-out one:\n%+v\nfresh profiler:\n%+v", reused, fresh)
 	}
 }
 

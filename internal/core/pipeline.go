@@ -263,36 +263,39 @@ func (p *Profiler) resolveObjects(b *Batch) {
 // load-range record — one Memory.Read per record instead of one LoadRaw
 // per element — so the stages decode element values from a stable host
 // copy while the kernel keeps mutating device memory. Captures pack into
-// the batch's reusable buffer; a read that fails (a malformed range
-// straddling allocations) leaves offset -1 and the record contributes no
-// fine-grained values.
+// the batch's reusable buffer, sized once from the batch's total range
+// bytes; a read that fails (a malformed range straddling allocations)
+// leaves offset -1 and the record contributes no fine-grained values.
 func (b *Batch) captureRangeLoads(mem *gpu.Memory) {
+	total := 0
+	for _, a := range b.Recs {
+		if a.Count > 1 && !a.Store {
+			total += int(a.Bytes())
+		}
+	}
+	if total == 0 {
+		return
+	}
+	if cap(b.rangeBytes) < total {
+		b.rangeBytes = make([]byte, 0, total)
+	}
+	// Index every record as uncaptured.
+	if cap(b.rangeOff) < len(b.Recs) {
+		b.rangeOff = make([]int32, len(b.Recs))
+	} else {
+		b.rangeOff = b.rangeOff[:len(b.Recs)]
+	}
 	for i, a := range b.Recs {
+		b.rangeOff[i] = -1
 		if a.Count <= 1 || a.Store {
 			continue
 		}
 		n := int(a.Bytes())
 		off := len(b.rangeBytes)
-		if off+n <= cap(b.rangeBytes) {
-			b.rangeBytes = b.rangeBytes[:off+n]
-		} else {
-			b.rangeBytes = append(b.rangeBytes, make([]byte, n)...)
-		}
 		if err := mem.Read(a.Addr, b.rangeBytes[off:off+n]); err != nil {
-			b.rangeBytes = b.rangeBytes[:off]
 			continue
 		}
-		if len(b.rangeOff) == 0 {
-			// First capture of the batch: index every record as uncaptured.
-			if cap(b.rangeOff) < len(b.Recs) {
-				b.rangeOff = make([]int32, len(b.Recs))
-			} else {
-				b.rangeOff = b.rangeOff[:len(b.Recs)]
-			}
-			for j := range b.rangeOff {
-				b.rangeOff[j] = -1
-			}
-		}
+		b.rangeBytes = b.rangeBytes[:off+n]
 		b.rangeOff[i] = int32(off)
 	}
 }

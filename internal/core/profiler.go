@@ -50,7 +50,8 @@ type Config struct {
 	BlockSamplingPeriod  int
 
 	// CopyStrategy selects the snapshot-update copy strategy (§6.1,
-	// Figure 5). Default AdaptiveCopy.
+	// Figure 5). The zero value is DirectCopy, which the CLIs, vxprofd
+	// and the benchmark all run: cliconfig never sets the field.
 	CopyStrategy interval.CopyStrategy
 
 	// AnalysisWorkers and PipelineDepth are ignored: every profiler runs
@@ -227,13 +228,19 @@ func Profile(src cuda.EventSource, cfg Config) (*Profiler, error) {
 }
 
 // Detach removes the profiler from its runtime, waits for the analysis
-// goroutine, then drops the idle flush buffers and batch shells. Reports
-// stay readable; a profiler installed again allocates its buffers afresh.
+// goroutine, then drops the idle flush buffers, batch shells and fine
+// accumulator. Reports stay readable; a profiler installed again
+// allocates them afresh.
 func (p *Profiler) Detach() {
 	p.rt.SetInterceptor(nil)
 	p.barrier()
 	p.san.Release()
 	p.an.dropSpares()
+	for _, st := range p.stages {
+		if f, ok := st.(*fineStage); ok {
+			f.release()
+		}
+	}
 }
 
 // Graph returns the program-wide value flow graph built so far.

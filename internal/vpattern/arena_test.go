@@ -2,6 +2,7 @@ package vpattern
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -159,6 +160,32 @@ func TestRankMatchesFullSort(t *testing.T) {
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("trial %d: bounded rank diverged\nwant %+v\ngot  %+v", trial, ref, got)
 		}
+	}
+}
+
+// TestHistArenaGrowsGeometrically: a fresh histogram admitting 16 Ki
+// distinct values reallocates its entries arena only as its slot index
+// doubles, so it allocates the arena O(log n) times and in all no more
+// than twice its final size.
+func TestHistArenaGrowsGeometrically(t *testing.T) {
+	const n = 16 << 10
+	var h valueHist
+	allocs, total := 0, 0
+	for i := 0; i < n; i++ {
+		before := cap(h.entries)
+		h.add(Value{Raw: uint64(i), Size: 8, Kind: gpu.KindUint}, 1, n)
+		if c := cap(h.entries); c != before {
+			allocs++
+			total += c
+		}
+	}
+	if h.len() != n {
+		t.Fatalf("histogram holds %d values, want %d", h.len(), n)
+	}
+	final := cap(h.entries)
+	if allocs > bits.Len(n) || total > 2*final {
+		t.Fatalf("%d arena allocations of %d entries in all for a final arena of %d, want at most %d and %d",
+			allocs, total, final, bits.Len(n), 2*final)
 	}
 }
 

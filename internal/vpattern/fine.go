@@ -162,13 +162,18 @@ func (h *valueHist) addAt(v Value, elem uint64, maxTracked int) bool {
 }
 
 // grow resizes the slot index to n (a power of two) and reindexes every
-// entry.
+// entry. The entries arena grows with it, to the ¾ load factor's bound,
+// so it doubles with the index instead of regrowing by append's 1.25×
+// steps.
 func (h *valueHist) grow(n int) {
 	if cap(h.slots) >= n {
 		h.slots = h.slots[:n]
 		clear(h.slots)
 	} else {
 		h.slots = make([]int32, n)
+	}
+	if m := 3 * n / 4; cap(h.entries) < m {
+		h.entries = append(make([]ValueCount, 0, m), h.entries...)
 	}
 	mask := uint64(n - 1)
 	for idx := range h.entries {
