@@ -36,15 +36,16 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # race also repeats the async-vs-synchronous oracle, the barrier tests,
-# the fine accumulator's reuse across launches and the layer-clock
+# the fine accumulator's reuse across launches, the layer-clock
 # partition (whose busy total the analysis goroutine writes and the
-# kernel goroutine reads) 20 times (about a minute; the
-# Darknet oracle runs once, in the first line), so a race in the
-# analysis goroutine's hand-off fails here and not only in the 200-seed
-# proptest.
+# kernel goroutine reads) and the sanitizer's four-buffer cap 20 times
+# (about a minute; the Darknet oracle runs once, in the first line), so
+# a race in the analysis goroutine's hand-off fails here and not only in
+# the 200-seed proptest.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestPipelineMatchesSynchronous$$|TestPipelineStress|TestAnalysisBarriers|TestDetachReleasesFlushBuffers|TestFineLaunchReuse|TestLayerClockPartition|TestOverheadSection' ./internal/core
+	$(GO) test -race -count=20 -run 'TestCollectorBlocksAtDepth' ./internal/sanitizer
 
 bench:
 	$(GO) test -bench . -benchmem

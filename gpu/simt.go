@@ -84,16 +84,19 @@ type AccessType struct {
 // coalesced accesses (paper §6.1). For compacted fills Raw holds the
 // common stored value; for compacted loads element values are read back
 // from device memory by consumers that need them.
+//
+// Fields are ordered by size so the record packs into 40 bytes: the
+// sanitizer's flush buffers hold tens of thousands of records each.
 type Access struct {
-	PC     PC
 	Addr   uint64
-	Size   uint8
-	Kind   ValueKind
-	Store  bool
 	Raw    uint64
+	PC     PC
 	Count  uint32 // 0 or 1 = scalar access; >1 = compacted range
 	Block  int32  // flat block index
 	Thread int32  // flat thread index within the block
+	Size   uint8
+	Kind   ValueKind
+	Store  bool
 }
 
 // Elems returns the number of elements the record covers (at least 1).

@@ -3,7 +3,18 @@ package gpu
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestAccessRecordSize pins the access record at 40 bytes: the sanitizer
+// keeps up to four flush buffers of them per profiler, so a field added
+// or reordered out of size order shows here as memory, not as a silent
+// 20 % growth of every buffer.
+func TestAccessRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Access{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Access{}) = %d, want 40", got)
+	}
+}
 
 func TestDimCountAndFlat(t *testing.T) {
 	d := Dim3{X: 4, Y: 3, Z: 2}

@@ -7,8 +7,8 @@
 // translation once: registration with shared defaults, validation
 // through core's Config.Validate with the typed ConfigError field mapped
 // back to its flag, and the -patterns/-faults spec parsing. The engine
-// itself has no tuning flags: one analysis goroutine and two flush
-// buffers per profiler, always.
+// itself has no tuning flags: one analysis goroutine and at most four
+// flush buffers (§6.1's double buffering, deepened) per profiler, always.
 package cliconfig
 
 import (

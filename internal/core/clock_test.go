@@ -42,7 +42,7 @@ func (f *fakeClock) tick(l layer, d time.Duration) {
 // scriptStage runs on the kernel goroutine and charges a fixed tick to
 // each lifecycle call: its APIs and launch bookkeeping to the API layer,
 // its batches to the flush layer and its Finish to the report layer.
-// After the second batch it arms the fake clock for the buffer wait that
+// After the fourth batch it arms the fake clock for the buffer wait that
 // follows.
 type scriptStage struct {
 	BaseStage
@@ -60,9 +60,9 @@ func (s *scriptStage) Finish(*profile.Report)                   { s.f.tick(layer
 
 func (s *scriptStage) Analyze(*Batch) {
 	s.f.tick(layerFlush, 10)
-	if s.batches++; s.batches == 2 {
-		// Both buffers are now in flight: the next two reads leave the
-		// flush layer and enter the buffer wait.
+	if s.batches++; s.batches == 4 {
+		// All four buffers are now in flight: the next two reads leave
+		// the flush layer and enter the buffer wait.
 		s.f.armed = 2
 	}
 }
@@ -98,11 +98,11 @@ func (s *stallStage) wait(l layer, d time.Duration) {
 	}
 }
 
-// TestLayerClockPartition drives one launch through three flushes — the
-// last inside APIEnd — with a forced buffer wait, a barrier that waits
-// and a Report, on a fake clock: every layer gets exactly its scripted
-// ticks, the layers sum exactly to the wall, and the report's analysis
-// time is the sum of the non-program layers.
+// TestLayerClockPartition drives one launch through five flushes — the
+// last inside APIEnd — with a forced buffer wait after the fourth, a
+// barrier that waits and a Report, on a fake clock: every layer gets
+// exactly its scripted ticks, the layers sum exactly to the wall, and the
+// report's analysis time is the sum of the non-program layers.
 func TestLayerClockPartition(t *testing.T) {
 	f := &fakeClock{blocked: make(chan struct{}, 1)}
 	tel := telemetry.New()
@@ -117,7 +117,7 @@ func TestLayerClockPartition(t *testing.T) {
 	p.clock.reset(f.now)
 
 	f.tick(layerProgram, 3)
-	const n = 20 // flushes after records 8 and 16, the last 4 in APIEnd
+	const n = 36 // flushes after records 8, 16, 24 and 32, the last 4 in APIEnd
 	x, err := rt.MallocF32(n, "x")
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +140,8 @@ func TestLayerClockPartition(t *testing.T) {
 		t.Errorf("second Overhead wall %v, first %v", again.Wall, ov.Wall)
 	}
 
-	if rep.Stats.BufferFlushes != 3 {
-		t.Fatalf("flushes = %d, want 3", rep.Stats.BufferFlushes)
+	if rep.Stats.BufferFlushes != 5 {
+		t.Fatalf("flushes = %d, want 5", rep.Stats.BufferFlushes)
 	}
 	if ov.Wall != end {
 		t.Errorf("wall = %v, want %v", ov.Wall, end)

@@ -9,10 +9,13 @@
 // launch's last batch, finalizes them, in FIFO order, while the kernel
 // goroutine runs the next API. Every stage sees each launch's accesses
 // once, in flush order, so the report is the one fully synchronous
-// analysis emits, by construction. The sanitizer cycles at most two flush
-// buffers, one filling while the analysis goroutine drains the other
-// (§6.1's double buffering); a flush that finds both in flight waits,
-// which bounds how far analysis falls behind collection.
+// analysis emits, by construction. The sanitizer cycles at most four
+// flush buffers: §6.1's double buffering, deepened so that while one
+// fills, the analysis goroutine may still hold three, and the kernel
+// goroutine can run up to three launches (one Darknet layer) ahead. A
+// flush that finds all four in flight waits, which bounds how far
+// analysis falls behind collection and caps the buffers at
+// 4 × BufferRecords × 40 B per running profiler.
 package core
 
 import (

@@ -159,7 +159,7 @@ func TestPipelineMatchesSynchronousDarknet(t *testing.T) {
 
 // TestPipelineStress hammers the hand-off: a buffer so small every few
 // accesses flush it and several launches back-to-back, so the kernel
-// goroutine keeps both buffers in flight and waits on the analysis
+// goroutine keeps every flush buffer in flight and waits on the analysis
 // goroutine, all under the same byte-identity requirement.
 func TestPipelineStress(t *testing.T) {
 	matchesSynchronous(t, func(inline bool) []byte {

@@ -55,7 +55,8 @@ type Config struct {
 	CopyStrategy interval.CopyStrategy
 
 	// AnalysisWorkers and PipelineDepth are ignored: every profiler runs
-	// one analysis goroutine over at most two flush buffers (pipeline.go).
+	// one analysis goroutine over at most four flush buffers, §6.1's
+	// double buffering deepened (pipeline.go).
 	// They remain only because the benchmark module (bench/ops.go) still
 	// sets them.
 	AnalysisWorkers int

@@ -81,29 +81,31 @@ func TestFlushDelayPreservesOrderAndRecords(t *testing.T) {
 }
 
 // TestFlushDelayNeverHoldsLastBuffer: the consumer keeps its latest
-// buffer and recycles the previous one only when the next arrives, so
-// when the second delivery's delay fires both buffers are out. Holding
+// depth-1 buffers and recycles the oldest only when the next arrives, so
+// when the depth-th delivery's delay fires every buffer is out. Holding
 // that delivery would leave the collector waiting for a buffer the
 // consumer never returns; the fault must degrade to an immediate
 // delivery instead.
 func TestFlushDelayNeverHoldsLastBuffer(t *testing.T) {
 	e := New(Config{
 		BufferRecords: 10,
-		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, 2),
+		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, depth),
 	})
-	var last []gpu.Access
+	var kept [][]gpu.Access
 	var total int
 	hook, _, finish := e.Instrument("k", func(recs []gpu.Access) {
 		total += len(recs)
-		if last != nil {
-			e.Recycle(last)
+		if len(kept) == depth-1 {
+			e.Recycle(kept[0])
+			kept = kept[1:]
 		}
-		last = recs
+		kept = append(kept, recs)
 	})
+	const n = 10*depth + 15
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 35; i++ {
+		for i := 0; i < n; i++ {
 			hook(gpu.Access{Addr: uint64(i)})
 		}
 		finish()
@@ -113,8 +115,8 @@ func TestFlushDelayNeverHoldsLastBuffer(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("collector deadlocked waiting for a buffer")
 	}
-	if total != 35 {
-		t.Fatalf("delivered %d records, want 35", total)
+	if total != n {
+		t.Fatalf("delivered %d records, want %d", total, n)
 	}
 }
 

@@ -70,10 +70,12 @@ type Probes struct {
 const DefaultBufferRecords = 64 << 10
 
 // depth is the most flush buffers cycled between the collector and the
-// analyzer: one filling while the analyzer drains the other, paper §6.1's
-// double buffering. The second is allocated only when a flush finds the
-// first still in flight.
-const depth = 2
+// analyzer: paper §6.1's double buffering, deepened to four so the
+// collector can finish up to three launches (one Darknet layer) ahead of
+// the analyzer while one buffer fills. Each buffer is allocated only when
+// a flush finds every existing one in flight, so a running profiler holds
+// at most 4 × BufferRecords × 40 B (10 MB at DefaultBufferRecords).
+const depth = 4
 
 // Stats reports instrumentation volume.
 type Stats struct {

@@ -2,6 +2,7 @@ package sanitizer
 
 import (
 	"testing"
+	"time"
 
 	"valueexpert/gpu"
 )
@@ -146,9 +147,9 @@ func TestBufferReuseAcrossLaunches(t *testing.T) {
 }
 
 // TestBuffersAllocatedOnDemand: a consumer that recycles each buffer at
-// once never needs a second one; one that holds a buffer across a flush
-// makes the engine allocate the second, never more than two; Release
-// drops them all and the next launch allocates afresh.
+// once never needs a second one; one that holds the last depth-1 buffers
+// across flushes makes the engine allocate more, never more than depth;
+// Release drops them all and the next launch allocates afresh.
 func TestBuffersAllocatedOnDemand(t *testing.T) {
 	e := New(Config{BufferRecords: 8})
 	if _, ok := feed(t, e, "k", 40); !ok || e.Buffers() != 1 {
@@ -157,20 +158,23 @@ func TestBuffersAllocatedOnDemand(t *testing.T) {
 	var held [][]gpu.Access
 	hook, _, finish := e.Instrument("k", func(recs []gpu.Access) {
 		held = append(held, recs)
-		if len(held) == 2 {
+		if len(held) == depth {
 			e.Recycle(held[0])
 			held = held[1:]
 		}
+		if e.Buffers() > depth {
+			t.Fatalf("holding consumer: %d buffers, want at most %d", e.Buffers(), depth)
+		}
 	})
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 80; i++ {
 		hook(gpu.Access{Addr: uint64(i)})
 	}
 	finish()
 	for _, b := range held {
 		e.Recycle(b)
 	}
-	if e.Buffers() != 2 {
-		t.Fatalf("holding consumer: %d buffers, want 2", e.Buffers())
+	if e.Buffers() != depth {
+		t.Fatalf("holding consumer: %d buffers, want %d", e.Buffers(), depth)
 	}
 	e.Release()
 	if e.Buffers() != 0 || len(e.free) != 0 {
@@ -178,5 +182,64 @@ func TestBuffersAllocatedOnDemand(t *testing.T) {
 	}
 	if flushed, ok := feed(t, e, "k", 20); !ok || len(flushed) != 3 || e.Buffers() != 1 {
 		t.Fatalf("after Release: %d flushes with %d buffers", len(flushed), e.Buffers())
+	}
+}
+
+// TestCollectorBlocksAtDepth is the memory cap: against a consumer that
+// holds every delivered buffer, the collector fills four, blocks on its
+// fifth take, and resumes only when one buffer is recycled. The engine
+// never holds more than four.
+func TestCollectorBlocksAtDepth(t *testing.T) {
+	// The cap is pinned here as 4, not as depth, so that raising depth
+	// shows as a failure: it is 4 × BufferRecords × 40 B of memory.
+	const buffers, records = 4, 8
+	// Four full buffers and a final partial one, delivered by finish.
+	const total = buffers*records + records/2
+	delivered := make(chan []gpu.Access, 2*buffers)
+	blocked := make(chan bool, 1)
+	e := New(Config{BufferRecords: records, Probes: Probes{Wait: func(b bool) {
+		if b {
+			blocked <- true
+		}
+	}}})
+	hook, _, finish := e.Instrument("k", func(recs []gpu.Access) { delivered <- recs })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			hook(gpu.Access{Addr: uint64(i)})
+		}
+		finish()
+	}()
+
+	select {
+	case <-blocked:
+	case <-done:
+		t.Fatal("collector finished without waiting for a buffer")
+	case <-time.After(10 * time.Second):
+		t.Fatal("collector never blocked")
+	}
+	// The collector waits inside its fifth take: four buffers delivered,
+	// none recycled, none more allocated.
+	if n := len(delivered); n != buffers {
+		t.Fatalf("%d buffers delivered before the wait, want %d", n, buffers)
+	}
+	if e.Buffers() != buffers {
+		t.Fatalf("%d buffers while blocked, want %d", e.Buffers(), buffers)
+	}
+	e.Recycle(<-delivered)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("collector did not resume after a recycle")
+	}
+	if n := len(delivered); n != buffers {
+		t.Fatalf("%d buffers held after the run, want %d", n, buffers)
+	}
+	if e.Buffers() != buffers {
+		t.Fatalf("%d buffers after the run, want %d", e.Buffers(), buffers)
+	}
+	if s := e.Stats(); s.Flushes != buffers+1 || s.Records != total {
+		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -3,6 +3,7 @@ package vpattern
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"valueexpert/gpu"
@@ -256,6 +257,28 @@ type structState struct {
 	sumXX, sumXY float64
 	sumYY        float64
 	elemSize     uint64
+	// elemShift is log2(elemSize) when elemSize is a power of two, or
+	// -1: an address's element index is then a shift, not a division.
+	elemShift int8
+}
+
+// setElemSize fixes the object's element size at the first access's.
+func (st *structState) setElemSize(size uint8) {
+	if st.elemSize != 0 {
+		return
+	}
+	st.elemSize, st.elemShift = uint64(size), -1
+	if size != 0 && size&(size-1) == 0 {
+		st.elemShift = int8(bits.TrailingZeros8(size))
+	}
+}
+
+// index is addr's element index, addr/elemSize.
+func (st *structState) index(addr uint64) uint64 {
+	if st.elemShift >= 0 {
+		return addr >> uint(st.elemShift)
+	}
+	return addr / st.elemSize
 }
 
 // structuredDetector recognizes Def 3.7: linear value↔address correlation.
@@ -274,14 +297,13 @@ func (d *structuredDetector) Reset() { d.objs.Reset(nil) }
 
 func (d *structuredDetector) Observe(objID int, a gpu.Access) {
 	st, _ := d.objs.At(objID)
-	if st.elemSize == 0 {
-		st.elemSize = uint64(a.Size)
-	}
+	st.setElemSize(a.Size)
+	idx := st.index(a.Addr)
 	if !st.x0set {
-		st.x0 = float64(a.Addr / st.elemSize)
+		st.x0 = float64(idx)
 		st.x0set = true
 	}
-	x := float64(a.Addr/st.elemSize) - st.x0 // monotone in address
+	x := float64(idx) - st.x0 // monotone in address
 	y := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}.Numeric()
 	if !math.IsNaN(y) && !math.IsInf(y, 0) {
 		st.n++
@@ -298,33 +320,77 @@ func (d *structuredDetector) Observe(objID int, a gpu.Access) {
 // bit.
 func (d *structuredDetector) ObserveRange(objID int, a gpu.Access, raws []uint64) {
 	st, _ := d.objs.At(objID)
-	if st.elemSize == 0 {
-		st.elemSize = uint64(a.Size)
-	}
+	st.setElemSize(a.Size)
 	es, step := st.elemSize, uint64(a.Size)
+	first := st.index(a.Addr)
 	if !st.x0set {
-		st.x0 = float64(a.Addr / es)
+		st.x0 = float64(first)
 		st.x0set = true
 	}
 	// Element e's index is (a.Addr + e·step)/es, monotone in address;
 	// when the range strides by es it is simply the first index + e, and
 	// while indices stay below 2^53 the float x = index - x0 is exact, so
 	// stepping it by 1 gives the same value as converting each index.
-	first := a.Addr / es
 	exact := es == step && first+uint64(len(raws)) < 1<<53 && st.x0 < 1<<53
 	x := float64(first) - st.x0
+	if exact && a.Kind == gpu.KindFloat {
+		switch a.Size {
+		case 4:
+			st.foldF32(x, raws)
+			return
+		case 8:
+			st.foldF64(x, raws)
+			return
+		}
+	}
 	n, sumX, sumY, sumXX, sumXY, sumYY := st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY
 	v := Value{Size: a.Size, Kind: a.Kind}
 	for e, raw := range raws {
 		if !exact {
 			idx := first + uint64(e)
 			if es != step {
-				idx = (a.Addr + uint64(e)*step) / es
+				idx = st.index(a.Addr + uint64(e)*step)
 			}
 			x = float64(idx) - st.x0
 		}
 		v.Raw = raw
 		if y := v.Numeric(); y-y == 0 { // finite: NaN and ±Inf give NaN
+			n++
+			sumX += x
+			sumY += y
+			sumXX += x * x
+			sumXY += x * y
+			sumYY += y * y
+		}
+		x++
+	}
+	st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY = n, sumX, sumY, sumXX, sumXY, sumYY
+}
+
+// foldF32 is ObserveRange's loop for an exact-stride float32 range whose
+// first element sits at x. It takes y as Value.Numeric does and grows the
+// sums in the same order, so they match bit for bit.
+func (st *structState) foldF32(x float64, raws []uint64) {
+	n, sumX, sumY, sumXX, sumXY, sumYY := st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY
+	for _, raw := range raws {
+		if y := float64(gpu.Float32FromRaw(raw)); y-y == 0 {
+			n++
+			sumX += x
+			sumY += y
+			sumXX += x * x
+			sumXY += x * y
+			sumYY += y * y
+		}
+		x++
+	}
+	st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY = n, sumX, sumY, sumXX, sumXY, sumYY
+}
+
+// foldF64 is foldF32 for float64 ranges.
+func (st *structState) foldF64(x float64, raws []uint64) {
+	n, sumX, sumY, sumXX, sumXY, sumYY := st.n, st.sumX, st.sumY, st.sumXX, st.sumXY, st.sumYY
+	for _, raw := range raws {
+		if y := gpu.Float64FromRaw(raw); y-y == 0 {
 			n++
 			sumX += x
 			sumY += y

@@ -233,6 +233,28 @@ func TestStructuredValuesHighAddresses(t *testing.T) {
 	}
 }
 
+// The structured fit indexes a power-of-two element size by a shift and
+// any other by division; at device addresses near 2^47 the two agree.
+func TestStructuredIndexShiftIsDivision(t *testing.T) {
+	const top = uint64(1) << 47
+	for _, size := range []uint8{1, 2, 4, 8} {
+		var st structState
+		st.setElemSize(size)
+		if st.elemShift < 0 {
+			t.Fatalf("size %d: no shift", size)
+		}
+		for _, addr := range []uint64{top - 9, top - 8, top - 1, top, top + 1, top + 3, top + 7, 2*top - 1, 0x7f00_0000_0004} {
+			if got, want := st.index(addr), addr/uint64(size); got != want {
+				t.Fatalf("size %d addr %#x: index %d, want %d", size, addr, got, want)
+			}
+		}
+	}
+	var st structState
+	if st.setElemSize(3); st.elemShift >= 0 || st.index(top+5) != (top+5)/3 {
+		t.Fatalf("size 3: shift %d, index %d", st.elemShift, st.index(top+5))
+	}
+}
+
 func TestApproximateValues(t *testing.T) {
 	// hotspot-style: values all within a tiny epsilon of 80.0 — exact
 	// analysis sees thousands of distinct values, truncated analysis one.
