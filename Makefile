@@ -38,14 +38,18 @@ test:
 # race also repeats the async-vs-synchronous oracle, the barrier tests,
 # the fine accumulator's reuse across launches, the layer-clock
 # partition (whose busy total the analysis goroutine writes and the
-# kernel goroutine reads) and the sanitizer's four-buffer cap 20 times
-# (about a minute; the Darknet oracle runs once, in the first line), so
-# a race in the analysis goroutine's hand-off fails here and not only in
-# the 200-seed proptest.
+# kernel goroutine reads), the access-time range capture (whose bytes
+# travel with the flush buffer to the analysis goroutine) and the
+# sanitizer's four-buffer cap 20 times (about a minute; the Darknet
+# oracle runs once, in the first line), so a race in the analysis
+# goroutine's hand-off fails here and not only in the 200-seed proptest.
+# The pattern registry's tests run twice in one process, so a test
+# registration that outlives its test fails here.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestPipelineMatchesSynchronous$$|TestPipelineStress|TestAnalysisBarriers|TestDetachReleasesFlushBuffers|TestFineLaunchReuse|TestLayerClockPartition|TestOverheadSection' ./internal/core
+	$(GO) test -race -count=20 -run 'TestPipelineMatchesSynchronous$$|TestPipelineStress|TestAnalysisBarriers|TestDetachReleasesFlushBuffers|TestFineLaunchReuse|TestLayerClockPartition|TestOverheadSection|TestBulkLoadCapturedAtAccessTime' ./internal/core
 	$(GO) test -race -count=20 -run 'TestCollectorBlocksAtDepth' ./internal/sanitizer
+	$(GO) test -count=2 ./internal/vpattern
 
 bench:
 	$(GO) test -bench . -benchmem

@@ -17,8 +17,8 @@ func TestAccessSizeErrors(t *testing.T) {
 	if err := dev.Mem.StoreRaw(a.Addr, 5, 1); !errors.As(err, &sizeErr) || sizeErr.Size != 5 {
 		t.Fatalf("StoreRaw size 5: err = %v", err)
 	}
-	if _, err := RawValue(make([]byte, 8), 7); !errors.As(err, &sizeErr) || sizeErr.Size != 7 {
-		t.Fatalf("RawValue size 7: err = %v", err)
+	if _, err := rawLoad(make([]byte, 8), 7); !errors.As(err, &sizeErr) || sizeErr.Size != 7 {
+		t.Fatalf("rawLoad size 7: err = %v", err)
 	}
 
 	// Supported widths stay intact.

@@ -299,12 +299,6 @@ func (m *Memory) StoreRaw(addr uint64, size uint8, v uint64) error {
 	return rawStore(buf, size, v)
 }
 
-// RawValue decodes one size-byte little-endian value (size in {1,2,4,8})
-// from the front of buf. It is the decode half of a bulk Read: analyzers
-// copy an accessed device range once and slice values out of the host copy
-// instead of issuing one LoadRaw per element.
-func RawValue(buf []byte, size uint8) (uint64, error) { return rawLoad(buf, size) }
-
 func rawLoad(buf []byte, size uint8) (uint64, error) {
 	switch size {
 	case 1:

@@ -1,9 +1,6 @@
 package gpu
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dim3 is a CUDA-style three-dimensional extent or coordinate.
 type Dim3 struct{ X, Y, Z int }
@@ -82,8 +79,8 @@ type AccessType struct {
 // A Count > 1 marks a *range record*: Count consecutive elements of Size
 // bytes starting at Addr, produced by the warp-level compaction of
 // coalesced accesses (paper §6.1). For compacted fills Raw holds the
-// common stored value; for compacted loads element values are read back
-// from device memory by consumers that need them.
+// common stored value; for compacted loads the instrumentation captures
+// the element values at access time, beside the record.
 //
 // Fields are ordered by size so the record packs into 40 bytes: the
 // sanitizer's flush buffers hold tens of thousands of records each.
@@ -94,9 +91,12 @@ type Access struct {
 	Count  uint32 // 0 or 1 = scalar access; >1 = compacted range
 	Block  int32  // flat block index
 	Thread int32  // flat thread index within the block
-	Size   uint8
-	Kind   ValueKind
-	Store  bool
+	// Obj is the ID of the allocation containing Addr (-1: none), which
+	// the instrumentation stamps at access time; kernels leave it zero.
+	Obj   int32
+	Size  uint8
+	Kind  ValueKind
+	Store bool
 }
 
 // Elems returns the number of elements the record covers (at least 1).
@@ -442,10 +442,4 @@ func unflatten(d Dim3, flat int) Dim3 {
 	x := max(d.X, 1)
 	y := max(d.Y, 1)
 	return Dim3{X: flat % x, Y: (flat / x) % y, Z: flat / (x * y)}
-}
-
-// SortAccessesByAddr orders records by effective address (stable), a helper
-// shared by analysis code and tests.
-func SortAccessesByAddr(recs []Access) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Addr < recs[j].Addr })
 }

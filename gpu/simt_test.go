@@ -230,11 +230,3 @@ func TestAccessWarp(t *testing.T) {
 		t.Fatalf("warp = %d, want 2", a.Warp())
 	}
 }
-
-func TestSortAccessesByAddr(t *testing.T) {
-	recs := []Access{{Addr: 30}, {Addr: 10}, {Addr: 20}}
-	SortAccessesByAddr(recs)
-	if recs[0].Addr != 10 || recs[2].Addr != 30 {
-		t.Fatalf("sort failed: %+v", recs)
-	}
-}

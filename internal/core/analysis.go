@@ -3,53 +3,19 @@ package core
 import (
 	"valueexpert/callpath"
 	"valueexpert/cuda"
-	"valueexpert/gpu"
 	"valueexpert/internal/profile"
+	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
 	"valueexpert/internal/vflow"
 	"valueexpert/internal/vpattern"
 )
 
-// Batch is one flushed sanitizer buffer plus everything that must be
-// captured synchronously at flush time: device memory keeps mutating while
-// the kernel runs, so values behind compacted load-range records are
-// snapshotted on the kernel-execution goroutine before the batch travels
-// to the analysis goroutine.
-type Batch struct {
-	// Recs is the flushed access-record buffer. Ownership passes with the
-	// batch; the engine recycles it to the sanitizer pool once every
-	// stage has analyzed the batch, so a stage must never retain the
-	// batch or its record slice.
-	Recs []gpu.Access
-
-	// IDs holds, per record, the ID of the data object containing the
-	// record's address, or -1 when no live allocation maps it. The engine
-	// resolves IDs once per batch so every stage shares one lookup pass.
-	IDs []int
-
-	// rangeOff/rangeBytes hold flush-time captures of the bytes behind
-	// compacted load-range records (Count>1 loads), packed into one
-	// reusable buffer instead of one heap slice per record: rangeOff[i]
-	// is record i's offset into rangeBytes (its length is the record's
-	// Bytes()), or -1 when record i has no capture; rangeOff stays empty
-	// while the batch holds no load range. Populated only when a
-	// participating stage reports NeedsValues; read through RangeVal.
-	// Batches are recycled, so both keep their allocations across
-	// flushes.
-	rangeOff   []int32
-	rangeBytes []byte
-}
-
-// RangeVal returns the bytes record i's range held at flush time, or nil
-// when the record is not a captured load range. The slice aliases the
-// batch's capture buffer; it is valid until the batch is recycled.
-func (b *Batch) RangeVal(i int) []byte {
-	if i >= len(b.rangeOff) || b.rangeOff[i] < 0 {
-		return nil
-	}
-	off := int(b.rangeOff[i])
-	return b.rangeBytes[off : off+int(b.Recs[i].Bytes())]
-}
+// Batch is one flushed sanitizer buffer, complete when it arrives: the
+// hook stamped each record's data object (Access.Obj) and, when a stage
+// NeedsValues, captured each load range's bytes as the load ran
+// (RangeVal). The engine recycles it once every stage has analyzed it,
+// so a stage must never retain the batch, its records or a RangeVal.
+type Batch = sanitizer.Buffer
 
 // Analysis is one pluggable stage of the analysis engine. The engine owns
 // collection (API interception, sanitizer buffers, the analysis
@@ -74,7 +40,7 @@ type Analysis interface {
 	NeedsAccesses() bool
 
 	// NeedsValues reports whether compacted load-range records must have
-	// their element values captured at flush time (Batch.RangeVal).
+	// their element values captured at access time (Batch.RangeVal).
 	NeedsValues() bool
 
 	// LaunchBegin returns the stage's accumulator for an upcoming

@@ -306,10 +306,10 @@ func (la *coarseLaunch) Analyze(b *Batch) {
 		r.valid = false
 	}
 
-	for i, a := range b.Recs {
-		id := b.IDs[i]
+	for _, a := range b.Recs {
+		id := int(a.Obj)
 		if id < 0 {
-			continue // defensive: racing frees
+			continue // outside every allocation
 		}
 		iv := interval.FromAccess(a)
 		if o, _ := la.objs.At(id); !a.Store {

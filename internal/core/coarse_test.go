@@ -100,8 +100,8 @@ func coarseBatch(data []byte, bases []uint64, ids []int) *Batch {
 		case s >= 14:
 			id = 0
 		}
+		a.Obj = int32(id)
 		b.Recs = append(b.Recs, a)
-		b.IDs = append(b.IDs, id)
 	}
 	return b
 }
@@ -115,8 +115,8 @@ type coarseRef struct {
 
 func coarseReference(b *Batch) map[int]*coarseRef {
 	ref := map[int]*coarseRef{}
-	for i, a := range b.Recs {
-		id := b.IDs[i]
+	for _, a := range b.Recs {
+		id := int(a.Obj)
 		if id < 0 {
 			continue
 		}
@@ -149,7 +149,7 @@ func checkCoarseLaunches(t testing.TB, launches [][]byte, chunk int) []profile.C
 		la := s.LaunchBegin("k").(*coarseLaunch)
 		for lo := 0; lo < len(b.Recs); lo += chunk {
 			hi := min(lo+chunk, len(b.Recs))
-			la.Analyze(&Batch{Recs: b.Recs[lo:hi], IDs: b.IDs[lo:hi]})
+			la.Analyze(&Batch{Recs: b.Recs[lo:hi]})
 		}
 		var want []profile.ObjectAccess
 		got := la.objs.IDs()

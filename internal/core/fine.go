@@ -39,7 +39,7 @@ func (s *fineStage) NeedsAccesses() bool { return true }
 func (s *fineStage) batchOnly()          {}
 
 // NeedsValues: compacted load-range records carry no element values of
-// their own; the engine must capture them at flush time.
+// their own; the sanitizer hook must capture them at access time.
 func (s *fineStage) NeedsValues() bool { return true }
 
 func (s *fineStage) APIBegin(*cuda.APIEvent) {}
@@ -71,7 +71,7 @@ func (la *fineLaunch) Analyze(b *Batch) {
 	}
 	acc := s.acc
 	for i, a := range b.Recs {
-		id := b.IDs[i]
+		id := int(a.Obj)
 		if id < 0 {
 			continue
 		}

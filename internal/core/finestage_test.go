@@ -19,8 +19,8 @@ import (
 // ranges of every width and kind, captured or not, the shapes the fine
 // stage ingests.
 func testFineBatch(rng *rand.Rand, n int) *Batch {
-	b := &Batch{Recs: make([]gpu.Access, n), IDs: make([]int, n)}
-	for i := range b.Recs {
+	recs := make([]gpu.Access, n)
+	for i := range recs {
 		a := gpu.Access{
 			Addr: uint64(rng.Intn(1<<14)) * 4, Size: 4, Kind: gpu.KindFloat,
 			Raw: gpu.RawFromFloat32(float32(rng.Intn(32)) * 0.5), Store: rng.Intn(2) == 0,
@@ -29,12 +29,12 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 			a.Store = true
 			a.Count = 4
 		}
-		b.Recs[i] = a
-		b.IDs[i] = rng.Intn(4)
+		a.Obj = int32(rng.Intn(4))
+		recs[i] = a
 	}
 	// Load ranges spread over the batch, so a launch split into several
-	// batches decodes them in different ones. All but the last decode
-	// from the batch's capture buffer.
+	// batches decodes them in different ones. All but the last carry a
+	// capture.
 	loads := []gpu.Access{
 		{Addr: 0x100, Size: 4, Kind: gpu.KindUint, Count: 3},
 		{Addr: 0x200, Size: 1, Kind: gpu.KindUint, Count: 40},
@@ -43,17 +43,14 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 		{Addr: 0x500, Size: 8, Kind: gpu.KindFloat, Count: 33},
 		{Addr: 0x600, Size: 4, Kind: gpu.KindFloat, Count: 5},
 	}
-	b.rangeOff = make([]int32, n)
-	for i := range b.rangeOff {
-		b.rangeOff[i] = -1
-	}
+	vals := make([][]byte, n)
 	for j, a := range loads {
 		i := 1 + j*(n/len(loads))
-		b.Recs[i] = a
+		a.Obj = recs[i].Obj
+		recs[i] = a
 		if j == len(loads)-1 {
 			break // no capture
 		}
-		b.rangeOff[i] = int32(len(b.rangeBytes))
 		for e := 0; e < a.Elems(); e++ {
 			var elem [8]byte
 			v := uint64(rng.Intn(8))
@@ -61,8 +58,12 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 				v = gpu.RawFromFloat64(float64(v) * 0.25)
 			}
 			binary.LittleEndian.PutUint64(elem[:], v)
-			b.rangeBytes = append(b.rangeBytes, elem[:a.Size]...)
+			vals[i] = append(vals[i], elem[:a.Size]...)
 		}
+	}
+	b := &Batch{}
+	for i, a := range recs {
+		b.Append(a, vals[i])
 	}
 	return b
 }
@@ -72,42 +73,43 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 // report.
 func withSweep(b *Batch, n int) *Batch {
 	for k := 0; k < n; k++ {
-		b.Recs = append(b.Recs, gpu.Access{
+		b.Append(gpu.Access{
 			Addr: 0x10000 + uint64(4*k), Size: 4, Kind: gpu.KindFloat, Store: true,
-			Raw: gpu.RawFromFloat32(0.1*float32(k) + 3),
-		})
-		b.IDs = append(b.IDs, 4)
-		b.rangeOff = append(b.rangeOff, -1)
+			Raw: gpu.RawFromFloat32(0.1*float32(k) + 3), Obj: 4,
+		}, nil)
 	}
 	return b
 }
 
 // TestFineCompactAllocsFree: once warm, the hand-off of a flushed batch
-// allocates nothing: the kernel goroutine's object resolution, value
-// capture and submit, and the analysis goroutine's fine analysis and
-// release of the batch.
+// allocates nothing: the sanitizer hook's completion of each record, the
+// kernel goroutine's flush and submit, and the analysis goroutine's fine
+// analysis and recycle of the batch.
 func TestFineCompactAllocsFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates around goroutine hand-offs")
 	}
+	const n = 2048
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
-	p := Attach(rt, Config{Fine: true})
+	p := Attach(rt, Config{Fine: true, BufferRecords: n})
 	defer p.Detach()
 	base, err := rt.Malloc(1<<17, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := testFineBatch(rand.New(rand.NewSource(31)), 2048)
+	b := testFineBatch(rand.New(rand.NewSource(31)), n)
 	recs := append([]gpu.Access(nil), b.Recs...)
 	for i := range recs {
 		recs[i].Addr += uint64(base)
 	}
-	ls := &launchState{stages: []LaunchAnalysis{p.stages[0].LaunchBegin("k")}, needVals: true, async: true}
-	handOff := func() {
-		p.flush(ls, recs)
+	hook, _ := p.Instrumentation("k")
+	handOff := func() { // one full buffer: one flush
+		for _, a := range recs {
+			hook(a)
+		}
 		p.an.wait()
 	}
-	handOff() // warm the batch shell and the launch accumulator
+	handOff() // warm the flush buffer and the launch accumulator
 	if allocs := testing.AllocsPerRun(20, handOff); allocs != 0 {
 		t.Fatalf("hand-off allocated %.1f times per warmed batch, want 0", allocs)
 	}
@@ -129,8 +131,11 @@ func TestChunkedCompactMatchesSequential(t *testing.T) {
 			la := st.LaunchBegin("k")
 			for lo := 0; lo < n; lo += chunk {
 				hi := min(lo+chunk, n)
-				la.Analyze(&Batch{Recs: b.Recs[lo:hi], IDs: b.IDs[lo:hi],
-					rangeOff: b.rangeOff[lo:hi], rangeBytes: b.rangeBytes})
+				part := &Batch{}
+				for i := lo; i < hi; i++ {
+					part.Append(b.Recs[i], b.RangeVal(i))
+				}
+				la.Analyze(part)
 			}
 			return st.acc.Finalize()
 		}

@@ -1,13 +1,14 @@
 // The analysis pipeline: the reproduction of paper §6.1's overlap of data
 // collection and online analysis. Each profiler has one analysis
-// goroutine. The kernel-execution goroutine keeps what reads device or
-// allocation state: at each flush it resolves the batch's data objects,
-// captures the values behind load ranges and runs the stages that may
-// read the device (coarse, custom Config.Analyses) into their launch
-// accumulators. It then hands the batch to the analysis goroutine, which
-// runs the batch-only built-in stages (fine, reuse distance) and, after a
-// launch's last batch, finalizes them, in FIFO order, while the kernel
-// goroutine runs the next API. Every stage sees each launch's accesses
+// goroutine. A flushed batch arrives complete: the sanitizer hook stamped
+// each record's data object and captured load-range values at access
+// time. The kernel-execution goroutine keeps what reads device or
+// allocation state: at each flush it runs the stages that may read the
+// device (coarse, custom Config.Analyses) into their launch accumulators.
+// It then hands the batch to the analysis goroutine, which runs the
+// batch-only built-in stages (fine, reuse distance) and, after a launch's
+// last batch, finalizes them, in FIFO order, while the kernel goroutine
+// runs the next API. Every stage sees each launch's accesses
 // once, in flush order, so the report is the one fully synchronous
 // analysis emits, by construction. The sanitizer cycles at most four
 // flush buffers: §6.1's double buffering, deepened so that while one
@@ -23,7 +24,6 @@ import (
 	"time"
 
 	"valueexpert/cuda"
-	"valueexpert/gpu"
 	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
 )
@@ -45,7 +45,7 @@ type task struct {
 type analyzer struct {
 	// stages, probes and tel are the profiler's; async[i] marks the
 	// batch-only stages, run on the analysis goroutine; san recycles the
-	// record buffers.
+	// flush buffers.
 	stages []Analysis
 	async  []bool
 	probes engineProbes
@@ -57,8 +57,6 @@ type analyzer struct {
 	queue   []task
 	head    int
 	running bool
-	// spare holds recycled Batch shells (ID slices, capture buffers).
-	spare []*Batch
 	// run drains the queue; prebuilt so starting the goroutine allocates
 	// nothing.
 	run func()
@@ -132,7 +130,7 @@ func (a *analyzer) runTask(t task) {
 	sp := a.tel.Span(telemetry.LaneAnalysis, "analysis", "analyze")
 	a.analyze(t.ls, t.b, true)
 	sp.End()
-	a.release(t.b)
+	a.san.Recycle(t.b)
 }
 
 // analyze runs one batch through the launch's stages that run on the
@@ -169,47 +167,6 @@ func (a *analyzer) finalize(ev *cuda.APIEvent, ls *launchState, async bool) {
 	}
 }
 
-// newBatch wraps a flushed record buffer in a recycled Batch whose ID and
-// range-capture allocations carry over from earlier flushes.
-func (a *analyzer) newBatch(recs []gpu.Access) *Batch {
-	var b *Batch
-	a.mu.Lock()
-	if n := len(a.spare); n > 0 {
-		b = a.spare[n-1]
-		a.spare[n-1] = nil
-		a.spare = a.spare[:n-1]
-	}
-	a.mu.Unlock()
-	if b == nil {
-		b = &Batch{}
-	}
-	b.Recs = recs
-	return b
-}
-
-// release returns the batch shell to the spares and then the record
-// buffer to the sanitizer, so a flush that was waiting for the buffer
-// finds the shell already back. Called once every stage has analyzed the
-// batch.
-func (a *analyzer) release(b *Batch) {
-	recs := b.Recs
-	b.Recs = nil
-	b.IDs = b.IDs[:0]
-	b.rangeOff = b.rangeOff[:0]
-	b.rangeBytes = b.rangeBytes[:0]
-	a.mu.Lock()
-	a.spare = append(a.spare, b)
-	a.mu.Unlock()
-	a.san.Recycle(recs)
-}
-
-// dropSpares releases the recycled batch shells.
-func (a *analyzer) dropSpares() {
-	a.mu.Lock()
-	a.spare = nil
-	a.mu.Unlock()
-}
-
 // barrier waits for the analysis goroutine to empty its queue; every
 // launch it finalized is then owned by the caller. The wait, analysis
 // the pipeline failed to hide, is the drain-wait layer.
@@ -219,86 +176,15 @@ func (p *Profiler) barrier() {
 }
 
 // flush, the flush layer, is the kernel goroutine's share of one flushed
-// buffer of launch ls: object resolution, value capture, the stages that
-// may read the device, then the hand-off of the batch-only stages' work.
-func (p *Profiler) flush(ls *launchState, recs []gpu.Access) {
+// batch of launch ls: the stages that may read the device, then the
+// hand-off of the batch-only stages' work.
+func (p *Profiler) flush(ls *launchState, b *Batch) {
+	p.tel.Instant(telemetry.LaneKernel, "sanitizer", "flush")
 	defer p.clock.enter(p.clock.enter(layerFlush))
-	b := p.an.newBatch(recs)
-	p.resolveObjects(b)
-	if ls.needVals {
-		b.captureRangeLoads(p.rt.Device().Mem)
-	}
 	p.an.analyze(ls, b, false)
 	if ls.async {
 		p.an.submit(task{ls: ls, b: b})
 	} else {
-		p.an.release(b)
-	}
-}
-
-// resolveObjects fills b.IDs with each record's containing data object,
-// reusing the batch's slice across flushes. Consecutive records
-// overwhelmingly hit the same object (coalesced warps), so one cached
-// allocation covers almost every lookup.
-func (p *Profiler) resolveObjects(b *Batch) {
-	mem := p.rt.Device().Mem
-	if cap(b.IDs) < len(b.Recs) {
-		b.IDs = make([]int, len(b.Recs))
-	} else {
-		b.IDs = b.IDs[:len(b.Recs)]
-	}
-	var cached *gpu.Allocation
-	for i, a := range b.Recs {
-		alloc := cached
-		if alloc == nil || !alloc.Contains(a.Addr) {
-			alloc = mem.Lookup(a.Addr)
-			cached = alloc
-		}
-		if alloc == nil {
-			b.IDs[i] = -1 // defensive: racing frees
-			continue
-		}
-		b.IDs[i] = alloc.ID
-	}
-}
-
-// captureRangeLoads bulk-reads the device bytes behind every compacted
-// load-range record — one Memory.Read per record instead of one LoadRaw
-// per element — so the stages decode element values from a stable host
-// copy while the kernel keeps mutating device memory. Captures pack into
-// the batch's reusable buffer, sized once from the batch's total range
-// bytes; a read that fails (a malformed range straddling allocations)
-// leaves offset -1 and the record contributes no fine-grained values.
-func (b *Batch) captureRangeLoads(mem *gpu.Memory) {
-	total := 0
-	for _, a := range b.Recs {
-		if a.Count > 1 && !a.Store {
-			total += int(a.Bytes())
-		}
-	}
-	if total == 0 {
-		return
-	}
-	if cap(b.rangeBytes) < total {
-		b.rangeBytes = make([]byte, 0, total)
-	}
-	// Index every record as uncaptured.
-	if cap(b.rangeOff) < len(b.Recs) {
-		b.rangeOff = make([]int32, len(b.Recs))
-	} else {
-		b.rangeOff = b.rangeOff[:len(b.Recs)]
-	}
-	for i, a := range b.Recs {
-		b.rangeOff[i] = -1
-		if a.Count <= 1 || a.Store {
-			continue
-		}
-		n := int(a.Bytes())
-		off := len(b.rangeBytes)
-		if err := mem.Read(a.Addr, b.rangeBytes[off:off+n]); err != nil {
-			continue
-		}
-		b.rangeBytes = b.rangeBytes[:off+n]
-		b.rangeOff[i] = int32(off)
+		p.an.san.Recycle(b)
 	}
 }

@@ -68,7 +68,7 @@ func runQuickstart(t testing.TB, rt *cuda.Runtime) {
 		t.Fatal(err)
 	}
 
-	// Bulk range records exercise the flush-time value capture.
+	// Bulk range records exercise the access-time value capture.
 	tile := &gpu.GoKernel{
 		Name: "tile_sum",
 		Func: func(th *gpu.Thread) {
@@ -278,58 +278,6 @@ func TestBulkRangeLoadValues(t *testing.T) {
 	}
 	if !rep.PatternSet()["single value"] {
 		t.Fatalf("patterns = %v", rep.PatternSet())
-	}
-}
-
-// TestCaptureSizedOncePerBatch: a cold batch shell's capture buffer is
-// allocated once, sized from the batch's load ranges, not regrown per
-// record, and each range reads back its device bytes. Stores and
-// scalar loads take no capture.
-func TestCaptureSizedOncePerBatch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	rt := cuda.NewRuntime(gpu.RTX2080Ti)
-	mem := rt.Device().Mem
-	const n = 4096
-	x, err := rt.Malloc(n, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := make([]byte, n)
-	for i := range host {
-		host[i] = byte(i * 7)
-	}
-	if err := mem.Write(uint64(x), host); err != nil {
-		t.Fatal(err)
-	}
-	var recs []gpu.Access
-	for i := 0; i < 64; i++ {
-		recs = append(recs,
-			gpu.Access{Addr: uint64(x) + uint64(37*i), Size: 4, Kind: gpu.KindUint, Count: 2 + uint32(i%9)},
-			gpu.Access{Addr: uint64(x) + uint64(i), Size: 1, Kind: gpu.KindUint, Count: 5, Store: true},
-			gpu.Access{Addr: uint64(x) + uint64(i), Size: 4, Kind: gpu.KindUint})
-	}
-	b := &Batch{Recs: recs, rangeOff: make([]int32, len(recs))}
-	capture := func() {
-		b.rangeOff, b.rangeBytes = b.rangeOff[:0], nil
-		b.captureRangeLoads(mem)
-	}
-	if allocs := testing.AllocsPerRun(10, capture); allocs != 1 {
-		t.Fatalf("a cold capture allocated %.1f times per batch, want 1", allocs)
-	}
-	for i, a := range recs {
-		got := b.RangeVal(i)
-		if a.Count <= 1 || a.Store {
-			if got != nil {
-				t.Fatalf("record %d (%+v) has a capture", i, a)
-			}
-			continue
-		}
-		off := a.Addr - uint64(x)
-		if want := host[off : off+a.Bytes()]; !bytes.Equal(got, want) {
-			t.Fatalf("record %d: captured %v, want %v", i, got, want)
-		}
 	}
 }
 

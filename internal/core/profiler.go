@@ -146,7 +146,7 @@ type Profiler struct {
 // launchState tracks one instrumented kernel launch: the sanitizer's
 // finish hook, each stage's per-launch accumulator (indexed like
 // Profiler.stages; nil for stages sitting this launch out), whether any
-// stage needs flush-time value capture or runs on the analysis goroutine,
+// stage needs access-time value capture or runs on the analysis goroutine,
 // the completed launch event the analysis goroutine finalizes with, and
 // the launch's self-trace span on the kernel-execution lane.
 type launchState struct {
@@ -229,14 +229,13 @@ func Profile(src cuda.EventSource, cfg Config) (*Profiler, error) {
 }
 
 // Detach removes the profiler from its runtime, waits for the analysis
-// goroutine, then drops the idle flush buffers, batch shells and fine
-// accumulator. Reports stay readable; a profiler installed again
-// allocates them afresh.
+// goroutine, then drops the idle flush buffers and the fine accumulator.
+// Reports stay readable; a profiler installed again allocates them
+// afresh.
 func (p *Profiler) Detach() {
 	p.rt.SetInterceptor(nil)
 	p.barrier()
 	p.san.Release()
-	p.an.dropSpares()
 	for _, st := range p.stages {
 		if f, ok := st.(*fineStage); ok {
 			f.release()
@@ -310,10 +309,7 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 			ls.async = ls.async || p.an.async[i]
 		}
 	}
-	hook, filter, finish := p.san.Instrument(kernelName, func(recs []gpu.Access) {
-		p.tel.Instant(telemetry.LaneKernel, "sanitizer", "flush")
-		p.flush(ls, recs)
-	})
+	hook, filter, finish := p.san.Instrument(kernelName, p.rt.Device().Mem, ls.needVals, func(b *Batch) { p.flush(ls, b) })
 	if hook == nil {
 		p.launch = nil
 		return nil, nil

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strconv"
 	"testing"
+
+	"valueexpert/internal/workloads"
 )
 
 // TestDifferentialHarness runs CheckSeed over a seed range. The range is
@@ -47,11 +49,11 @@ func checkOne(t *testing.T, seed int64) {
 // whose runs are compared against a corrupted baseline must fail, proving
 // the byte comparison has teeth.
 func TestCheckSeedCatchesSilentDivergence(t *testing.T) {
-	out, err := runLive(1, nil, cfg(), true)
+	out, err := runLive(workloads.RandomProgram{Seed: 1, Tolerant: true}, nil, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := runLive(2, nil, cfg(), true)
+	other, err := runLive(workloads.RandomProgram{Seed: 2, Tolerant: true}, nil, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}

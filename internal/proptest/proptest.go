@@ -22,7 +22,11 @@
 //	(g) the program streamed to a daemon over the remote-attach socket —
 //	    queued behind a running session, then admitted — produces a
 //	    report byte-identical to profiling it in process with the same
-//	    canonical options.
+//	    canonical options;
+//	(h) bulk ≡ scalar: the program with every BulkLoad lowered to
+//	    scalar loads of the same elements yields an equal fine section,
+//	    with and without saturating histograms, so a load range reports
+//	    the values its loads read, not what later stores left behind.
 //
 // CheckSeed runs all of these for one seed and reports the first
 // violation.
@@ -32,6 +36,7 @@ package proptest
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -77,6 +82,7 @@ const seededProbability = 0.15
 // runOutcome captures everything one profiled execution produced.
 type runOutcome struct {
 	report   []byte
+	fine     []byte // the report's fine section alone
 	degraded *profile.Degraded
 	errs     []error
 	fired    int
@@ -88,7 +94,7 @@ type runOutcome struct {
 // execution — profiled, recording, faulted — funnels through this one
 // call site so captured host call paths are identical across runs; the
 // byte-identity properties depend on this.
-func execute(seed int64, tolerant bool, attach func(rt *cuda.Runtime)) []error {
+func execute(prog *workloads.RandomProgram, attach func(rt *cuda.Runtime)) []error {
 	var (
 		errs []error
 		wg   sync.WaitGroup
@@ -98,18 +104,17 @@ func execute(seed int64, tolerant bool, attach func(rt *cuda.Runtime)) []error {
 		defer wg.Done()
 		rt := cuda.NewRuntime(gpu.RTX2080Ti)
 		attach(rt)
-		prog := &workloads.RandomProgram{Seed: seed, Tolerant: tolerant}
 		errs = prog.Run(rt)
 	}()
 	wg.Wait()
 	return errs
 }
 
-// runLive executes the seed's program with plan armed (nil = no faults)
-// and a profiler attached.
-func runLive(seed int64, plan *faultinject.Plan, c core.Config, tolerant bool) (runOutcome, error) {
+// runLive executes prog with plan armed (nil = no faults) and a profiler
+// attached.
+func runLive(prog workloads.RandomProgram, plan *faultinject.Plan, c core.Config) (runOutcome, error) {
 	var p *core.Profiler
-	errs := execute(seed, tolerant, func(rt *cuda.Runtime) {
+	errs := execute(&prog, func(rt *cuda.Runtime) {
 		rt.ArmFaults(plan)
 		p = core.Attach(rt, c)
 	})
@@ -118,6 +123,9 @@ func runLive(seed int64, plan *faultinject.Plan, c core.Config, tolerant bool) (
 	rep := p.Report()
 	out.degraded = rep.Degraded
 	var err error
+	if out.fine, err = json.Marshal(rep.Fine); err != nil {
+		return out, err
+	}
 	out.report, err = reportBytes(rep)
 	return out, err
 }
@@ -127,7 +135,7 @@ func runLive(seed int64, plan *faultinject.Plan, c core.Config, tolerant bool) (
 func record(seed int64) ([]byte, error) {
 	var buf bytes.Buffer
 	var rec *trace.Recorder
-	errs := execute(seed, true, func(rt *cuda.Runtime) {
+	errs := execute(&workloads.RandomProgram{Seed: seed, Tolerant: true}, func(rt *cuda.Runtime) {
 		rec = trace.Record(rt, &buf, trace.FormatBinary)
 	})
 	if len(errs) != 0 {
@@ -205,7 +213,8 @@ func CheckSeed(seed int64) error {
 	base := runtime.NumGoroutine()
 
 	// Baseline: clean run.
-	baseline, err := runLive(seed, nil, cfg(), true)
+	tolerant := workloads.RandomProgram{Seed: seed, Tolerant: true}
+	baseline, err := runLive(tolerant, nil, cfg())
 	if err != nil {
 		return fmt.Errorf("baseline run: %w", err)
 	}
@@ -220,7 +229,7 @@ func CheckSeed(seed int64) error {
 	}
 
 	// (a) A second run is identical.
-	again, err := runLive(seed, nil, cfg(), true)
+	again, err := runLive(tolerant, nil, cfg())
 	if err != nil {
 		return fmt.Errorf("second run: %w", err)
 	}
@@ -231,11 +240,11 @@ func CheckSeed(seed int64) error {
 	if err := awaitGoroutines(base); err != nil {
 		return fmt.Errorf("after second run: %w", err)
 	}
-	sat, err := runLive(seed, nil, saturatingCfg(), true)
+	sat, err := runLive(tolerant, nil, saturatingCfg())
 	if err != nil {
 		return fmt.Errorf("saturating run: %w", err)
 	}
-	satAgain, err := runLive(seed, nil, saturatingCfg(), true)
+	satAgain, err := runLive(tolerant, nil, saturatingCfg())
 	if err != nil {
 		return fmt.Errorf("second saturating run: %w", err)
 	}
@@ -278,7 +287,7 @@ func CheckSeed(seed int64) error {
 	// (c) Faulted runs surface typed errors or a Degraded report — never
 	// a silently different clean report.
 	for _, fp := range faultPlans(seed) {
-		out, err := runLive(seed, fp.plan, cfg(), true)
+		out, err := runLive(tolerant, fp.plan, cfg())
 		if err != nil {
 			return fmt.Errorf("fault plan %s: %w", fp.name, err)
 		}
@@ -305,7 +314,7 @@ func CheckSeed(seed int64) error {
 
 	// Intolerant program under an allocation fault: the first error stops
 	// the program and is a typed *cuda.Error carrying the OOM code.
-	out, err := runLive(seed, faultinject.New().FailNth(faultinject.Malloc, 1), cfg(), false)
+	out, err := runLive(workloads.RandomProgram{Seed: seed}, faultinject.New().FailNth(faultinject.Malloc, 1), cfg())
 	if err != nil {
 		return fmt.Errorf("intolerant run: %w", err)
 	}
@@ -344,6 +353,24 @@ func CheckSeed(seed int64) error {
 	if err := awaitGoroutines(base); err != nil {
 		return fmt.Errorf("after remote-attach run: %w", err)
 	}
+
+	// (h) Lowering every BulkLoad to scalar loads leaves the fine section
+	// unchanged, with and without saturating histograms.
+	lowered := workloads.RandomProgram{Seed: seed, Tolerant: true, ScalarLoads: true}
+	for i, c := range []core.Config{cfg(), saturatingCfg()} {
+		bulk := []runOutcome{baseline, sat}[i]
+		scalar, err := runLive(lowered, nil, c)
+		if err != nil || len(scalar.errs) != 0 {
+			return fmt.Errorf("property (h): run with scalar loads: %v %v", err, scalar.errs)
+		}
+		if !bytes.Equal(bulk.fine, scalar.fine) {
+			return fmt.Errorf("property (h): with %d tracked values, the fine sections with range and scalar loads differ (%d vs %d bytes)",
+				c.FineConfig.MaxTrackedValues, len(bulk.fine), len(scalar.fine))
+		}
+	}
+	if err := awaitGoroutines(base); err != nil {
+		return fmt.Errorf("after bulk-vs-scalar runs: %w", err)
+	}
 	return nil
 }
 
@@ -358,7 +385,7 @@ func checkRemoteAttach(seed int64) error {
 		return err
 	}
 	var p *core.Profiler
-	errs := execute(seed, true, func(rt *cuda.Runtime) { p = core.Attach(rt, ecfg) })
+	errs := execute(&workloads.RandomProgram{Seed: seed, Tolerant: true}, func(rt *cuda.Runtime) { p = core.Attach(rt, ecfg) })
 	if len(errs) != 0 {
 		return fmt.Errorf("in-process run failed: %v", errs[0])
 	}

@@ -91,15 +91,15 @@ func TestFlushDelayNeverHoldsLastBuffer(t *testing.T) {
 		BufferRecords: 10,
 		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, depth),
 	})
-	var kept [][]gpu.Access
+	var kept []*Buffer
 	var total int
-	hook, _, finish := e.Instrument("k", func(recs []gpu.Access) {
-		total += len(recs)
+	hook, _, finish := e.Instrument("k", noMem, false, func(b *Buffer) {
+		total += len(b.Recs)
 		if len(kept) == depth-1 {
 			e.Recycle(kept[0])
 			kept = kept[1:]
 		}
-		kept = append(kept, recs)
+		kept = append(kept, b)
 	})
 	const n = 10*depth + 15
 	done := make(chan struct{})
@@ -125,7 +125,7 @@ func TestAbortRecyclesHeldBuffer(t *testing.T) {
 		BufferRecords: 4,
 		Faults:        faultinject.New().FailNth(faultinject.FlushDelay, 1),
 	})
-	hook, _, _ := e.Instrument("k", func(recs []gpu.Access) { e.Recycle(recs) })
+	hook, _, _ := e.Instrument("k", noMem, false, e.Recycle)
 	for i := 0; i < 5; i++ { // one full buffer delivered (held), partial cur
 		hook(gpu.Access{Addr: uint64(i)})
 	}

@@ -13,6 +13,8 @@
 package sanitizer
 
 import (
+	"slices"
+
 	"valueexpert/gpu"
 	"valueexpert/internal/faultinject"
 	"valueexpert/internal/telemetry"
@@ -74,8 +76,81 @@ const DefaultBufferRecords = 64 << 10
 // collector can finish up to three launches (one Darknet layer) ahead of
 // the analyzer while one buffer fills. Each buffer is allocated only when
 // a flush finds every existing one in flight, so a running profiler holds
-// at most 4 × BufferRecords × 40 B (10 MB at DefaultBufferRecords).
+// at most 4 × BufferRecords × 40 B (10 MB at DefaultBufferRecords) of
+// records, plus the load-range bytes captured beside them.
 const depth = 4
+
+// Buffer is one flush buffer: a stretch of a launch's access records and
+// the bytes each captured load range held when it ran. It is delivered
+// and recycled whole, so its capture storage keeps its size.
+type Buffer struct {
+	Recs []gpu.Access // in execution order
+
+	// off[i] locates record i's capture, as its chunk's index ×
+	// chunkBytes plus its start in that chunk, or is -1 when record i has
+	// none; off ends at the last captured record. Chunks are filled in
+	// turn and never regrown, so a capture is copied once; chunks past
+	// used wait for a later fill.
+	off    []int32
+	chunks [][]byte
+	used   int
+}
+
+// chunkBytes is the least capture storage a buffer allocates at a time,
+// and the bound on where in a chunk a capture may start.
+const chunkBytes = 64 << 10
+
+// Append adds record a to the buffer. val, when non-nil, is the bytes a
+// load range read (a.Bytes() long); Append copies it.
+func (b *Buffer) Append(a gpu.Access, val []byte) {
+	if val != nil {
+		b.capture(val)
+	}
+	b.Recs = append(b.Recs, a)
+}
+
+// capture copies val into the chunks as the capture of the next record.
+func (b *Buffer) capture(val []byte) {
+	// Size the offsets for a full buffer once.
+	b.off = slices.Grow(b.off, max(cap(b.Recs), len(b.Recs)+1)-len(b.off))
+	for len(b.off) < len(b.Recs) {
+		b.off = append(b.off, -1)
+	}
+	if c := b.used - 1; c < 0 || len(b.chunks[c]) >= chunkBytes || cap(b.chunks[c])-len(b.chunks[c]) < len(val) {
+		// Take the first spare chunk big enough, else a new one.
+		i := b.used
+		for i < len(b.chunks) && cap(b.chunks[i]) < len(val) {
+			i++
+		}
+		if i == len(b.chunks) {
+			b.chunks = append(b.chunks, make([]byte, 0, max(chunkBytes, len(val))))
+		}
+		b.chunks[b.used], b.chunks[i] = b.chunks[i], b.chunks[b.used]
+		b.used++
+	}
+	c := &b.chunks[b.used-1]
+	b.off = append(b.off, int32((b.used-1)*chunkBytes+len(*c)))
+	*c = append(*c, val...)
+}
+
+// RangeVal returns the bytes record i's range held when the load ran, or
+// nil when the record is not a captured load range. The slice aliases
+// the buffer; it is valid until the buffer is recycled.
+func (b *Buffer) RangeVal(i int) []byte {
+	if i >= len(b.off) || b.off[i] < 0 {
+		return nil
+	}
+	c, start := int(b.off[i])/chunkBytes, int(b.off[i])%chunkBytes
+	return b.chunks[c][start : start+int(b.Recs[i].Bytes())]
+}
+
+// reset empties the buffer, keeping its storage.
+func (b *Buffer) reset() {
+	for i := range b.chunks[:b.used] {
+		b.chunks[i] = b.chunks[i][:0]
+	}
+	b.Recs, b.off, b.used = b.Recs[:0], b.off[:0], 0
+}
 
 // Stats reports instrumentation volume.
 type Stats struct {
@@ -101,13 +176,13 @@ type Engine struct {
 	// allocating it while fewer than depth exist (made), and otherwise
 	// blocking until one is recycled, which is the pipeline's
 	// backpressure.
-	free chan []gpu.Access
+	free chan *Buffer
 	made int
-	cur  []gpu.Access
+	cur  *Buffer
 
 	// held is a delivery an injected flush-delay fault is holding back; it
 	// goes out (in order) before the next delivery or at launch end.
-	held []gpu.Access
+	held *Buffer
 
 	launches map[string]int
 	stats    Stats
@@ -120,14 +195,14 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:      cfg,
-		free:     make(chan []gpu.Access, depth),
+		free:     make(chan *Buffer, depth),
 		launches: make(map[string]int),
 	}
 }
 
 // take returns an empty flush buffer: an idle one, a new one while fewer
 // than depth exist, or else the next one recycled.
-func (e *Engine) take() []gpu.Access {
+func (e *Engine) take() *Buffer {
 	select {
 	case buf := <-e.free:
 		return buf
@@ -135,7 +210,7 @@ func (e *Engine) take() []gpu.Access {
 	}
 	if e.made < depth {
 		e.made++
-		return make([]gpu.Access, 0, e.cfg.BufferRecords)
+		return &Buffer{Recs: make([]gpu.Access, 0, e.cfg.BufferRecords)}
 	}
 	if wait := e.cfg.Probes.Wait; wait != nil {
 		wait(true)
@@ -168,15 +243,18 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Instrument decides whether the upcoming launch of kernelName is
 // monitored and, if so, returns the access hook, the block filter, and a
-// finish function that flushes the final partial buffer. flush receives
-// ownership of each full (or final) buffer; the consumer must hand the
-// slice back with Recycle once done with it (possibly from another
-// goroutine) or the collector eventually blocks waiting for a free
-// buffer.
+// finish function that flushes the final partial buffer. The hook
+// stamps each record with the ID of the mem allocation containing it
+// (-1 outside every allocation) and, when capture is set, copies each
+// load range's bytes from that allocation as the load runs; a range
+// overrunning its allocation gets no capture. flush receives ownership
+// of each full (or final) buffer; the consumer must hand it back with
+// Recycle once done with it (possibly from another goroutine) or the
+// collector eventually blocks waiting for a free buffer.
 //
 // When the launch is filtered or sampled out, hook is nil and finish is a
 // no-op; the kernel still runs natively.
-func (e *Engine) Instrument(kernelName string, flush func([]gpu.Access)) (hook gpu.AccessFunc, blockFilter func(int32) bool, finish func()) {
+func (e *Engine) Instrument(kernelName string, mem *gpu.Memory, capture bool, flush func(*Buffer)) (hook gpu.AccessFunc, blockFilter func(int32) bool, finish func()) {
 	e.stats.LaunchesSeen++
 	if e.cfg.KernelFilter != nil && !e.cfg.KernelFilter(kernelName) {
 		return nil, nil, func() {}
@@ -191,11 +269,26 @@ func (e *Engine) Instrument(kernelName string, flush func([]gpu.Access)) (hook g
 	if e.cur == nil {
 		e.cur = e.take()
 	}
-	e.cur = e.cur[:0]
+	e.cur.reset()
+	// alloc caches the last record's object: coalesced warps make
+	// consecutive records overwhelmingly hit the same one, and no API can
+	// free memory while the kernel runs.
+	var alloc *gpu.Allocation
 	hook = func(a gpu.Access) {
-		e.cur = append(e.cur, a)
+		if alloc == nil || !alloc.Contains(a.Addr) {
+			alloc = mem.Lookup(a.Addr)
+		}
+		a.Obj = -1
+		var val []byte
+		if alloc != nil {
+			a.Obj = int32(alloc.ID)
+			if off := a.Addr - alloc.Addr; capture && a.Count > 1 && !a.Store && a.Bytes() <= alloc.Size-off {
+				val = alloc.Data[off : off+a.Bytes()]
+			}
+		}
+		e.cur.Append(a, val)
 		e.stats.Records++
-		if len(e.cur) >= e.cfg.BufferRecords {
+		if len(e.cur.Recs) >= e.cfg.BufferRecords {
 			buf := e.cur
 			e.cur = nil
 			e.deliver(buf, flush)
@@ -206,7 +299,7 @@ func (e *Engine) Instrument(kernelName string, flush func([]gpu.Access)) (hook g
 		blockFilter = func(b int32) bool { return int(b)%p == 0 }
 	}
 	finish = func() {
-		if len(e.cur) > 0 {
+		if e.cur != nil && len(e.cur.Recs) > 0 {
 			buf := e.cur
 			e.cur = nil
 			e.deliver(buf, flush)
@@ -225,7 +318,7 @@ func (e *Engine) Instrument(kernelName string, flush func([]gpu.Access)) (hook g
 // deliver hands one full (or final) buffer to the analyzer, applying any
 // injected delivery faults: drop loses the buffer, truncate loses its
 // second half, delay holds it back until the next delivery or launch end.
-func (e *Engine) deliver(buf []gpu.Access, flush func([]gpu.Access)) {
+func (e *Engine) deliver(buf *Buffer, flush func(*Buffer)) {
 	if e.held != nil {
 		// Flush order is preserved: the delayed buffer goes out first.
 		h := e.held
@@ -234,17 +327,17 @@ func (e *Engine) deliver(buf []gpu.Access, flush func([]gpu.Access)) {
 	}
 	if _, ok := e.cfg.Faults.Fire(faultinject.FlushDrop); ok {
 		e.stats.DroppedFlushes++
-		e.stats.DroppedRecords += uint64(len(buf))
+		e.stats.DroppedRecords += uint64(len(buf.Recs))
 		e.cfg.Probes.DroppedFlushes.Inc()
-		e.cfg.Probes.DroppedRecords.Add(uint64(len(buf)))
+		e.cfg.Probes.DroppedRecords.Add(uint64(len(buf.Recs)))
 		e.Recycle(buf)
 		return
 	}
 	if _, ok := e.cfg.Faults.Fire(faultinject.FlushTruncate); ok {
-		lost := len(buf) - len(buf)/2
+		lost := len(buf.Recs) - len(buf.Recs)/2
 		e.stats.DroppedRecords += uint64(lost)
 		e.cfg.Probes.DroppedRecords.Add(uint64(lost))
-		buf = buf[:len(buf)/2]
+		buf.Recs = buf.Recs[:len(buf.Recs)/2]
 	}
 	if _, ok := e.cfg.Faults.Fire(faultinject.FlushDelay); ok && (len(e.free) > 0 || e.made < depth) {
 		// Hold the delivery back — but only while a spare buffer exists
@@ -259,10 +352,10 @@ func (e *Engine) deliver(buf []gpu.Access, flush func([]gpu.Access)) {
 }
 
 // flushOut is the fault-free tail of a delivery: account and hand off.
-func (e *Engine) flushOut(buf []gpu.Access, flush func([]gpu.Access)) {
+func (e *Engine) flushOut(buf *Buffer, flush func(*Buffer)) {
 	e.stats.Flushes++
 	e.cfg.Probes.Flushes.Inc()
-	e.cfg.Probes.Records.Add(uint64(len(buf)))
+	e.cfg.Probes.Records.Add(uint64(len(buf.Recs)))
 	flush(buf)
 }
 
@@ -276,17 +369,18 @@ func (e *Engine) Abort() {
 		e.held = nil
 	}
 	if e.cur != nil {
-		e.cur = e.cur[:0]
+		e.cur.reset()
 	}
 }
 
-// Recycle returns a buffer previously handed to flush to the free pool.
-// Safe to call from any goroutine. Each flushed buffer must be recycled
-// exactly once; a foreign or doubly-recycled slice that would overfill
-// the pool is dropped.
-func (e *Engine) Recycle(buf []gpu.Access) {
+// Recycle returns a buffer previously handed to flush to the free pool,
+// emptied but keeping its storage. Safe to call from any goroutine. Each
+// flushed buffer must be recycled exactly once; a foreign or
+// doubly-recycled buffer that would overfill the pool is dropped.
+func (e *Engine) Recycle(buf *Buffer) {
+	buf.reset()
 	select {
-	case e.free <- buf[:0]:
+	case e.free <- buf:
 	default:
 	}
 }

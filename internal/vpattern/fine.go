@@ -415,7 +415,7 @@ type FineAccumulator struct {
 	objs   Table[ObjectShared]
 
 	// raws is DecodeRange's scratch. It grows to the longest range
-	// decoded, which is bounded by that range's flush-time capture (loads)
+	// decoded, which is bounded by that range's access-time capture (loads)
 	// or by the device memory the fill wrote (stores).
 	raws []uint64
 }
@@ -498,7 +498,7 @@ func (fa *FineAccumulator) addSharedRange(objID int, a gpu.Access, raws []uint64
 
 // DecodeRange decodes the element values of compacted range record a
 // (a.Count > 1) into fa's scratch, in element order: a fill store repeats
-// a.Raw; a load decodes vals, the bytes its range held at flush time. It
+// a.Raw; a load decodes vals, the bytes its range read at access time. It
 // returns nil for a load without a capture or of an unsupported width,
 // which the engine skips. The slice is valid until fa's next DecodeRange.
 func (fa *FineAccumulator) DecodeRange(a gpu.Access, vals []byte) []uint64 {

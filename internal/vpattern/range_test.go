@@ -34,17 +34,15 @@ func expandRange(a gpu.Access, vals []byte, each func(gpu.Access)) {
 		}
 		return
 	}
-	if vals == nil {
+	if vals == nil || a.Size != 1 && a.Size != 2 && a.Size != 4 && a.Size != 8 {
 		return
 	}
 	for e := 0; e < a.Elems(); e++ {
 		off := uint64(e) * uint64(a.Size)
-		raw, err := gpu.RawValue(vals[off:], a.Size)
-		if err != nil {
-			continue
-		}
+		var raw [8]byte
+		copy(raw[:], vals[off:off+uint64(a.Size)])
 		elem.Addr = a.Addr + off
-		elem.Raw = raw
+		elem.Raw = binary.LittleEndian.Uint64(raw[:])
 		each(elem)
 	}
 }

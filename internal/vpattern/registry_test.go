@@ -1,6 +1,7 @@
 package vpattern
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,9 +122,24 @@ func (d countingDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
 	return Match{}, false
 }
 
+// registerForTest registers r for the rest of the test only: cleanup
+// removes it from the process-wide registry again, so the test can run
+// more than once in one process (go test -count=N).
+func registerForTest(t *testing.T, r Registration) Kind {
+	k := Register(r)
+	t.Cleanup(func() {
+		registry.Lock()
+		defer registry.Unlock()
+		delete(registry.byName, registry.byKind[k].Name)
+		delete(registry.byKind, k)
+		registry.order = slices.DeleteFunc(registry.order, func(o Kind) bool { return o == k })
+	})
+	return k
+}
+
 func TestRegisterAutoKindAndDisabledByDefault(t *testing.T) {
 	calls := 0
-	kind := Register(Registration{
+	kind := registerForTest(t, Registration{
 		Kind:    KindAuto,
 		Name:    "test counting",
 		Grain:   GrainFine,

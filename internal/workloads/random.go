@@ -61,6 +61,9 @@ type RandomProgram struct {
 	// allocation — how a fault-tolerant application degrades. When false,
 	// Run stops at the first error.
 	Tolerant bool
+	// ScalarLoads lowers every BulkLoad to scalar loads of the same
+	// elements at the same PC: the same program without range records.
+	ScalarLoads bool
 }
 
 // schedule draws the full operation list. Buffer indices refer to the
@@ -134,11 +137,50 @@ const (
 	kernScale
 	kernAxpy
 	kernCopy
+	kernBulkRead   // BulkLoad tiles of src, one store per tile
+	kernBulkFill   // BulkFill tiles of dst
+	kernBulkUpdate // BulkLoad a tile of dst, then store over it
 	numRandKernels
 )
 
-func randKernel(sel int, dst, src cuda.DevPtr, n int, scalar float32) *gpu.GoKernel {
+// bulkTile is the elements one thread of a bulk kernel covers.
+const bulkTile = 16
+
+// bulkLoad loads elems float32 values at addr, at PC 0, as one range
+// record or, when lowered, as elems scalar loads.
+func bulkLoad(t *gpu.Thread, addr uint64, elems int, lowered bool) {
+	if !lowered {
+		t.BulkLoad(0, addr, elems, 4, gpu.KindFloat)
+		return
+	}
+	for j := 0; j < elems; j++ {
+		t.LoadF32(0, addr+uint64(4*j))
+	}
+}
+
+func randKernel(sel int, dst, src cuda.DevPtr, n int, scalar float32, lowered bool) *gpu.GoKernel {
 	switch sel {
+	case kernBulkRead, kernBulkFill, kernBulkUpdate:
+		name := []string{"rnd_bulk_read", "rnd_bulk_fill", "rnd_bulk_update"}[sel-kernBulkRead]
+		return &gpu.GoKernel{Name: name, Func: func(t *gpu.Thread) {
+			lo := t.GlobalID() * bulkTile
+			if lo >= n {
+				return
+			}
+			elems, at := min(bulkTile, n-lo), uint64(4*lo)
+			switch sel {
+			case kernBulkRead:
+				bulkLoad(t, uint64(src)+at, elems, lowered)
+				t.StoreF32(1, uint64(dst)+at, scalar)
+			case kernBulkFill:
+				t.BulkFill(0, uint64(dst)+at, elems, 4, gpu.KindFloat, gpu.RawFromFloat32(scalar))
+			default:
+				bulkLoad(t, uint64(dst)+at, elems, lowered)
+				for j := 0; j < elems; j++ {
+					t.StoreF32(1, uint64(dst)+at+uint64(4*j), scalar+float32(j%2))
+				}
+			}
+		}}
 	case kernFill:
 		return &gpu.GoKernel{Name: "rnd_fill", Func: func(t *gpu.Thread) {
 			i := t.GlobalID()
@@ -266,7 +308,7 @@ func (p *RandomProgram) Run(rt *cuda.Runtime) []error {
 			if src.elems < n {
 				n = src.elems
 			}
-			k := randKernel(op.kernel, dst.ptr, src.ptr, n, op.scalar)
+			k := randKernel(op.kernel, dst.ptr, src.ptr, n, op.scalar, p.ScalarLoads)
 			fail(rt.Launch(k, gpu.Dim1((n+63)/64), gpu.Dim1(64)))
 		case opFree:
 			if b := pick(op.buf); b != nil {
