@@ -67,11 +67,10 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz runs each fuzz target in sass, internal/trace, internal/vpattern and
-# internal/core
-# for FUZZTIME. Plain `go test` replays each target's seeds (its f.Add
-# calls, plus the corpora checked in under sass/testdata/fuzz/); this
-# target explores beyond them.
+# fuzz runs each fuzz target in sass, internal/trace, internal/vpattern,
+# internal/core and internal/interval for FUZZTIME. Plain `go test`
+# replays each target's seeds (its f.Add calls, plus the corpora checked
+# in under sass/testdata/fuzz/); this target explores beyond them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./sass
 	$(GO) test -run='^$$' -fuzz='^FuzzReadModule$$' -fuzztime=$(FUZZTIME) ./sass
@@ -80,6 +79,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRefresh$$' -fuzztime=$(FUZZTIME) ./internal/vpattern
 	$(GO) test -run='^$$' -fuzz='^FuzzAddRange$$' -fuzztime=$(FUZZTIME) ./internal/vpattern
 	$(GO) test -run='^$$' -fuzz='^FuzzCoarseLaunch$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzPlanCopy$$' -fuzztime=$(FUZZTIME) ./internal/interval
 
 # proptest runs the property-based differential harness over
 # PROPTEST_SEEDS seeds under the race detector. A failure prints the

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"valueexpert/gpu"
 	"valueexpert/internal/experiments"
 	"valueexpert/internal/interval"
 )
@@ -152,9 +153,9 @@ func BenchmarkFigure4IntervalMerge(b *testing.B) {
 }
 
 // Figure 5: the three snapshot copy strategies plus the adaptive policy,
-// priced with the PCIe cost model, under sparse and dense access mixes.
+// priced on the RTX 2080 Ti's PCIe link, under sparse and dense access
+// mixes.
 func BenchmarkFigure5CopyStrategies(b *testing.B) {
-	model := interval.CopyCostModel{PerCall: 7 * time.Microsecond, Bandwidth: 12e9}
 	obj := interval.Interval{Start: 0, End: 64 << 20}
 	shapes := map[string][]interval.Interval{
 		"sparse": {{Start: 0, End: 4096}, {Start: 32 << 20, End: 32<<20 + 4096}},
@@ -182,8 +183,8 @@ func BenchmarkFigure5CopyStrategies(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", shape, strat), func(b *testing.B) {
 				var cost time.Duration
 				for i := 0; i < b.N; i++ {
-					plan, _ := interval.PlanCopy(strat, obj, merged)
-					cost = model.Cost(plan)
+					plan, _ := interval.PlanCopy(gpu.RTX2080Ti, strat, obj, merged)
+					cost = interval.PlanCost(gpu.RTX2080Ti, plan)
 				}
 				b.ReportMetric(float64(cost.Microseconds()), "simulated-us")
 			})

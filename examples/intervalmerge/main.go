@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"valueexpert"
+	"valueexpert/gpu"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func main() {
 	for _, strat := range []valueexpert.CopyStrategy{
 		valueexpert.DirectCopy, valueexpert.MinMaxCopy, valueexpert.SegmentCopy, valueexpert.AdaptiveCopy,
 	} {
-		plan := valueexpert.PlanCopy(strat, obj, par)
+		plan := valueexpert.PlanCopy(gpu.RTX2080Ti, strat, obj, par)
 		var bytes uint64
 		for _, iv := range plan {
 			bytes += iv.Len()

@@ -163,13 +163,16 @@ func (d *Device) KernelCost(c LaunchCounters) time.Duration {
 	return d.Prof.LaunchLatency + time.Duration(sec*float64(time.Second))
 }
 
-// CopyCost is the simulated time of a host<->device or device<->device copy.
-func (d *Device) CopyCost(bytes uint64, kind CopyKind) time.Duration {
-	bw := d.Prof.PCIeBandwidth
+// CopyCost is the simulated time of one host<->device or device<->device
+// copy call: a fixed latency plus bytes over the link's bandwidth. It is
+// the one copy-cost formula: the runtime's copies, the profiler's
+// snapshot plans and the Table 5 transfer comparison all price by it.
+func (p Profile) CopyCost(bytes uint64, kind CopyKind) time.Duration {
+	bw := p.PCIeBandwidth
 	if kind == CopyDeviceToDevice {
-		bw = d.Prof.DRAMBandwidth / 2 // read + write the same DRAM
+		bw = p.DRAMBandwidth / 2 // read + write the same DRAM
 	}
-	return d.Prof.CopyLatency + time.Duration(float64(bytes)/bw*float64(time.Second))
+	return p.CopyLatency + time.Duration(float64(bytes)/bw*float64(time.Second))
 }
 
 // MemsetCost is the simulated time of a device memset (DRAM-write bound).
@@ -208,7 +211,7 @@ func (d *Device) RecordAlloc(bytes uint64) {
 
 // RecordCopy accounts for a copy and returns its simulated duration.
 func (d *Device) RecordCopy(bytes uint64, kind CopyKind) time.Duration {
-	t := d.CopyCost(bytes, kind)
+	t := d.Prof.CopyCost(bytes, kind)
 	d.stats.MemcpyCalls++
 	d.stats.MemcpyBytes += bytes
 	d.stats.MemcpyTime += t

@@ -185,13 +185,12 @@ func TestDeviceRecordAccumulation(t *testing.T) {
 }
 
 func TestCopyCostDirections(t *testing.T) {
-	dev := New(A100)
-	h2d := dev.CopyCost(1<<24, CopyHostToDevice)
-	d2d := dev.CopyCost(1<<24, CopyDeviceToDevice)
+	h2d := A100.CopyCost(1<<24, CopyHostToDevice)
+	d2d := A100.CopyCost(1<<24, CopyDeviceToDevice)
 	if d2d >= h2d {
 		t.Fatalf("D2D (%v) should be faster than H2D (%v) on-device", d2d, h2d)
 	}
-	if dev.CopyCost(0, CopyHostToDevice) < A100.CopyLatency {
+	if A100.CopyCost(0, CopyHostToDevice) < A100.CopyLatency {
 		t.Fatal("copy latency not applied")
 	}
 	if CopyHostToDevice.String() != "HostToDevice" || CopyKind(9).String() == "" {

@@ -49,7 +49,6 @@ type coarseStage struct {
 	// out; see coarseLaunch.
 	launch coarseLaunch
 
-	copyModel    interval.CopyCostModel
 	snapshotTime time.Duration
 
 	// Telemetry probes (nil/no-op when self-observation is off): host
@@ -72,10 +71,6 @@ func newCoarseStage(env Env) *coarseStage {
 		duplicate: env.Patterns.Enabled(vpattern.DuplicateValues),
 		snapshots: make(map[int][]byte),
 		defined:   make(map[int][]interval.Interval),
-		copyModel: interval.CopyCostModel{
-			PerCall:   env.RT.Device().Prof.CopyLatency,
-			Bandwidth: env.RT.Device().Prof.PCIeBandwidth,
-		},
 	}
 	s.refreshTimer = env.Tel.Timer("snapshot.refresh")
 	if env.Tel != nil {
@@ -168,8 +163,9 @@ func (s *coarseStage) refreshSnapshot(objID int, written []interval.Interval) vp
 	}
 
 	obj := interval.Interval{Start: a.Addr, End: a.End()}
-	plan, resolved := interval.PlanCopy(s.cfg.CopyStrategy, obj, written)
-	s.snapshotTime += s.copyModel.Cost(plan)
+	prof := s.rt.Device().Prof
+	plan, resolved := interval.PlanCopy(prof, s.cfg.CopyStrategy, obj, written)
+	s.snapshotTime += interval.PlanCost(prof, plan)
 	s.copyCalls[resolved].Add(uint64(len(plan)))
 	s.copyBytes[resolved].Add(interval.TotalBytes(plan))
 	sw := s.refreshTimer.Start()

@@ -50,8 +50,10 @@ type Config struct {
 	BlockSamplingPeriod  int
 
 	// CopyStrategy selects the snapshot-update copy strategy (§6.1,
-	// Figure 5). The zero value is DirectCopy, which the CLIs, vxprofd
-	// and the benchmark all run: cliconfig never sets the field.
+	// Figure 5); AdaptiveCopy runs whichever of the min-max and segment
+	// plans the device's copy cost prices lower. The zero value is
+	// DirectCopy, which the CLIs, vxprofd and the benchmark all run:
+	// cliconfig never sets the field.
 	CopyStrategy interval.CopyStrategy
 
 	// AnalysisWorkers and PipelineDepth are ignored: every profiler runs

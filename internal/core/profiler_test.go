@@ -3,12 +3,14 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"valueexpert/callpath"
 	"valueexpert/cuda"
 	"valueexpert/gpu"
 	"valueexpert/internal/interval"
 	"valueexpert/internal/vflow"
+	"valueexpert/internal/workloads"
 )
 
 func fillKernel(dst cuda.DevPtr, val float32, n int) *gpu.GoKernel {
@@ -454,6 +456,28 @@ func TestCopyStrategiesProduceSameDiffs(t *testing.T) {
 		if p.Overhead().SnapshotTime <= 0 {
 			t.Fatalf("strategy %v: no snapshot copy cost", strat)
 		}
+	}
+}
+
+// TestAdaptiveCopyNoDearerThanMinMax: on Rodinia/bfs, whose frontier
+// writes leave many small gaps, adaptive copy's snapshot time is at most
+// min-max's: each refresh runs the cheaper of the min-max and segment
+// plans, so paying a call latency per tiny segment can never win.
+func TestAdaptiveCopyNoDearerThanMinMax(t *testing.T) {
+	w, err := workloads.Lookup("Rodinia/bfs", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshotTime := func(strat interval.CopyStrategy) time.Duration {
+		rt, p := newProfiled(t, Config{Coarse: true, Fine: true, Program: w.Name(), CopyStrategy: strat})
+		if err := w.Run(rt, workloads.Original); err != nil {
+			t.Fatal(err)
+		}
+		p.Detach()
+		return p.Overhead().SnapshotTime
+	}
+	if ad, mm := snapshotTime(interval.AdaptiveCopy), snapshotTime(interval.MinMaxCopy); ad > mm {
+		t.Fatalf("adaptive snapshot time %v exceeds min-max's %v", ad, mm)
 	}
 }
 

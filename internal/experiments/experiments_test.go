@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"valueexpert/gpu"
 )
@@ -219,6 +220,26 @@ func TestTable5Comparison(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Table 5") {
 		t.Fatal("render")
+	}
+}
+
+// TestTable5ModelledTransfer pins the paper's Table 5 ordering without a
+// clock: priced by the same device copy cost, GVProf's per-kernel
+// whole-object copies and small record drains move more than
+// ValueExpert's snapshot refreshes and buffer flushes.
+func TestTable5ModelledTransfer(t *testing.T) {
+	t.Parallel()
+	res, err := Table5(testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ve, _ := res.Row("ValueExpert")
+	gv, _ := res.Row("GVProf")
+	if ve.GeomeanTransfer <= 0 || gv.GeomeanTransfer <= ve.GeomeanTransfer {
+		t.Fatalf("modelled transfer: GVProf %v should exceed ValueExpert's %v", gv.GeomeanTransfer, ve.GeomeanTransfer)
+	}
+	if !strings.Contains(res.Render(), ve.GeomeanTransfer.Round(time.Microsecond).String()) {
+		t.Fatal("render omits the modelled transfer column")
 	}
 }
 

@@ -45,6 +45,11 @@ type Redundancy struct {
 // the frequent communication and per-record processing §7 measures.
 const traceBuffer = 4096
 
+// RecordBytes is one access record's size on its way off the device: the
+// volume a drain moves per record, and the unit Table 5's transfer
+// comparison prices ValueExpert's buffer flushes in.
+const RecordBytes = 24
+
 // Profiler is an attached GVProf instance.
 type Profiler struct {
 	rt *cuda.Runtime
@@ -62,8 +67,7 @@ type Profiler struct {
 	prevStoreRaw uint64
 	prevStoreOK  bool
 
-	analysisTime time.Duration
-	copiedBytes  uint64
+	copyTime time.Duration
 }
 
 // Attach installs GVProf on the runtime.
@@ -92,15 +96,14 @@ func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
 	if ev.Kind != cuda.APILaunch {
 		return
 	}
-	start := time.Now()
 	p.drain()
-	for _, a := range p.rt.Device().Mem.Live() {
+	dev := p.rt.Device()
+	for _, a := range dev.Mem.Live() {
 		buf := make([]byte, a.Size)
-		if err := p.rt.Device().Mem.Read(a.Addr, buf); err == nil {
-			p.copiedBytes += a.Size
+		if err := dev.Mem.Read(a.Addr, buf); err == nil {
+			p.copyTime += dev.Prof.CopyCost(a.Size, gpu.CopyDeviceToHost)
 		}
 	}
-	p.analysisTime += time.Since(start)
 }
 
 // Instrumentation implements cuda.Interceptor: every kernel, every block,
@@ -110,9 +113,7 @@ func (p *Profiler) Instrumentation(kernelName string) (gpu.AccessFunc, func(int3
 	return func(a gpu.Access) {
 		p.trace = append(p.trace, a)
 		if len(p.trace) >= traceBuffer {
-			start := time.Now()
 			p.drain()
-			p.analysisTime += time.Since(start)
 		}
 	}, nil
 }
@@ -127,9 +128,10 @@ func (p *Profiler) drain() {
 	cp := make([]gpu.Access, len(p.trace))
 	copy(cp, p.trace)
 	p.trace = p.trace[:0]
-	p.copiedBytes += uint64(len(cp)) * 24 // record transfer volume
+	dev := p.rt.Device()
+	p.copyTime += dev.Prof.CopyCost(uint64(len(cp))*RecordBytes, gpu.CopyDeviceToHost)
 
-	mem := p.rt.Device().Mem
+	mem := dev.Mem
 	for _, rec := range cp {
 		// GVProf has no warp compaction: compacted range records are
 		// expanded and every element is processed individually.
@@ -191,12 +193,10 @@ func (p *Profiler) Results() []Redundancy {
 	return out
 }
 
-// AnalysisTime reports CPU time spent in per-access processing and
-// post-kernel copies.
-func (p *Profiler) AnalysisTime() time.Duration { return p.analysisTime }
-
-// CopiedBytes reports bytes moved GPU→CPU by the direct-copy policy.
-func (p *Profiler) CopiedBytes() uint64 { return p.copiedBytes }
+// CopyTime is the simulated time of GVProf's GPU→CPU transfers, priced
+// by the device's copy cost: one call per whole-object copy and one per
+// record drain.
+func (p *Profiler) CopyTime() time.Duration { return p.copyTime }
 
 // Summary renders the top redundant instructions.
 func (p *Profiler) Summary(max int) string {

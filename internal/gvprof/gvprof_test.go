@@ -43,8 +43,11 @@ func TestTemporalStoreRedundancy(t *testing.T) {
 	if r.SpatialStores == 0 {
 		t.Fatal("uniform stores should show spatial redundancy")
 	}
-	if p.AnalysisTime() <= 0 {
-		t.Fatal("no analysis time accounted")
+	// Each launch drains its n records in one call, then copies x whole.
+	prof := rt.Device().Prof
+	want := 2 * (prof.CopyCost(n*RecordBytes, gpu.CopyDeviceToHost) + prof.CopyCost(4*n, gpu.CopyDeviceToHost))
+	if p.CopyTime() != want {
+		t.Fatalf("copy time = %v, want %v", p.CopyTime(), want)
 	}
 }
 
@@ -89,10 +92,11 @@ func TestDirectCopyAfterEveryKernel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Whole-object copies after each of the 4 launches.
-	want := uint64(4 * (1<<16 + 1<<10))
-	if p.CopiedBytes() != want {
-		t.Fatalf("copied bytes = %d, want %d", p.CopiedBytes(), want)
+	// Whole-object copies after each of the 4 launches, one call each.
+	prof := rt.Device().Prof
+	want := 4 * (prof.CopyCost(1<<16, gpu.CopyDeviceToHost) + prof.CopyCost(1<<10, gpu.CopyDeviceToHost))
+	if p.CopyTime() != want {
+		t.Fatalf("copy time = %v, want %v", p.CopyTime(), want)
 	}
 }
 

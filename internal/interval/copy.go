@@ -1,6 +1,10 @@
 package interval
 
-import "time"
+import (
+	"time"
+
+	"valueexpert/gpu"
+)
 
 // CopyStrategy selects how a data object's accessed values are copied from
 // device to host to update its snapshot (Figure 5).
@@ -17,8 +21,8 @@ const (
 	// SegmentCopy copies each merged accessed interval separately
 	// (Figure 5c).
 	SegmentCopy
-	// AdaptiveCopy picks SegmentCopy when the accessed intervals are few
-	// and sparse, and MinMaxCopy when they are dense or numerous (§6.1).
+	// AdaptiveCopy runs whichever of the MinMaxCopy and SegmentCopy plans
+	// the device prices lower (PlanCost), MinMaxCopy on a tie (§6.1).
 	AdaptiveCopy
 )
 
@@ -37,55 +41,52 @@ func (s CopyStrategy) String() string {
 	return "unknown"
 }
 
-// Adaptive policy parameters: SegmentCopy is preferred only while the
-// per-call latency of many small copies stays below the bandwidth cost of
-// the bytes min-max would copy needlessly.
-const (
-	// adaptiveMaxSegments caps the number of copy calls segment copy may
-	// issue before the per-call latency dominates.
-	adaptiveMaxSegments = 64
-	// adaptiveDensity is the covered-bytes/span ratio above which the
-	// accessed region is "dense" and one min-max copy is cheaper.
-	adaptiveDensity = 0.5
-)
-
 // PlanCopy returns the byte ranges to copy for a data object spanning obj,
 // given the merged accessed intervals (sorted, disjoint), and the concrete
-// strategy the plan executes under: AdaptiveCopy resolves to the
-// SegmentCopy/MinMaxCopy choice its policy makes for these intervals
-// (§6.1); every other strategy is itself. The returned ranges are clipped
-// to obj.
-func PlanCopy(strategy CopyStrategy, obj Interval, merged []Interval) ([]Interval, CopyStrategy) {
+// strategy the plan executes under. AdaptiveCopy resolves to SegmentCopy
+// when prof prices the segment plan strictly below the min-max plan, and
+// to MinMaxCopy otherwise (§6.1); every other strategy is itself. The
+// returned ranges are clipped to obj.
+func PlanCopy(prof gpu.Profile, strategy CopyStrategy, obj Interval, merged []Interval) ([]Interval, CopyStrategy) {
 	if strategy == DirectCopy {
 		return []Interval{obj}, DirectCopy
 	}
-	clipped := clip(obj, merged)
-	if strategy == AdaptiveCopy {
-		strategy = SegmentCopy
-		if len(clipped) > adaptiveMaxSegments || density(clipped) > adaptiveDensity {
-			strategy = MinMaxCopy
-		}
+	segments := Clip(obj, merged)
+	if strategy == SegmentCopy {
+		return segments, SegmentCopy
 	}
-	if strategy == MinMaxCopy && len(clipped) > 0 {
-		return []Interval{{Start: clipped[0].Start, End: clipped[len(clipped)-1].End}}, MinMaxCopy
+	var minmax []Interval
+	if len(segments) > 0 {
+		minmax = []Interval{{Start: segments[0].Start, End: segments[len(segments)-1].End}}
 	}
-	return clipped, strategy
+	if strategy == AdaptiveCopy && PlanCost(prof, segments) < PlanCost(prof, minmax) {
+		return segments, SegmentCopy
+	}
+	return minmax, MinMaxCopy
 }
 
-// density is coveredBytes / span over the merged intervals.
-func density(merged []Interval) float64 {
-	if len(merged) == 0 {
-		return 0
+// PlanCost prices a copy plan on prof: one device-to-host copy call per
+// range (gpu.Profile.CopyCost). The adaptive policy minimizes it, and the
+// profiler charges it as a snapshot refresh's simulated copy time.
+func PlanCost(prof gpu.Profile, plan []Interval) time.Duration {
+	var t time.Duration
+	for _, iv := range plan {
+		t += prof.CopyCost(iv.Len(), gpu.CopyDeviceToHost)
 	}
-	span := merged[len(merged)-1].End - merged[0].Start
-	if span == 0 {
-		return 0
-	}
-	return float64(TotalBytes(merged)) / float64(span)
+	return t
 }
 
 // Clip restricts merged intervals to the object bounds, dropping empties.
-func Clip(obj Interval, merged []Interval) []Interval { return clip(obj, merged) }
+func Clip(obj Interval, merged []Interval) []Interval {
+	var out []Interval
+	for _, iv := range merged {
+		s, e := max(iv.Start, obj.Start), min(iv.End, obj.End)
+		if s < e {
+			out = append(out, Interval{Start: s, End: e})
+		}
+	}
+	return out
+}
 
 // Chunks cuts sorted, disjoint intervals into chunks of exactly maxBytes
 // in total, the last one possibly smaller, preserving order and coverage:
@@ -108,39 +109,4 @@ func Chunks(ivs []Interval, maxBytes uint64) [][]Interval {
 		}
 	}
 	return out
-}
-
-// clip restricts merged intervals to the object bounds, dropping empties.
-func clip(obj Interval, merged []Interval) []Interval {
-	var out []Interval
-	for _, iv := range merged {
-		s, e := iv.Start, iv.End
-		if s < obj.Start {
-			s = obj.Start
-		}
-		if e > obj.End {
-			e = obj.End
-		}
-		if s < e {
-			out = append(out, Interval{Start: s, End: e})
-		}
-	}
-	return out
-}
-
-// CopyCostModel prices a copy plan: each range pays a fixed per-call
-// latency plus bytes/bandwidth. This is the quantity the adaptive policy
-// minimizes and the overhead accounting charges for snapshot maintenance.
-type CopyCostModel struct {
-	PerCall   time.Duration
-	Bandwidth float64 // bytes per second
-}
-
-// Cost prices a plan under the model.
-func (m CopyCostModel) Cost(plan []Interval) time.Duration {
-	var t time.Duration
-	for _, iv := range plan {
-		t += m.PerCall + time.Duration(float64(iv.Len())/m.Bandwidth*float64(time.Second))
-	}
-	return t
 }

@@ -1,8 +1,9 @@
 // Package interval implements the accessed-memory-range machinery of
 // paper §6.1: intervals describing the addresses touched by GPU
 // instructions, a sequential merge baseline, the data-parallel interval
-// merge of Figure 4, warp-level interval compaction, and the three
-// snapshot copy strategies of Figure 5 with the adaptive switching policy.
+// merge of Figure 4, and the three snapshot copy strategies of Figure 5
+// with the adaptive policy that runs whichever plan the device's copy
+// cost (gpu.Profile.CopyCost) prices lower.
 package interval
 
 import (
@@ -185,20 +186,4 @@ func (m *Merger) MergeParallel(ivs []Interval) []Interval {
 		}
 	})
 	return out
-}
-
-// CompactWarp merges the intervals generated by the threads of one warp
-// before they enter the global record buffer — the "interval compaction"
-// simplification the paper implements with warp shuffle primitives. For a
-// warp's ≤32 accesses the cost is trivial, and for the coalesced access
-// patterns GPU code strives for it collapses 32 records into one.
-func CompactWarp(accs []gpu.Access) []Interval {
-	if len(accs) == 0 {
-		return nil
-	}
-	ivs := make([]Interval, len(accs))
-	for i, a := range accs {
-		ivs[i] = FromAccess(a)
-	}
-	return MergeSequential(ivs)
 }

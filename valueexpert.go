@@ -378,8 +378,10 @@ func RenderHTML(rep *Report, graph *Graph, opts HTMLOptions) string {
 
 // PlanCopy computes the device-to-host byte ranges a snapshot refresh
 // would transfer for a data object spanning object, given its merged
-// accessed intervals, under the chosen strategy (Figure 5).
-func PlanCopy(strategy CopyStrategy, object Interval, merged []Interval) []Interval {
-	plan, _ := interval.PlanCopy(strategy, object, merged)
+// accessed intervals, under the chosen strategy (Figure 5). AdaptiveCopy
+// returns the cheaper of the min-max and segment plans under device's
+// copy cost, min-max on a tie.
+func PlanCopy(device gpu.Profile, strategy CopyStrategy, object Interval, merged []Interval) []Interval {
+	plan, _ := interval.PlanCopy(device, strategy, object, merged)
 	return plan
 }
